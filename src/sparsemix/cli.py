@@ -101,8 +101,13 @@ def _check_seed(seed: int) -> int:
 def _write_text(path: str, text: str) -> None:
     target = Path(path)
     tmp = target.with_name(f"{target.name}.tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, target)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, target)
+    except BaseException:
+        # a failed write or rename leaves no temporary file behind
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _json_text(payload: dict) -> str:

@@ -13,23 +13,14 @@ import os
 from collections import OrderedDict
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, InsufficientReplicates, SampleTooSmall
-from .mixture import MixtureSpec
-from .rng import (
-    DOMAIN_NULL,
-    DOMAIN_POWER,
-    RandomStream,
-    normals_from_uniforms,
-    stream_id_for,
-)
+from .mixture import MixtureSpec, alternative_pvalues
+from .rng import DOMAIN_NULL, DOMAIN_POWER, RandomStream, stream_id_for
 from .stats import P_MAX, P_MIN, StatisticKind, _row_stats, supported_kinds
 
 # Rough per-batch element budget; keeps temporaries ~100 MB at any n.
 ELEMENTS_PER_BATCH = 4_000_000
-
-_SQRT2 = np.sqrt(2.0)
 
 _NULL_CACHE: OrderedDict[tuple[int, int, int], dict[StatisticKind, np.ndarray]]
 _NULL_CACHE = OrderedDict()
@@ -79,7 +70,9 @@ def _alt_rows(
     """Sorted clamped p-value matrix for alternative replicates.
 
     Row layout matches mixture.sample_alternative: the first n uniforms pick
-    the shifted components, the next n invert to normals.
+    the shifted components, the next n give the p-values through
+    mixture.alternative_pvalues, which inverts only the shifted coordinates
+    to normals.
     """
     u = np.empty((count, 2 * n))
     for j in range(count):
@@ -87,10 +80,7 @@ def _alt_rows(
             master_seed, stream_id_for(DOMAIN_POWER, sub, start + j)
         ).generator()
         gen.random(out=u[j])
-    shifted = u[:, :n] < eps
-    z = normals_from_uniforms(u[:, n:])
-    z += mu * shifted
-    p = 0.5 * special.erfc(z / _SQRT2)
+    p = alternative_pvalues(u[:, :n], u[:, n:], eps, mu)
     np.clip(p, P_MIN, P_MAX, out=p)
     p.sort(axis=1)
     return p

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     EmptyOrSingleton,
@@ -148,6 +147,16 @@ def _log_lr_rows(pm: np.ndarray, n: int, t: np.ndarray) -> np.ndarray:
     return ell
 
 
+def _log_alr_rows(ell: np.ndarray, n: int) -> np.ndarray:
+    """log ALR per row of log LR terms: a max-shifted log-sum-exp of
+    ell + log w, reduced in one temporary so large terms cannot overflow."""
+    x = ell + _alr_log_weights(n)
+    top = x.max(axis=1)
+    x -= top[:, None]
+    np.exp(x, out=x)
+    return top + np.log(x.sum(axis=1))
+
+
 def _row_stats(
     p: np.ndarray, n: int, kinds: tuple[StatisticKind, ...]
 ) -> dict[StatisticKind, np.ndarray]:
@@ -165,9 +174,7 @@ def _row_stats(
         if StatisticKind.BJ in kinds:
             out[StatisticKind.BJ] = ell.max(axis=1)
         if StatisticKind.ALR in kinds:
-            out[StatisticKind.ALR] = special.logsumexp(
-                ell + _alr_log_weights(n), axis=1
-            )
+            out[StatisticKind.ALR] = _log_alr_rows(ell, n)
     return out
 
 
@@ -206,7 +213,7 @@ def _log_alr_from_terms(n: int, terms: np.ndarray) -> float:
     m = n // 2
     if terms.shape != (m,):
         raise OutOfRange(f"expected {m} log LR terms, got shape {terms.shape}")
-    return float(special.logsumexp(terms + _alr_log_weights(n)))
+    return float(_log_alr_rows(terms[None, :], n)[0])
 
 
 def compute_statistic(sample: SortedPValues, kind: StatisticKind) -> StatisticResult:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import pytest
 
@@ -235,6 +236,20 @@ def test_exit_unwritable_output(pfile, tmp_path, capsys):
     argv = ["calibrate", "--stat", "hc", "--n", "32", "--alpha", "0.05",
             "--reps", "300", "--seed", "0", "--out", "/nonexistent/dir/x.json"]
     assert main(argv) == 3
+
+
+def test_failed_rename_leaves_no_partial_output(tmp_path, monkeypatch, capsys):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "x.json"
+    argv = ["calibrate", "--stat", "hc", "--n", "32", "--alpha", "0.05",
+            "--reps", "300", "--seed", "0", "--out", str(out)]
+    assert main(argv) == 3
+    assert "IoError" in capsys.readouterr().err
+    assert not out.exists()
+    assert list(tmp_path.glob("*.tmp*")) == []
 
 
 def test_exit_usage_errors(capsys):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy import stats as sps
 
 from sparsemix import (
@@ -22,6 +23,8 @@ from sparsemix import (
     sample_null,
     stream_id_for,
 )
+from sparsemix.mixture import alternative_pvalues
+from sparsemix.rng import U_FLOOR
 
 REL = 1e-12
 
@@ -164,13 +167,45 @@ def test_sample_null_mean_large_sample():
     assert abs(total / count - 0.5) < 1e-3
 
 
-def test_sample_null_normal_path_agrees_in_law():
-    direct = sample_null(2000, _stream(4, 0))
-    via_z = sample_null(2000, _stream(4, 0), normal_path=True)
-    # same uniforms, different transform: not identical but same distribution
-    assert not np.array_equal(direct.values, via_z.values)
-    d = sps.ks_2samp(direct.values, via_z.values)
-    assert d.pvalue > 0.01
+def _dense_pvalues(u_pick, u_norm, eps, mu):
+    """Oracle: every coordinate inverted to a normal, shifted ones by mu."""
+    z = special.ndtri(np.fmax(u_norm, U_FLOOR))
+    z += mu * (u_pick < eps)
+    return 0.5 * special.erfc(z / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.004, 0.3, 1.0 - 1e-9])
+def test_alternative_pvalues_sparse_kernel(eps, monkeypatch):
+    # white box: unshifted coordinates are 1 - u, shifted ones the full
+    # erfc transform; both agree with the dense oracle
+    mu = 2.5
+    rng = np.random.default_rng(23)
+    u_pick = rng.random((3, 4000))
+    u_norm = rng.random((3, 4000))
+    u_norm[:, :4] = [0.0, U_FLOOR / 2, 0.5, 1.0 - 2.0**-53]
+    shifted = u_pick < eps
+    if eps == 0.0:
+        assert not shifted.any()
+
+        def no_erfc(x):
+            raise AssertionError("erfc called with nothing shifted")
+
+        monkeypatch.setattr(special, "erfc", no_erfc)
+    if eps > 0.5:
+        assert shifted.all()
+    got = alternative_pvalues(u_pick, u_norm, eps, mu)
+    monkeypatch.undo()
+    assert got.shape == u_norm.shape
+    assert np.array_equal(got[~shifted], 1.0 - u_norm[~shifted])
+    full = 0.5 * special.erfc(
+        (special.ndtri(np.fmax(u_norm, U_FLOOR)) + mu) / math.sqrt(2.0)
+    )
+    assert np.array_equal(got[shifted], full[shifted])
+    np.testing.assert_allclose(
+        got, _dense_pvalues(u_pick, u_norm, eps, mu), rtol=1e-14, atol=0.0
+    )
+    # one row through the 1-d path equals the same row of the batch
+    assert np.array_equal(alternative_pvalues(u_pick[1], u_norm[1], eps, mu), got[1])
 
 
 # ---------------------------------------------------------------------------

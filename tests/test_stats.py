@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 from sparsemix import (
     DomainError,
@@ -23,7 +24,14 @@ from sparsemix import (
     prepare,
     supported_kinds,
 )
-from sparsemix.stats import P_MAX, P_MIN, _alr_log_weights, _log_alr_from_terms
+from sparsemix.stats import (
+    P_MAX,
+    P_MIN,
+    _alr_log_weights,
+    _log_alr_from_terms,
+    _log_alr_rows,
+    _log_lr_rows,
+)
 
 REL = 1e-12
 
@@ -213,6 +221,23 @@ def test_log_alr_from_terms_survives_huge_terms():
         got = _log_alr_from_terms(8, terms)
         assert math.isfinite(got)
         assert got == pytest.approx(peak + math.log(0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [100, 1000, 10_000])
+def test_log_alr_reduction_matches_scipy_logsumexp(n):
+    # oracle: scipy's logsumexp over the same weighted terms, on null rows and
+    # on the same rows with one 1e6 term planted at varying indices
+    rng = np.random.default_rng(n)
+    m = n // 2
+    p = np.sort(np.clip(rng.random((16, n)), P_MIN, P_MAX), axis=1)
+    ell = _log_lr_rows(p[:, :m], n, np.arange(1, m + 1) / n)
+    huge = ell.copy()
+    huge[np.arange(16), rng.integers(0, m, 16)] = 1e6
+    for terms in (ell, huge):
+        want = logsumexp(terms + _alr_log_weights(n), axis=1)
+        got = _log_alr_rows(terms, n)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+        assert _log_alr_from_terms(n, terms[3]) == got[3]
 
 
 def test_log_alr_from_terms_zero_terms_give_weight_mass():
