@@ -41,7 +41,7 @@ from .rng import (
     U_FLOOR,
     exponentials_from_uniforms,
     normals_from_uniforms,
-    stream_id_for,
+    uniform_rows,
 )
 from .stats import StatisticKind
 
@@ -127,14 +127,19 @@ def quantile_index(reps: int, alpha: float) -> int:
     return min(k, reps)
 
 
-def empirical_cv(sample: NullSample, alpha: float) -> float:
-    """Upper-alpha critical value from a simulated null sample."""
-    alpha = _check_alpha(alpha)
-    reps = sample.reps
+def check_tail(reps: int, alpha: float) -> None:
+    """Refuse a level whose upper tail would hold fewer than 5 of reps replicates."""
     if reps * alpha < 5.0:
         raise InsufficientReplicates(
             f"reps * alpha = {reps * alpha:.3g} < 5; tail too sparse to calibrate"
         )
+
+
+def empirical_cv(sample: NullSample, alpha: float) -> float:
+    """Upper-alpha critical value from a simulated null sample."""
+    alpha = _check_alpha(alpha)
+    reps = sample.reps
+    check_tail(reps, alpha)
     return float(sample.replicates[quantile_index(reps, alpha) - 1])
 
 
@@ -411,19 +416,12 @@ def _cal2_rows(n: int, grid_size: int, u: np.ndarray) -> np.ndarray:
 
 def _cal1_task(args) -> np.ndarray:
     master_seed, start, count = args
-    u = np.empty((count, 2))
-    for j in range(count):
-        gen = RandomStream(master_seed, stream_id_for(DOMAIN_CAL1, 0, start + j)).generator()
-        gen.random(out=u[j])
-    return _cal1_rows(u)
+    return _cal1_rows(uniform_rows(master_seed, DOMAIN_CAL1, 0, start, count, 2))
 
 
 def _cal2_task(args) -> np.ndarray:
     master_seed, start, count, n, grid_size = args
-    u = np.empty((count, grid_size + 2))
-    for j in range(count):
-        gen = RandomStream(master_seed, stream_id_for(DOMAIN_CAL2, 0, start + j)).generator()
-        gen.random(out=u[j])
+    u = uniform_rows(master_seed, DOMAIN_CAL2, 0, start, count, grid_size + 2)
     return _cal2_rows(n, grid_size, u)
 
 
@@ -484,15 +482,9 @@ def alr_limit_cv(
     alpha = _check_alpha(alpha)
     if reps < 10_000:
         raise InsufficientReplicates(f"limit-law calibration needs reps >= 10000, got {reps}")
-    if reps * alpha < 5.0:
-        raise InsufficientReplicates(
-            f"reps * alpha = {reps * alpha:.3g} < 5; tail too sparse to calibrate"
-        )
+    check_tail(reps, alpha)
     if variant is CalibrationMethod.CAL2:
-        if n_for_l < 16:
-            raise DomainError(f"n_for_l must be >= 16, got {n_for_l}")
-        if grid_size < 256:
-            raise DomainError(f"grid_size must be >= 256, got {grid_size}")
+        _check_bridge_args(n_for_l, grid_size)
     draws = _limit_draws(variant, reps, n_for_l, grid_size, master_seed, threads)
     raw = float(draws[quantile_index(reps, alpha) - 1])
     return math.log(raw)

@@ -22,11 +22,12 @@ from .calibration import (
     CalibrationMethod,
     CriticalValueTable,
     alr_limit_cv,
+    check_tail,
     empirical_cv,
     quantile_index,
     simulate_null_distribution,
 )
-from .errors import ConfigError, InsufficientReplicates, IoError, SparsemixError
+from .errors import ConfigError, IoError, SparsemixError
 from .experiments import (
     beta_grid_default,
     power_curve,
@@ -156,10 +157,7 @@ def _precheck_alphas(reps: int, alphas: list[float]) -> None:
     """Fail before simulating if a requested level cannot be calibrated."""
     for a in alphas:
         quantile_index(reps, a)
-        if reps * a < 5.0:
-            raise InsufficientReplicates(
-                f"reps * alpha = {reps * a:.3g} < 5; tail too sparse to calibrate"
-            )
+        check_tail(reps, a)
 
 
 def _cmd_calibrate(args: argparse.Namespace, config: dict) -> int:

@@ -3,7 +3,9 @@
 Replicate j of a run is a pure function of (master_seed, stream_id), so the
 result vectors do not depend on batch size or worker count.  Null statistic
 vectors are cached per (n, reps, master_seed) so size tables and power-curve
-calibration at the same configuration share one simulation pass.
+calibration at the same configuration share one simulation pass.  Only the
+requested kinds are computed; a later request for others simulates just
+those and adds them to the cached entry.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, InsufficientReplicates, SampleTooSmall
 from .mixture import MixtureSpec, alternative_pvalues
-from .rng import DOMAIN_NULL, DOMAIN_POWER, RandomStream, stream_id_for
+from .rng import DOMAIN_NULL, DOMAIN_POWER, uniform_rows
 from .stats import P_MAX, P_MIN, StatisticKind, _row_stats, supported_kinds
 
 # Rough per-batch element budget; keeps temporaries ~100 MB at any n.
@@ -55,10 +57,7 @@ def _ranges(total: int, per_batch: int) -> list[tuple[int, int]]:
 
 def _null_rows(n: int, master_seed: int, start: int, count: int) -> np.ndarray:
     """Sorted clamped p-value matrix for null replicates start..start+count-1."""
-    m = np.empty((count, n))
-    for j in range(count):
-        gen = RandomStream(master_seed, stream_id_for(DOMAIN_NULL, 0, start + j)).generator()
-        gen.random(out=m[j])
+    m = uniform_rows(master_seed, DOMAIN_NULL, 0, start, count, n)
     np.clip(m, P_MIN, P_MAX, out=m)
     m.sort(axis=1)
     return m
@@ -74,12 +73,7 @@ def _alt_rows(
     mixture.alternative_pvalues, which inverts only the shifted coordinates
     to normals.
     """
-    u = np.empty((count, 2 * n))
-    for j in range(count):
-        gen = RandomStream(
-            master_seed, stream_id_for(DOMAIN_POWER, sub, start + j)
-        ).generator()
-        gen.random(out=u[j])
+    u = uniform_rows(master_seed, DOMAIN_POWER, sub, start, count, 2 * n)
     p = alternative_pvalues(u[:, :n], u[:, n:], eps, mu)
     np.clip(p, P_MIN, P_MAX, out=p)
     p.sort(axis=1)
@@ -125,16 +119,17 @@ def null_statistics(
     """
     kinds = _check_request(n, reps, kinds)
     key = (n, reps, master_seed)
-    cached = _NULL_CACHE.get(key)
-    if cached is None:
-        compute = supported_kinds(n)
+    cached = _NULL_CACHE.get(key, {})
+    missing = tuple(k for k in kinds if k not in cached)
+    if missing:
         per_batch = max(1, ELEMENTS_PER_BATCH // n)
-        tasks = [(n, master_seed, s, c, compute) for s, c in _ranges(reps, per_batch)]
+        tasks = [(n, master_seed, s, c, missing) for s, c in _ranges(reps, per_batch)]
         parts = map_tasks(_null_task, tasks, threads)
-        cached = {k: np.concatenate([p[k] for p in parts]) for k in compute}
-        _NULL_CACHE[key] = cached
-        while len(_NULL_CACHE) > _NULL_CACHE_CAP:
-            _NULL_CACHE.popitem(last=False)
+        cached.update({k: np.concatenate([p[k] for p in parts]) for k in missing})
+        if key not in _NULL_CACHE:
+            _NULL_CACHE[key] = cached
+            while len(_NULL_CACHE) > _NULL_CACHE_CAP:
+                _NULL_CACHE.popitem(last=False)
     return {k: cached[k] for k in kinds}
 
 

@@ -1,9 +1,9 @@
 """Reproducible random streams.
 
 Every Monte Carlo draw in the package comes from a (master_seed, stream_id)
-pair fed to numpy's SeedSequence, so replicate j is a pure function of the
-seed pair regardless of batching, thread count, or evaluation order.
-Distinct stream ids give statistically independent PCG64 streams.
+pair, so replicate j is a pure function of the seed pair regardless of
+batching, thread count, or evaluation order.  Distinct stream ids give
+statistically independent PCG64 streams.
 
 Stream ids partition the id space by purpose:
 
@@ -12,10 +12,27 @@ Stream ids partition the id space by purpose:
 where `domain` separates null simulation, power simulation, and the two
 ALR limit-law samplers, `sub` separates e.g. grid points within a power
 study, and `index` is the replicate number.
+
+A stream is numpy's `PCG64(SeedSequence((master_seed, stream_id)))`, bit for
+bit; `uniform_rows` positions one PCG64 per row without building the
+SeedSequence.  The seed pair is at most four 32-bit entropy words (the words
+of master_seed, then those of stream_id), so of the SeedSequence hash (NumPy
+NEP 19) only the pool fill and the cross-mix run; both are applied to a whole
+batch of stream ids at once in uint32 arithmetic.  Eight state words drawn
+from the pool give four 64-bit words w, and PCG64's seeding (O'Neill, PCG,
+2014) sets
+
+    inc   = (w2 << 64 | w3) << 1 | 1                          (mod 2^128)
+    state = (inc + (w0 << 64 | w1)) * PCG_MULT + inc          (mod 2^128)
+
+which go into one reused generator through its public `state` dict before
+each row is drawn.  tests/test_rng.py holds numpy's own SeedSequence as the
+oracle.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +48,23 @@ DOMAIN_CAL2 = 3
 # Uniforms from Generator.random() live in [0, 1); guard the left edge before
 # inverting so ndtri never sees an exact 0 (and Exp(1) draws stay positive).
 U_FLOOR = 2.0**-54
+
+# SeedSequence hash constants (numpy.random.bit_generator) and PCG64's
+# 128-bit multiplier.
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_POOL = 4
+
+# Rows positioned per batch of Python ints; bounds the lists' memory.
+POSITION_CHUNK = 4096
 
 
 def stream_id_for(domain: int, sub: int, index: int) -> int:
@@ -58,8 +92,96 @@ class RandomStream:
             raise OutOfRange(f"stream_id {self.stream_id} outside [0, 2^64)")
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence((self.master_seed, self.stream_id))
-        return np.random.Generator(np.random.PCG64(seq))
+        gen, seat = _seatable_generator()
+        ids = np.array([self.stream_id], np.uint64)
+        seat(*next(_pcg64_states(self.master_seed, ids)))
+        return gen
+
+
+def _hash_steps(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
+    """(xor, multiplier) of each hashmix call: the hash constant before and
+    after its update.  The constants never depend on the data."""
+    steps, h = [], init
+    for _ in range(count):
+        nxt = h * mult & _MASK32
+        steps.append((np.uint32(h), np.uint32(nxt)))
+        h = nxt
+    return steps
+
+
+# 4 pool-fill + 12 cross-mix hashes under INIT_A; 8 state words under INIT_B.
+_MIX_STEPS = _hash_steps(_INIT_A, _MULT_A, _POOL + _POOL * (_POOL - 1))
+_STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+def _hashmix(value: np.ndarray, step: tuple[np.uint32, np.uint32]) -> np.ndarray:
+    xor, mul = step
+    value = (value ^ xor) * mul
+    return value ^ (value >> _XSHIFT)
+
+
+def _pcg64_states(master_seed: int, stream_ids: np.ndarray) -> Iterator[tuple[int, int]]:
+    """(state, inc) of PCG64(SeedSequence((master_seed, id))) for each uint64 id."""
+    # Entropy: master_seed's little-endian words (0 is one zero word), then
+    # stream_id's low and high word.  An id below 2^32 has one word; its zero
+    # high word is the pool's zero padding.
+    entropy = np.zeros((_POOL, stream_ids.size), np.uint32)
+    seed_words = [master_seed & _MASK32] + ([master_seed >> 32] if master_seed >> 32 else [])
+    entropy[: len(seed_words)] = np.array(seed_words, np.uint32)[:, None]
+    entropy[len(seed_words)] = stream_ids & _MASK32
+    entropy[len(seed_words) + 1] = stream_ids >> 32
+    steps = iter(_MIX_STEPS)
+    pool = [_hashmix(entropy[i], next(steps)) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                r = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], next(steps))
+                pool[dst] = r ^ (r >> _XSHIFT)
+    words = [
+        _hashmix(pool[i % _POOL], step).astype(np.uint64)
+        for i, step in enumerate(_STATE_STEPS)
+    ]
+    # The 128-bit seeding runs on object arrays: Python ints, one per row.
+    w0, w1, w2, w3 = (
+        (words[2 * k] | words[2 * k + 1] << 32).astype(object) for k in range(4)
+    )
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+    return zip(state.tolist(), inc.tolist())
+
+
+def _seatable_generator():
+    """A Generator and a function that sets its PCG64 to a (state, inc) pair."""
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    full = bitgen.state
+    pcg = full["state"]
+
+    def seat(state: int, inc: int) -> None:
+        pcg["state"], pcg["inc"] = state, inc
+        bitgen.state = full
+
+    return gen, seat
+
+
+def uniform_rows(
+    master_seed: int, domain: int, sub: int, start: int, count: int, width: int
+) -> np.ndarray:
+    """(count, width) uniforms in [0, 1): row j is the first `width` draws of
+    stream (domain, sub, start + j) under master_seed."""
+    if count < 0 or width < 0:
+        raise OutOfRange(f"count {count} and width {width} must be >= 0")
+    base = RandomStream(master_seed, stream_id_for(domain, sub, start)).stream_id
+    stream_id_for(domain, sub, start + max(count, 1) - 1)  # the last row's index fits
+    out = np.empty((count, width))
+    gen, seat = _seatable_generator()
+    for c0 in range(0, count, POSITION_CHUNK):
+        chunk = min(POSITION_CHUNK, count - c0)
+        ids = np.uint64(base + c0) + np.arange(chunk, dtype=np.uint64)
+        for row, state in zip(out[c0:], _pcg64_states(master_seed, ids)):
+            seat(*state)
+            gen.random(out=row)
+    return out
 
 
 def normals_from_uniforms(u: np.ndarray) -> np.ndarray:

@@ -95,6 +95,22 @@ def test_null_cache_shares_arrays():
     assert c[StatisticKind.HC] is a[StatisticKind.HC]
 
 
+def test_null_kinds_added_on_demand_equal_one_pass():
+    hc, bj, alr = StatisticKind.HC, StatisticKind.BJ, StatisticKind.ALR
+    first = null_statistics(40, 300, 9, kinds=(hc, bj), threads=1)
+    cached = engine._NULL_CACHE[(40, 300, 9)]
+    assert set(cached) == {hc, bj}  # ALR was not computed
+    later = null_statistics(40, 300, 9, kinds=(alr, hc), threads=1)
+    assert list(later) == [alr, hc]
+    assert engine._NULL_CACHE[(40, 300, 9)] is cached
+    assert set(cached) == {hc, bj, alr}
+    assert cached[hc] is first[hc] and cached[bj] is first[bj]
+    engine._NULL_CACHE.clear()
+    whole = null_statistics(40, 300, 9, threads=1)
+    for k in (hc, bj, alr):
+        assert np.array_equal(cached[k], whole[k])
+
+
 def test_null_cache_is_keyed_and_bounded():
     null_statistics(20, 10, 1, threads=1)
     null_statistics(20, 10, 2, threads=1)

@@ -4,18 +4,36 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from sparsemix import OutOfRange, RandomStream, stream_id_for
+from sparsemix import rng
 from sparsemix.rng import (
     DOMAIN_CAL1,
     DOMAIN_CAL2,
     DOMAIN_NULL,
     DOMAIN_POWER,
+    POSITION_CHUNK,
     U_FLOOR,
     exponentials_from_uniforms,
     normals_from_uniforms,
+    uniform_rows,
 )
+
+DOMAINS = (DOMAIN_NULL, DOMAIN_POWER, DOMAIN_CAL1, DOMAIN_CAL2)
+
+
+def _numpy_stream(seed: int, stream_id: int, width: int) -> np.ndarray:
+    """The oracle: numpy's own SeedSequence -> PCG64 -> Generator."""
+    seq = np.random.SeedSequence((seed, stream_id))
+    return np.random.Generator(np.random.PCG64(seq)).random(width)
+
+
+def _assert_rows_match_numpy(seed, domain, sub, start, rows):
+    for j, row in enumerate(rows):
+        expected = _numpy_stream(seed, stream_id_for(domain, sub, start + j), row.size)
+        assert np.array_equal(row, expected), (seed, domain, sub, start + j)
 
 
 def test_domains_are_distinct():
@@ -71,6 +89,73 @@ def test_distinct_streams_differ():
         RandomStream(123, stream_id_for(1, 0, 5)),
     ]:
         assert not np.array_equal(base, other.generator().random(100))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("sub", [0, 2**16 - 1])
+def test_uniform_rows_equal_numpy_seedsequence_streams(seed, domain, sub):
+    for width in (1, 2, 4098):
+        for start, count in ((0, 2), (2**32 - 1, 1)):  # indices 0, 1 and 2^32 - 1
+            rows = uniform_rows(seed, domain, sub, start, count, width)
+            assert rows.shape == (count, width)
+            _assert_rows_match_numpy(seed, domain, sub, start, rows)
+
+
+def test_uniform_rows_past_one_position_chunk():
+    for count in (POSITION_CHUNK + 1, 2 * POSITION_CHUNK + 3):
+        rows = uniform_rows(2**32, DOMAIN_POWER, 7, 11, count, 2)
+        assert rows.shape == (count, 2)
+        _assert_rows_match_numpy(2**32, DOMAIN_POWER, 7, 11, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    domain=st.integers(0, 2**16 - 1),
+    sub=st.integers(0, 2**16 - 1),
+    start=st.integers(0, 2**32 - 3),
+    count=st.integers(1, 3),
+    width=st.integers(1, 40),
+)
+def test_uniform_rows_property(seed, domain, sub, start, count, width):
+    rows = uniform_rows(seed, domain, sub, start, count, width)
+    _assert_rows_match_numpy(seed, domain, sub, start, rows)
+
+
+def test_random_stream_generator_equals_numpy_seedsequence():
+    for seed, sid in ((0, 0), (5, stream_id_for(3, 2, 9)), (2**64 - 1, 2**64 - 1)):
+        got = RandomStream(seed, sid).generator().random(300)
+        assert np.array_equal(got, _numpy_stream(seed, sid, 300))
+
+
+def test_uniform_rows_split_invariance():
+    whole = uniform_rows(1729, DOMAIN_CAL2, 4, 10, 100, 7)
+    splits = ((10, 37), (47, 1), (48, 62))
+    parts = [uniform_rows(1729, DOMAIN_CAL2, 4, s, c, 7) for s, c in splits]
+    assert np.array_equal(whole, np.vstack(parts))
+    assert uniform_rows(1729, DOMAIN_CAL2, 4, 10, 0, 7).shape == (0, 7)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (0, DOMAIN_NULL, 0, 2**32 - 2, 3, 2),  # last row's index is 2^32
+        (0, DOMAIN_NULL, 0, 2**32, 1, 2),
+        (2**64, DOMAIN_NULL, 0, 0, 1, 2),
+        (-1, DOMAIN_NULL, 0, 0, 1, 2),
+        (0, 2**16, 0, 0, 1, 2),
+        (0, DOMAIN_NULL, 2**16, 0, 1, 2),
+        (0, DOMAIN_NULL, 0, 0, -1, 2),
+        (0, DOMAIN_NULL, 0, 0, 1, -1),
+    ],
+)
+def test_uniform_rows_range_checks_before_drawing(monkeypatch, args):
+    drawn = []
+    monkeypatch.setattr(rng, "_seatable_generator", lambda: drawn.append(1))
+    with pytest.raises(OutOfRange):
+        uniform_rows(*args)
+    assert not drawn
 
 
 def test_normal_inversion_handles_zero():
