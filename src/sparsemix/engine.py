@@ -3,9 +3,10 @@
 Replicate j of a run is a pure function of (master_seed, stream_id), so the
 result vectors do not depend on batch size or worker count.  Null statistic
 vectors are cached per (n, reps, master_seed) so size tables and power-curve
-calibration at the same configuration share one simulation pass.  Only the
-requested kinds are computed; a later request for others simulates just
-those and adds them to the cached entry.
+calibration at the same configuration share one simulation pass.  The first
+pass computes only the requested kinds; a later request for a kind it lacks
+re-simulates once and adds every kind still missing, so no entry is
+simulated more than twice.
 """
 
 from __future__ import annotations
@@ -116,16 +117,24 @@ def null_statistics(
     """Statistic vectors over `reps` null replicates, keyed by kind.
 
     Returned arrays are cached and shared; callers must not mutate them.
+    A configuration's first call computes only its `kinds`.  A later call
+    asking for a kind the entry lacks runs a second simulation pass, which
+    adds every supported kind still missing, so a third is never needed.
     """
     kinds = _check_request(n, reps, kinds)
     key = (n, reps, master_seed)
-    cached = _NULL_CACHE.get(key, {})
-    missing = tuple(k for k in kinds if k not in cached)
-    if missing:
+    cached = _NULL_CACHE.get(key)
+    if cached is None:
+        cached, compute = {}, kinds
+    elif all(k in cached for k in kinds):
+        compute = ()
+    else:
+        compute = tuple(k for k in supported_kinds(n) if k not in cached)
+    if compute:
         per_batch = max(1, ELEMENTS_PER_BATCH // n)
-        tasks = [(n, master_seed, s, c, missing) for s, c in _ranges(reps, per_batch)]
+        tasks = [(n, master_seed, s, c, compute) for s, c in _ranges(reps, per_batch)]
         parts = map_tasks(_null_task, tasks, threads)
-        cached.update({k: np.concatenate([p[k] for p in parts]) for k in missing})
+        cached.update({k: np.concatenate([p[k] for p in parts]) for k in compute})
         if key not in _NULL_CACHE:
             _NULL_CACHE[key] = cached
             while len(_NULL_CACHE) > _NULL_CACHE_CAP:

@@ -14,18 +14,19 @@ ALR limit-law samplers, `sub` separates e.g. grid points within a power
 study, and `index` is the replicate number.
 
 A stream is numpy's `PCG64(SeedSequence((master_seed, stream_id)))`, bit for
-bit; `uniform_rows` positions one PCG64 per row without building the
-SeedSequence.  The seed pair is at most four 32-bit entropy words (the words
-of master_seed, then those of stream_id), so of the SeedSequence hash (NumPy
-NEP 19) only the pool fill and the cross-mix run; both are applied to a whole
-batch of stream ids at once in uint32 arithmetic.  Eight state words drawn
-from the pool give four 64-bit words w, and PCG64's seeding (O'Neill, PCG,
-2014) sets
+bit.  `RandomStream.generator()` builds exactly that; `uniform_rows` instead
+seats one reused PCG64 at each row's stream through
+`RandomStream.generator(seats)`, without building a SeedSequence.  The seed
+pair is at most four 32-bit entropy words (the words of master_seed, then
+those of stream_id), so of the SeedSequence hash (NumPy NEP 19) only the pool
+fill and the cross-mix run; both are applied to a chunk of adjacent stream
+ids at once in uint32 arithmetic.  Eight state words drawn from the pool give
+four 64-bit words w, and PCG64's seeding (O'Neill, PCG, 2014) sets
 
     inc   = (w2 << 64 | w3) << 1 | 1                          (mod 2^128)
     state = (inc + (w0 << 64 | w1)) * PCG_MULT + inc          (mod 2^128)
 
-which go into one reused generator through its public `state` dict before
+which go into the reused generator through its public `state` dict before
 each row is drawn.  tests/test_rng.py holds numpy's own SeedSequence as the
 oracle.
 """
@@ -91,11 +92,16 @@ class RandomStream:
         if not 0 <= self.stream_id < 2**64:
             raise OutOfRange(f"stream_id {self.stream_id} outside [0, 2^64)")
 
-    def generator(self) -> np.random.Generator:
-        gen, seat = _seatable_generator()
-        ids = np.array([self.stream_id], np.uint64)
-        seat(*next(_pcg64_states(self.master_seed, ids)))
-        return gen
+    def generator(self, seats: _Seats | None = None) -> np.random.Generator:
+        """numpy's Generator(PCG64(SeedSequence((master_seed, stream_id)))).
+
+        With `seats` (from `uniform_rows`), the batch's one reused generator
+        is seated at this stream instead of a new one being built.
+        """
+        if seats is None:
+            seq = np.random.SeedSequence((self.master_seed, self.stream_id))
+            return np.random.Generator(np.random.PCG64(seq))
+        return seats.seat(self)
 
 
 def _hash_steps(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
@@ -150,18 +156,34 @@ def _pcg64_states(master_seed: int, stream_ids: np.ndarray) -> Iterator[tuple[in
     return zip(state.tolist(), inc.tolist())
 
 
-def _seatable_generator():
-    """A Generator and a function that sets its PCG64 to a (state, inc) pair."""
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    full = bitgen.state
-    pcg = full["state"]
+class _Seats:
+    """One reused PCG64 generator, seated in turn at streams below `stop`.
 
-    def seat(state: int, inc: int) -> None:
-        pcg["state"], pcg["inc"] = state, inc
-        bitgen.state = full
+    The (state, inc) pairs are derived for up to POSITION_CHUNK adjacent
+    streams at a time, when a stream outside the current chunk is seated.
+    """
 
-    return gen, seat
+    def __init__(self, stop: int) -> None:
+        self._bitgen = np.random.PCG64(0)
+        self._gen = np.random.Generator(self._bitgen)
+        self._full = self._bitgen.state
+        self._stop = stop
+        self._chunk = (-1, 0)  # (master_seed, first stream id) of _pairs
+        self._pairs: list[tuple[int, int]] = []
+
+    def seat(self, stream: RandomStream) -> np.random.Generator:
+        seed, first = self._chunk
+        k = stream.stream_id - first
+        if seed != stream.master_seed or not 0 <= k < len(self._pairs):
+            first, k = stream.stream_id, 0
+            count = max(1, min(POSITION_CHUNK, self._stop - first))
+            ids = np.uint64(first) + np.arange(count, dtype=np.uint64)
+            self._chunk = (stream.master_seed, first)
+            self._pairs = list(_pcg64_states(stream.master_seed, ids))
+        pcg = self._full["state"]
+        pcg["state"], pcg["inc"] = self._pairs[k]
+        self._bitgen.state = self._full
+        return self._gen
 
 
 def uniform_rows(
@@ -171,16 +193,12 @@ def uniform_rows(
     stream (domain, sub, start + j) under master_seed."""
     if count < 0 or width < 0:
         raise OutOfRange(f"count {count} and width {width} must be >= 0")
-    base = RandomStream(master_seed, stream_id_for(domain, sub, start)).stream_id
+    first = RandomStream(master_seed, stream_id_for(domain, sub, start)).stream_id
     stream_id_for(domain, sub, start + max(count, 1) - 1)  # the last row's index fits
     out = np.empty((count, width))
-    gen, seat = _seatable_generator()
-    for c0 in range(0, count, POSITION_CHUNK):
-        chunk = min(POSITION_CHUNK, count - c0)
-        ids = np.uint64(base + c0) + np.arange(chunk, dtype=np.uint64)
-        for row, state in zip(out[c0:], _pcg64_states(master_seed, ids)):
-            seat(*state)
-            gen.random(out=row)
+    seats = _Seats(first + count)
+    for stream_id, row in zip(range(first, first + count), out):
+        RandomStream(master_seed, stream_id).generator(seats).random(out=row)
     return out
 
 

@@ -95,16 +95,26 @@ def test_null_cache_shares_arrays():
     assert c[StatisticKind.HC] is a[StatisticKind.HC]
 
 
-def test_null_kinds_added_on_demand_equal_one_pass():
+def test_null_kinds_added_on_demand_equal_one_pass(monkeypatch):
     hc, bj, alr = StatisticKind.HC, StatisticKind.BJ, StatisticKind.ALR
-    first = null_statistics(40, 300, 9, kinds=(hc, bj), threads=1)
+    passes = []
+    run_tasks = engine.map_tasks
+
+    def counted(fn, tasks, threads):
+        passes.append(1)
+        return run_tasks(fn, tasks, threads)
+
+    monkeypatch.setattr(engine, "map_tasks", counted)
+    first = null_statistics(40, 300, 9, kinds=(hc,), threads=1)
     cached = engine._NULL_CACHE[(40, 300, 9)]
-    assert set(cached) == {hc, bj}  # ALR was not computed
-    later = null_statistics(40, 300, 9, kinds=(alr, hc), threads=1)
-    assert list(later) == [alr, hc]
+    assert set(cached) == {hc}  # BJ and ALR were not computed
+    later = null_statistics(40, 300, 9, kinds=(bj, hc), threads=1)
+    assert list(later) == [bj, hc]
     assert engine._NULL_CACHE[(40, 300, 9)] is cached
-    assert set(cached) == {hc, bj, alr}
-    assert cached[hc] is first[hc] and cached[bj] is first[bj]
+    assert set(cached) == {hc, bj, alr}  # the second pass fills in every kind
+    assert cached[hc] is first[hc]
+    null_statistics(40, 300, 9, kinds=(alr,), threads=1)
+    assert len(passes) == 2
     engine._NULL_CACHE.clear()
     whole = null_statistics(40, 300, 9, threads=1)
     for k in (hc, bj, alr):

@@ -123,10 +123,29 @@ def test_uniform_rows_property(seed, domain, sub, start, count, width):
     _assert_rows_match_numpy(seed, domain, sub, start, rows)
 
 
-def test_random_stream_generator_equals_numpy_seedsequence():
-    for seed, sid in ((0, 0), (5, stream_id_for(3, 2, 9)), (2**64 - 1, 2**64 - 1)):
-        got = RandomStream(seed, sid).generator().random(300)
-        assert np.array_equal(got, _numpy_stream(seed, sid, 300))
+def test_uniform_rows_seat_each_row_through_its_stream(monkeypatch):
+    seated = []
+    generator = RandomStream.generator
+
+    def counted(self, seats=None):
+        seated.append(self)
+        return generator(self, seats)
+
+    monkeypatch.setattr(RandomStream, "generator", counted)
+    uniform_rows(3, DOMAIN_CAL1, 2, 8, 5, 4)
+    assert seated == [RandomStream(3, stream_id_for(DOMAIN_CAL1, 2, 8 + j)) for j in range(5)]
+
+
+def test_seated_generator_equals_numpy_seedsequence_in_any_order():
+    seats = rng._Seats(2**64)
+    for seed, sid in (
+        (7, 100), (7, 99), (8, 100), (7, 100 + POSITION_CHUNK), (7, 101),
+        (0, 0), (2**64 - 1, 2**64 - 1), (5, stream_id_for(3, 2, 9)),
+    ):
+        expected = _numpy_stream(seed, sid, 300)
+        stream = RandomStream(seed, sid)
+        assert np.array_equal(stream.generator(seats).random(300), expected), (seed, sid)
+        assert np.array_equal(stream.generator().random(300), expected), (seed, sid)
 
 
 def test_uniform_rows_split_invariance():
@@ -152,7 +171,7 @@ def test_uniform_rows_split_invariance():
 )
 def test_uniform_rows_range_checks_before_drawing(monkeypatch, args):
     drawn = []
-    monkeypatch.setattr(rng, "_seatable_generator", lambda: drawn.append(1))
+    monkeypatch.setattr(rng, "_Seats", lambda stop: drawn.append(1))
     with pytest.raises(OutOfRange):
         uniform_rows(*args)
     assert not drawn
