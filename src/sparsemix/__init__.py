@@ -8,7 +8,6 @@ calibration, size tables, and power curves.
 __version__ = "0.1.0"
 
 from .calibration import (
-    BridgePath,
     CalibrationMethod,
     CriticalValueTable,
     NullSample,
@@ -16,12 +15,7 @@ from .calibration import (
     empirical_cv,
     evi_cv,
     evii_cv,
-    ln_functional,
     quantile_index,
-    sample_alr_limit_cal1,
-    sample_alr_limit_cal2,
-    sample_bridge_path,
-    sample_ln,
     simulate_null_distribution,
     thresh_cv,
 )
@@ -52,7 +46,6 @@ from .experiments import (
 )
 from .mixture import (
     MixtureSpec,
-    SparsityParams,
     mixture_from,
     pvalue,
     r_of_beta,
@@ -72,12 +65,9 @@ from .rng import (
 from .stats import (
     SortedPValues,
     StatisticKind,
-    StatisticResult,
     bj_plus,
-    compute_statistic,
     hc_star,
     log_alr,
-    log_lr_term,
     prepare,
     supported_kinds,
 )
@@ -85,7 +75,6 @@ from .stats import (
 __all__ = [
     "__version__",
     "AlphaOutOfRange",
-    "BridgePath",
     "CalibrationMethod",
     "ConfigError",
     "CriticalValueTable",
@@ -109,22 +98,17 @@ __all__ = [
     "SizeTableRow",
     "SortedPValues",
     "SparsemixError",
-    "SparsityParams",
     "StatisticKind",
-    "StatisticResult",
     "UnsupportedStatistic",
     "alr_limit_cv",
     "alternative_statistics",
     "beta_grid_default",
     "bj_plus",
-    "compute_statistic",
     "empirical_cv",
     "evi_cv",
     "evii_cv",
     "hc_star",
-    "ln_functional",
     "log_alr",
-    "log_lr_term",
     "mixture_from",
     "null_statistics",
     "power_curve",
@@ -134,11 +118,7 @@ __all__ = [
     "quantile_index",
     "r_of_beta",
     "rho_star",
-    "sample_alr_limit_cal1",
-    "sample_alr_limit_cal2",
     "sample_alternative",
-    "sample_bridge_path",
-    "sample_ln",
     "sample_null",
     "simulate_null_distribution",
     "size_table",

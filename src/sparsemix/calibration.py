@@ -37,7 +37,6 @@ from .errors import (
 from .rng import (
     DOMAIN_CAL1,
     DOMAIN_CAL2,
-    RandomStream,
     U_FLOOR,
     exponentials_from_uniforms,
     normals_from_uniforms,
@@ -292,12 +291,6 @@ def _cal1_rows(u: np.ndarray) -> np.ndarray:
     return 0.5 * _exp_factor(e) + 0.5 * np.exp(0.5 * zp * zp)
 
 
-def sample_alr_limit_cal1(stream: RandomStream) -> float:
-    """One draw from the cal1 limit law (raw scale, always >= 1)."""
-    u = stream.generator().random(2)
-    return float(_cal1_rows(u[None, :])[0])
-
-
 @lru_cache(maxsize=16)
 def _bridge_coeffs(n: int, grid_size: int):
     """Log-spaced grid on [1/n, 1/2] plus transition and trapezoid weights.
@@ -348,67 +341,9 @@ def _ln_rows(n: int, grid_size: int, u: np.ndarray) -> np.ndarray:
     return np.sum(integrand * w, axis=1) / math.log(n)
 
 
-@dataclass(frozen=True)
-class BridgePath:
-    """A Brownian bridge sampled on a log-spaced grid over [1/n, 1/2]."""
-
-    n: int
-    t_grid: np.ndarray
-    b_values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.t_grid.ndim != 1 or self.t_grid.shape != self.b_values.shape:
-            raise OutOfRange("t_grid and b_values must be vectors of equal length")
-        if self.t_grid.size < 2:
-            raise OutOfRange("bridge path needs at least two grid points")
-        if not (np.all(np.diff(self.t_grid) > 0.0) and 0.0 < self.t_grid[0]):
-            raise OutOfRange("t_grid must be strictly increasing and positive")
-        if self.t_grid[-1] > 0.5:
-            raise OutOfRange("t_grid must end at 1/2")
-        if not np.all(np.isfinite(self.b_values)):
-            raise NonFinite("bridge values must be finite")
-
-
-def sample_bridge_path(n: int, grid_size: int, stream: RandomStream) -> BridgePath:
-    """One bridge path on the (n, grid_size) grid."""
-    _check_bridge_args(n, grid_size)
-    t, _, _, _ = _bridge_coeffs(n, grid_size)
-    u = stream.generator().random(grid_size + 1)
-    b = _bridge_rows(n, grid_size, u[None, :])[0]
-    return BridgePath(n=n, t_grid=t.copy(), b_values=b)
-
-
-def ln_functional(path: BridgePath) -> float:
-    """Trapezoid value of L_n for an explicit bridge path.
-
-    For the zero path the integrand is identically one and the value
-    telescopes to log(n/2) / log n.
-    """
-    u = np.log(path.t_grid)
-    b = np.fmax(path.b_values, 0.0)
-    integrand = np.exp(b * b / (2.0 * path.t_grid * (1.0 - path.t_grid)))
-    return float(np.trapezoid(integrand, u) / math.log(path.n))
-
-
-def sample_ln(n: int, grid_size: int, stream: RandomStream) -> float:
-    """One draw of the bridge functional L_n (always >= log(n/2)/log n)."""
-    _check_bridge_args(n, grid_size)
-    u = stream.generator().random(grid_size + 1)
-    return float(_ln_rows(n, grid_size, u[None, :])[0])
-
-
-def sample_alr_limit_cal2(n: int, grid_size: int, stream: RandomStream) -> float:
-    """One draw from the cal2 limit law: the exponential factor plus L_n/2.
-
-    The stream's first uniform drives E, the remaining grid_size + 1 drive
-    the bridge.
-    """
-    _check_bridge_args(n, grid_size)
-    u = stream.generator().random(grid_size + 2)
-    return float(_cal2_rows(n, grid_size, u[None, :])[0])
-
-
 def _cal2_rows(n: int, grid_size: int, u: np.ndarray) -> np.ndarray:
+    """cal2 limit draws from a (batch, grid_size + 2) uniform matrix: the
+    first uniform drives E, the remaining grid_size + 1 drive the bridge."""
     e = exponentials_from_uniforms(np.fmax(u[:, 0], U_FLOOR))
     ln = _ln_rows(n, grid_size, u[:, 1:])
     return 0.5 * _exp_factor(e) + 0.5 * ln
@@ -447,14 +382,12 @@ def _limit_draws(
     draws = _LIMIT_CACHE.get(key)
     if draws is None:
         if variant is CalibrationMethod.CAL1:
-            per_batch = max(1, engine.ELEMENTS_PER_BATCH // 2)
-            tasks = [(master_seed, s, c) for s, c in engine._ranges(reps, per_batch)]
+            tasks = [(master_seed, s, c) for s, c in engine._ranges(reps, 2, threads)]
             parts = engine.map_tasks(_cal1_task, tasks, threads)
         else:
-            per_batch = max(1, engine.ELEMENTS_PER_BATCH // (grid_size + 2))
             tasks = [
                 (master_seed, s, c, n_for_l, grid_size)
-                for s, c in engine._ranges(reps, per_batch)
+                for s, c in engine._ranges(reps, grid_size + 2, threads)
             ]
             parts = engine.map_tasks(_cal2_task, tasks, threads)
         draws = np.sort(np.concatenate(parts))

@@ -52,8 +52,16 @@ def map_tasks(fn, tasks: list, threads: int) -> list:
         return pool.map(fn, tasks)
 
 
-def _ranges(total: int, per_batch: int) -> list[tuple[int, int]]:
-    return [(s, min(per_batch, total - s)) for s in range(0, total, per_batch)]
+def _ranges(total: int, width: int, threads: int) -> list[tuple[int, int]]:
+    """(start, count) tasks over `total` rows of `width` elements each.
+
+    A task holds at most ELEMENTS_PER_BATCH // width rows, and at most its
+    even share of the resolved workers, so no worker sits idle while another
+    runs a job that fits in one batch.
+    """
+    per_task = min(ELEMENTS_PER_BATCH // width, -(-total // resolve_threads(threads)))
+    per_task = max(1, per_task)
+    return [(s, min(per_task, total - s)) for s in range(0, total, per_task)]
 
 
 def _null_rows(n: int, master_seed: int, start: int, count: int) -> np.ndarray:
@@ -131,8 +139,7 @@ def null_statistics(
     else:
         compute = tuple(k for k in supported_kinds(n) if k not in cached)
     if compute:
-        per_batch = max(1, ELEMENTS_PER_BATCH // n)
-        tasks = [(n, master_seed, s, c, compute) for s, c in _ranges(reps, per_batch)]
+        tasks = [(n, master_seed, s, c, compute) for s, c in _ranges(reps, n, threads)]
         parts = map_tasks(_null_task, tasks, threads)
         cached.update({k: np.concatenate([p[k] for p in parts]) for k in compute})
         if key not in _NULL_CACHE:
@@ -157,10 +164,9 @@ def alternative_statistics(
     master seed (e.g. the index of a beta grid point).
     """
     kinds = _check_request(spec.n, reps, kinds)
-    per_batch = max(1, ELEMENTS_PER_BATCH // (2 * spec.n))
     tasks = [
         (spec.n, spec.eps, spec.mu, master_seed, sub, s, c, kinds)
-        for s, c in _ranges(reps, per_batch)
+        for s, c in _ranges(reps, 2 * spec.n, threads)
     ]
     parts = map_tasks(_alt_task, tasks, threads)
     return {k: np.concatenate([p[k] for p in parts]) for k in kinds}

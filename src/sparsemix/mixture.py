@@ -36,23 +36,6 @@ def r_of_beta(beta: float) -> float:
 
 
 @dataclass(frozen=True)
-class SparsityParams:
-    """(beta, r, n) parametrization of a sparse alternative."""
-
-    beta: float
-    r: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 0.5 < self.beta <= 1.0:
-            raise DomainError(f"beta must lie in (1/2, 1], got {self.beta!r}")
-        if not self.r > 0.0:
-            raise DomainError(f"r must be positive, got {self.r!r}")
-        if self.n < 2:
-            raise SampleTooSmall(f"need n >= 2, got {self.n}")
-
-
-@dataclass(frozen=True)
 class MixtureSpec:
     """Concrete alternative at sample size n: fraction eps shifted by mu."""
 
@@ -78,12 +61,15 @@ def mixture_from(n: int, beta: float, r: float | None = None) -> MixtureSpec:
     r defaults to r_of_beta(beta); passing r explicitly supports stress tests
     at other signal strengths.
     """
-    params = SparsityParams(
-        beta=float(beta), r=r_of_beta(beta) if r is None else float(r), n=n
-    )
-    eps = float(n) ** -params.beta
-    mu = math.sqrt(2.0 * params.r * math.log(n))
-    return MixtureSpec(n=n, eps=eps, mu=mu)
+    beta = float(beta)
+    if not 0.5 < beta <= 1.0:
+        raise DomainError(f"beta must lie in (1/2, 1], got {beta!r}")
+    r = r_of_beta(beta) if r is None else float(r)
+    if not r > 0.0:
+        raise DomainError(f"r must be positive, got {r!r}")
+    if n < 2:
+        raise SampleTooSmall(f"need n >= 2, got {n}")
+    return MixtureSpec(n=n, eps=float(n) ** -beta, mu=math.sqrt(2.0 * r * math.log(n)))
 
 
 def pvalue(x):

@@ -15,13 +15,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .errors import (
     EmptyOrSingleton,
-    DomainError,
     NonFinite,
     OutOfRange,
     SampleTooSmall,
@@ -80,13 +78,6 @@ class SortedPValues:
             raise OutOfRange("p-values must be sorted ascending")
 
 
-@dataclass(frozen=True)
-class StatisticResult:
-    kind: StatisticKind
-    value: float
-    n: int
-
-
 def prepare(raw) -> SortedPValues:
     """Validate, clamp to [P_MIN, P_MAX], and sort a raw p-value sample."""
     try:
@@ -104,31 +95,6 @@ def prepare(raw) -> SortedPValues:
     return SortedPValues(values=v, n=n, m=n // 2)
 
 
-def log_lr_term(n: int, i: int, p: float) -> float:
-    """One-sided binomial log likelihood ratio at index i.
-
-    log LR_{n,i} = [i log(i/(n p)) + (n-i) log((1 - i/n)/(1 - p))] 1{p < i/n},
-    floored at zero.
-    """
-    if not isinstance(n, Integral) or n < 2:
-        raise DomainError(f"n must be an integer >= 2, got {n!r}")
-    if not isinstance(i, Integral) or not 1 <= i <= n:
-        raise DomainError(f"i must be an integer in [1, n], got {i!r}")
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must lie strictly inside (0, 1), got {p!r}")
-    i = int(i)
-    n = int(n)
-    t = i / n
-    if not p < t:
-        return 0.0
-    first = i * math.log(i / (n * p))
-    # at i = n the binomial mass puts nothing on the complement: the second
-    # term vanishes rather than producing 0 * log(0)
-    second = 0.0 if i == n else (n - i) * (math.log1p(-t) - math.log1p(-p))
-    return max(first + second, 0.0)
-
-
 def _alr_log_weights(n: int) -> np.ndarray:
     """log of the ALR mixing weights: w_1 = 1/2, w_i = 1/(2 i log(n/3))."""
     m = n // 2
@@ -139,7 +105,8 @@ def _alr_log_weights(n: int) -> np.ndarray:
 
 
 def _log_lr_rows(pm: np.ndarray, n: int, t: np.ndarray) -> np.ndarray:
-    """log LR_{n,i} for each row of sorted p-values, i = 1..m."""
+    """log LR_{n,i} for each row of sorted p-values pm at t = i/n, i = 1..m:
+    [i log(i/(n p)) + (n-i) log((1 - i/n)/(1 - p))] 1{p < i/n}, floored at zero."""
     i = t * n
     ell = i * np.log(i / (n * pm)) + (n - i) * (np.log1p(-t) - np.log1p(-pm))
     ell = np.where(pm < t, ell, 0.0)
@@ -178,11 +145,6 @@ def _row_stats(
     return out
 
 
-def _check_alr_size(n: int) -> None:
-    if n < 4:
-        raise SampleTooSmall(f"ALR needs n >= 4 (log(n/3) must be positive), got n={n}")
-
-
 def hc_star(sample: SortedPValues) -> float:
     """Higher criticism: max over i <= n/2 of sqrt(n)(i/n - p_(i)) / sqrt(p_(i)(1-p_(i)))."""
     res = _row_stats(sample.values[None, :], sample.n, (StatisticKind.HC,))
@@ -201,28 +163,9 @@ def log_alr(sample: SortedPValues) -> float:
     ALR = (1/2) LR_{n,1} + (1/2) sum_{i=2}^{m} LR_{n,i} / (i log(n/3)),
     evaluated as a max-shifted log-sum-exp so large LR terms cannot overflow.
     """
-    _check_alr_size(sample.n)
+    if sample.n < 4:
+        raise SampleTooSmall(
+            f"ALR needs n >= 4 (log(n/3) must be positive), got n={sample.n}"
+        )
     res = _row_stats(sample.values[None, :], sample.n, (StatisticKind.ALR,))
     return float(res[StatisticKind.ALR][0])
-
-
-def _log_alr_from_terms(n: int, terms: np.ndarray) -> float:
-    """log ALR from precomputed log LR terms (i = 1..m); overflow-safety hook."""
-    _check_alr_size(n)
-    terms = np.asarray(terms, dtype=float)
-    m = n // 2
-    if terms.shape != (m,):
-        raise OutOfRange(f"expected {m} log LR terms, got shape {terms.shape}")
-    return float(_log_alr_rows(terms[None, :], n)[0])
-
-
-def compute_statistic(sample: SortedPValues, kind: StatisticKind) -> StatisticResult:
-    if kind is StatisticKind.HC:
-        value = hc_star(sample)
-    elif kind is StatisticKind.BJ:
-        value = bj_plus(sample)
-    elif kind is StatisticKind.ALR:
-        value = log_alr(sample)
-    else:
-        raise UnsupportedStatistic(f"unknown statistic kind {kind!r}")
-    return StatisticResult(kind=kind, value=value, n=sample.n)

@@ -1,0 +1,26 @@
+"""The public API: every exported name resolves, and the removed scalar
+duplicates of the batched kernels stay removed."""
+
+import sparsemix
+
+REMOVED = (
+    "BridgePath",
+    "SparsityParams",
+    "StatisticResult",
+    "compute_statistic",
+    "ln_functional",
+    "log_lr_term",
+    "sample_alr_limit_cal1",
+    "sample_alr_limit_cal2",
+    "sample_bridge_path",
+    "sample_ln",
+)
+
+
+def test_all_names_resolve_and_removed_names_are_gone():
+    assert len(set(sparsemix.__all__)) == len(sparsemix.__all__)
+    for name in sparsemix.__all__:
+        assert getattr(sparsemix, name) is not None, name
+    for name in REMOVED:
+        assert name not in sparsemix.__all__
+        assert not hasattr(sparsemix, name)

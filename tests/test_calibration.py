@@ -26,18 +26,19 @@ from sparsemix import (
     empirical_cv,
     evi_cv,
     evii_cv,
-    ln_functional,
     quantile_index,
-    sample_alr_limit_cal1,
-    sample_alr_limit_cal2,
-    sample_bridge_path,
-    sample_ln,
     simulate_null_distribution,
     stream_id_for,
     thresh_cv,
 )
 from sparsemix import calibration
-from sparsemix.calibration import BridgePath, _bridge_coeffs, _cal1_rows, _ln_rows
+from sparsemix.calibration import (
+    _bridge_coeffs,
+    _cal1_rows,
+    _cal1_task,
+    _cal2_task,
+    _ln_rows,
+)
 from sparsemix.rng import DOMAIN_CAL1, DOMAIN_CAL2
 
 REL = 1e-12
@@ -282,9 +283,9 @@ def test_cal1_crafted_uniforms():
 
 
 def test_cal1_draws_at_least_one():
-    vals = [sample_alr_limit_cal1(_stream(5, j)) for j in range(500)]
-    assert min(vals) >= 1.0
-    assert sample_alr_limit_cal1(_stream(5, 3)) == vals[3]
+    vals = _cal1_task((5, 0, 500))
+    assert vals.min() >= 1.0
+    assert _cal1_task((5, 3, 1))[0] == vals[3]
 
 
 # ---------------------------------------------------------------------------
@@ -299,51 +300,48 @@ def test_bridge_grid_endpoints_exact():
 
 
 def test_zero_bridge_value_is_log_ratio():
+    # ndtri(0.5) == 0.0 exactly, so every bridge increment vanishes
     n, m = 10_000, 512
+    ln = _ln_rows(n, m, np.full((1, m + 1), 0.5))[0]
+    assert ln == pytest.approx(0.9247425010840047, rel=REL)
+    assert ln == pytest.approx(math.log(n / 2.0) / math.log(n), rel=REL)
+
+
+def _trapezoid_ln(n, m, b):
+    """Oracle: L_n of bridge rows b by numpy's trapezoid rule in u = log t."""
     t, _, _, _ = _bridge_coeffs(n, m)
-    path = BridgePath(n=n, t_grid=t.copy(), b_values=np.zeros(m + 1))
-    assert ln_functional(path) == pytest.approx(0.9247425010840047, rel=REL)
-    assert ln_functional(path) == pytest.approx(
-        math.log(n / 2.0) / math.log(n), rel=REL
-    )
+    bp = np.fmax(b, 0.0)
+    integrand = np.exp(bp * bp / (2.0 * t * (1.0 - t)))
+    return np.trapezoid(integrand, np.log(t), axis=1) / math.log(n)
 
 
 def test_ln_functional_matches_sample_ln():
-    n, m, seed = 4096, 512, 21
-    path = sample_bridge_path(n, m, _stream(seed, 9, domain=DOMAIN_CAL2))
-    via_path = ln_functional(path)
-    direct = sample_ln(n, m, _stream(seed, 9, domain=DOMAIN_CAL2))
-    assert via_path == pytest.approx(direct, rel=1e-9)
+    n, m = 4096, 512
+    u = _stream(21, 9, domain=DOMAIN_CAL2).generator().random((8, m + 1))
+    oracle = _trapezoid_ln(n, m, calibration._bridge_rows(n, m, u))
+    np.testing.assert_allclose(_ln_rows(n, m, u), oracle, rtol=1e-9)
 
 
 def test_sample_ln_lower_bound_and_determinism():
     n, m = 1024, 256
-    vals = [sample_ln(n, m, _stream(2, j, domain=DOMAIN_CAL2)) for j in range(200)]
-    assert min(vals) >= math.log(n / 2.0) / math.log(n)
-    assert sample_ln(n, m, _stream(2, 7, domain=DOMAIN_CAL2)) == vals[7]
+    u = _stream(2, 0, domain=DOMAIN_CAL2).generator().random((200, m + 1))
+    vals = _ln_rows(n, m, u)
+    assert vals.min() >= math.log(n / 2.0) / math.log(n)
+    assert _ln_rows(n, m, u[7:8])[0] == vals[7]
 
 
 def test_bridge_args_validation():
-    with pytest.raises(DomainError):
-        sample_ln(15, 512, _stream(0, 0))
-    with pytest.raises(DomainError):
-        sample_ln(100, 255, _stream(0, 0))
-    with pytest.raises(DomainError):
-        sample_bridge_path(8, 512, _stream(0, 0))
-    with pytest.raises(DomainError):
-        sample_alr_limit_cal2(100, 100, _stream(0, 0))
+    def cal2(n_for_l, grid_size):
+        return alr_limit_cv(
+            CalibrationMethod.CAL2, 0.1, 10_000, 0,
+            n_for_l=n_for_l, grid_size=grid_size, threads=1,
+        )
 
-
-def test_bridge_path_validation():
-    t = np.array([0.1, 0.2, 0.5])
-    with pytest.raises(OutOfRange):
-        BridgePath(n=10, t_grid=t, b_values=np.zeros(2))
-    with pytest.raises(OutOfRange):
-        BridgePath(n=10, t_grid=t[::-1].copy(), b_values=np.zeros(3))
-    with pytest.raises(OutOfRange):
-        BridgePath(n=10, t_grid=np.array([0.1, 0.2, 0.6]), b_values=np.zeros(3))
-    with pytest.raises(NonFinite):
-        BridgePath(n=10, t_grid=t, b_values=np.array([0.0, float("inf"), 0.0]))
+    with pytest.raises(DomainError):
+        cal2(15, 512)
+    with pytest.raises(DomainError):
+        cal2(100, 255)
+    assert len(calibration._LIMIT_CACHE) == 0  # refused before any draw
 
 
 def test_bridge_marginal_variance():
@@ -416,9 +414,8 @@ def test_alr_limit_cv_cal2_runs_small():
 def test_cal2_draw_composition():
     # one draw = exponential factor plus half the bridge functional
     n, m, seed = 1024, 256, 13
-    s = _stream(seed, 4, domain=DOMAIN_CAL2)
-    direct = sample_alr_limit_cal2(n, m, s)
-    u = s.generator().random(m + 2)
+    direct = _cal2_task((seed, 4, 1, n, m))[0]
+    u = _stream(seed, 4, domain=DOMAIN_CAL2).generator().random(m + 2)
     e = -math.log1p(-max(u[0], 2.0**-54))
     factor = math.exp(e - 1.0) / e if e < 1.0 else 1.0
     ln = _ln_rows(n, m, u[None, 1:])[0]

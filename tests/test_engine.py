@@ -155,6 +155,23 @@ def test_resolve_threads():
         engine.resolve_threads(-2)
 
 
+@pytest.mark.parametrize(
+    "total,width,threads,counts",
+    [
+        (200_000, 2, 2, [100_000, 100_000]),  # cal1 fits one batch: split for 2 workers
+        (200_000, 2, 1, [200_000]),
+        (100_000, 100, 2, [40_000, 40_000, 20_000]),  # batch budget binds first
+        (5, 4, 3, [2, 2, 1]),
+        (1, 4_000_001, 2, [1]),  # wider than the budget: still one row per task
+        (0, 10, 2, []),
+    ],
+)
+def test_ranges_cap_rows_by_budget_and_worker_share(total, width, threads, counts):
+    ranges = engine._ranges(total, width, threads)
+    assert [c for _, c in ranges] == counts
+    assert [s for s, _ in ranges] == [sum(counts[:k]) for k in range(len(counts))]
+
+
 def test_null_and_power_domains_do_not_collide():
     # same seed and index, different domains: different draws
     nul = null_statistics(12, 6, 42, threads=1)

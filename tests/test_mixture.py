@@ -14,7 +14,6 @@ from sparsemix import (
     OutOfRange,
     RandomStream,
     SampleTooSmall,
-    SparsityParams,
     mixture_from,
     pvalue,
     r_of_beta,
@@ -83,13 +82,15 @@ def test_mixture_from_r_override():
 
 
 def test_sparsity_params_validation():
-    SparsityParams(beta=0.8, r=0.1, n=10)
+    mixture_from(10, 0.8, r=0.1)
     with pytest.raises(DomainError):
-        SparsityParams(beta=0.5, r=0.1, n=10)
+        mixture_from(10, 0.5, r=0.1)
     with pytest.raises(DomainError):
-        SparsityParams(beta=0.8, r=0.0, n=10)
+        mixture_from(10, 0.8, r=0.0)
     with pytest.raises(SampleTooSmall):
-        SparsityParams(beta=0.8, r=0.1, n=1)
+        mixture_from(1, 0.8, r=0.1)
+    with pytest.raises(SampleTooSmall):  # checked before n ** -beta is formed
+        mixture_from(0, 0.8, r=0.1)
 
 
 def test_mixture_spec_validation():

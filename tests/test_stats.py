@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from sparsemix import (
-    DomainError,
     EmptyOrSingleton,
     NonFinite,
     OutOfRange,
@@ -17,10 +16,8 @@ from sparsemix import (
     StatisticKind,
     UnsupportedStatistic,
     bj_plus,
-    compute_statistic,
     hc_star,
     log_alr,
-    log_lr_term,
     prepare,
     supported_kinds,
 )
@@ -28,7 +25,6 @@ from sparsemix.stats import (
     P_MAX,
     P_MIN,
     _alr_log_weights,
-    _log_alr_from_terms,
     _log_alr_rows,
     _log_lr_rows,
 )
@@ -36,12 +32,30 @@ from sparsemix.stats import (
 REL = 1e-12
 
 
+def _log_lr_term(n, i, p):
+    """Oracle: the one-sided binomial log LR at index i, written out in scalars.
+
+    log LR_{n,i} = [i log(i/(n p)) + (n-i) log((1 - i/n)/(1 - p))] 1{p < i/n},
+    floored at zero.
+    """
+    t = i / n
+    if not p < t:
+        return 0.0
+    return max(i * math.log(i / (n * p)) + (n - i) * (math.log1p(-t) - math.log1p(-p)), 0.0)
+
+
+def _lr_at(n, i, p):
+    """_log_lr_rows at index i of an (1, m) row holding p at every index."""
+    m = n // 2
+    return float(_log_lr_rows(np.full((1, m), p), n, np.arange(1, m + 1) / n)[0, i - 1])
+
+
 # ---------------------------------------------------------------------------
 # frozen values (mpmath, 50 decimal digits, evaluated on the binary doubles)
 
 def test_log_lr_term_frozen_values():
-    assert log_lr_term(4, 1, 0.1) == pytest.approx(0.36932606149229115, rel=REL)
-    assert log_lr_term(4, 2, 0.3) == pytest.approx(0.34870677428955555, rel=REL)
+    assert _lr_at(4, 1, 0.1) == pytest.approx(0.36932606149229115, rel=REL)
+    assert _lr_at(4, 2, 0.3) == pytest.approx(0.34870677428955555, rel=REL)
 
 
 def test_hc_star_frozen_values():
@@ -65,38 +79,20 @@ def test_log_alr_frozen_values():
 
 
 # ---------------------------------------------------------------------------
-# log_lr_term edge cases
+# log LR term edge cases
 
 def test_log_lr_term_indicator_off_is_exact_zero():
-    assert log_lr_term(10, 5, 0.5) == 0.0  # p == i/n
-    assert log_lr_term(10, 5, 0.7) == 0.0  # p > i/n
-
-
-def test_log_lr_term_full_count_is_finite():
-    # i == n: the complement carries no mass, no 0 * log(0)
-    assert log_lr_term(5, 5, 0.5) == pytest.approx(5.0 * math.log(2.0), rel=REL)
-    assert math.isfinite(log_lr_term(3, 3, 0.999))
-
-
-@pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, float("nan")])
-def test_log_lr_term_rejects_bad_p(p):
-    with pytest.raises(DomainError):
-        log_lr_term(10, 3, p)
-
-
-@pytest.mark.parametrize("n,i", [(10, 0), (10, 11), (10, 1.5), (1, 1), (2.5, 1)])
-def test_log_lr_term_rejects_bad_indices(n, i):
-    with pytest.raises(DomainError):
-        log_lr_term(n, i, 0.2)
+    assert _lr_at(10, 5, 0.5) == 0.0  # p == i/n
+    assert _lr_at(10, 5, 0.7) == 0.0  # p > i/n
 
 
 def test_log_lr_term_nonnegative_everywhere():
     rng = np.random.default_rng(11)
     for _ in range(200):
         n = int(rng.integers(2, 40))
-        i = int(rng.integers(1, n + 1))
-        p = float(rng.uniform(1e-12, 1.0 - 1e-12))
-        assert log_lr_term(n, i, p) >= 0.0
+        m = n // 2
+        p = np.sort(rng.uniform(1e-12, 1.0 - 1e-12, size=(4, m)), axis=1)
+        assert np.all(_log_lr_rows(p, n, np.arange(1, m + 1) / n) >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -189,24 +185,12 @@ def test_statistic_kind_parse():
         StatisticKind.parse("ks")
 
 
-def test_compute_statistic_routes_and_labels():
-    s = prepare([0.1, 0.3, 0.6, 0.9])
-    for kind, fn in [
-        (StatisticKind.HC, hc_star),
-        (StatisticKind.BJ, bj_plus),
-        (StatisticKind.ALR, log_alr),
-    ]:
-        res = compute_statistic(s, kind)
-        assert res.kind is kind and res.n == 4
-        assert res.value == fn(s)
-
-
 def test_bj_matches_scalar_term_maximum():
     rng = np.random.default_rng(5)
     for n in (6, 11, 40):
         s = prepare(rng.uniform(size=n))
         best = max(
-            log_lr_term(n, i, float(s.values[i - 1])) for i in range(1, n // 2 + 1)
+            _log_lr_term(n, i, float(s.values[i - 1])) for i in range(1, n // 2 + 1)
         )
         assert bj_plus(s) == pytest.approx(best, rel=1e-12, abs=1e-300)
 
@@ -218,7 +202,7 @@ def test_log_alr_from_terms_survives_huge_terms():
     for peak in (1e4, 1e6):
         terms = np.zeros(4)
         terms[0] = peak
-        got = _log_alr_from_terms(8, terms)
+        got = _log_alr_rows(terms[None, :], 8)[0]
         assert math.isfinite(got)
         assert got == pytest.approx(peak + math.log(0.5), rel=1e-12)
 
@@ -237,18 +221,13 @@ def test_log_alr_reduction_matches_scipy_logsumexp(n):
         want = logsumexp(terms + _alr_log_weights(n), axis=1)
         got = _log_alr_rows(terms, n)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
-        assert _log_alr_from_terms(n, terms[3]) == got[3]
+        assert _log_alr_rows(terms[3][None, :], n)[0] == got[3]
 
 
 def test_log_alr_from_terms_zero_terms_give_weight_mass():
     n = 12
     expect = math.log(np.exp(_alr_log_weights(n)).sum())
-    assert _log_alr_from_terms(n, np.zeros(6)) == pytest.approx(expect, rel=1e-12)
-
-
-def test_log_alr_from_terms_rejects_wrong_shape():
-    with pytest.raises(OutOfRange):
-        _log_alr_from_terms(8, np.zeros(3))
+    assert _log_alr_rows(np.zeros((1, 6)), n)[0] == pytest.approx(expect, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
