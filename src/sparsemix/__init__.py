@@ -50,8 +50,6 @@ from .mixture import (
     pvalue,
     r_of_beta,
     rho_star,
-    sample_alternative,
-    sample_null,
 )
 from .plots import svg_from_power_csv
 from .rng import (
@@ -59,7 +57,6 @@ from .rng import (
     DOMAIN_CAL2,
     DOMAIN_NULL,
     DOMAIN_POWER,
-    RandomStream,
     stream_id_for,
 )
 from .stats import (
@@ -93,7 +90,6 @@ __all__ = [
     "NullSample",
     "OutOfRange",
     "PowerCurvePoint",
-    "RandomStream",
     "SampleTooSmall",
     "SizeTableRow",
     "SortedPValues",
@@ -118,8 +114,6 @@ __all__ = [
     "quantile_index",
     "r_of_beta",
     "rho_star",
-    "sample_alternative",
-    "sample_null",
     "simulate_null_distribution",
     "size_table",
     "size_table_csv",

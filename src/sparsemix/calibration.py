@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -355,15 +354,12 @@ def _cal1_task(args) -> np.ndarray:
 
 
 def _cal2_task(args) -> np.ndarray:
-    master_seed, start, count, n, grid_size = args
+    master_seed, n, grid_size, start, count = args
     u = uniform_rows(master_seed, DOMAIN_CAL2, 0, start, count, grid_size + 2)
     return _cal2_rows(n, grid_size, u)
 
 
-_LIMIT_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
-_LIMIT_CACHE_CAP = 4
-
-
+@lru_cache(maxsize=4)
 def _limit_draws(
     variant: CalibrationMethod,
     reps: int,
@@ -372,29 +368,18 @@ def _limit_draws(
     master_seed: int,
     threads: int,
 ) -> np.ndarray:
-    key = (
-        variant.value,
-        reps,
-        n_for_l if variant is CalibrationMethod.CAL2 else 0,
-        grid_size if variant is CalibrationMethod.CAL2 else 0,
-        master_seed,
-    )
-    draws = _LIMIT_CACHE.get(key)
-    if draws is None:
-        if variant is CalibrationMethod.CAL1:
-            tasks = [(master_seed, s, c) for s, c in engine._ranges(reps, 2, threads)]
-            parts = engine.map_tasks(_cal1_task, tasks, threads)
-        else:
-            tasks = [
-                (master_seed, s, c, n_for_l, grid_size)
-                for s, c in engine._ranges(reps, grid_size + 2, threads)
-            ]
-            parts = engine.map_tasks(_cal2_task, tasks, threads)
-        draws = np.sort(np.concatenate(parts))
-        _LIMIT_CACHE[key] = draws
-        while len(_LIMIT_CACHE) > _LIMIT_CACHE_CAP:
-            _LIMIT_CACHE.popitem(last=False)
-    return draws
+    """Sorted limit-law draws, cached and shared; callers must not mutate them.
+
+    cal1 ignores n_for_l and grid_size; pass 0 for both so that one cache
+    entry serves every call.  Call positionally: lru_cache keys positional
+    and keyword arguments apart.
+    """
+    if variant is CalibrationMethod.CAL1:
+        draws = engine.simulate(_cal1_task, (master_seed,), reps, 2, threads)
+    else:
+        params = (master_seed, n_for_l, grid_size)
+        draws = engine.simulate(_cal2_task, params, reps, grid_size + 2, threads)
+    return np.sort(draws)
 
 
 def alr_limit_cv(
@@ -418,6 +403,8 @@ def alr_limit_cv(
     check_tail(reps, alpha)
     if variant is CalibrationMethod.CAL2:
         _check_bridge_args(n_for_l, grid_size)
+    else:
+        n_for_l = grid_size = 0
     draws = _limit_draws(variant, reps, n_for_l, grid_size, master_seed, threads)
     raw = float(draws[quantile_index(reps, alpha) - 1])
     return math.log(raw)

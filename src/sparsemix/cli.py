@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,54 +39,29 @@ from .plots import svg_from_power_csv
 from .stats import StatisticKind, bj_plus, hc_star, log_alr, prepare
 
 
-@dataclass(frozen=True)
-class RunConfig:
+def _run_config(args: argparse.Namespace) -> dict:
     """The full configuration of one CLI run, embedded in every output."""
-
-    command: str
-    parameters: dict
-    seed: int | None
-    outputs: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "outputs": self.outputs,
-        }
-
-
-def _run_config(args: argparse.Namespace) -> RunConfig:
     raw = dict(vars(args))
     command = raw.pop("command")
     seed = raw.pop("seed", None)
     outputs = {k: raw.pop(k) for k in ("out", "svg") if k in raw}
-    return RunConfig(command=command, parameters=raw, seed=seed, outputs=outputs)
+    return {"command": command, "parameters": raw, "seed": seed, "outputs": outputs}
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, parse) -> list:
+    """The comma-separated values of `flag`, each through `parse`; a
+    malformed or empty list is a ConfigError."""
     try:
-        values = [float(t) for t in text.split(",") if t.strip()]
+        values = [parse(t) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise ConfigError(f"{flag} expects at least one value")
-    return values
-
-
-def _parse_ints(text: str, flag: str) -> list[int]:
-    try:
-        values = [int(t) for t in text.split(",") if t.strip()]
-    except ValueError:
-        raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}") from None
+        raise ConfigError(f"{flag} expects comma-separated values, got {text!r}") from None
     if not values:
         raise ConfigError(f"{flag} expects at least one value")
     return values
 
 
 def _parse_alphas(text: str) -> list[float]:
-    alphas = sorted(_parse_floats(text, "--alpha"))
+    alphas = sorted(_parse_list(text, "--alpha", float))
     if len(set(alphas)) != len(alphas):
         raise ConfigError(f"--alpha values must be distinct, got {text!r}")
     return alphas
@@ -185,9 +159,9 @@ def _cmd_calibrate(args: argparse.Namespace, config: dict) -> int:
 def _cmd_size_table(args: argparse.Namespace, config: dict) -> int:
     _check_seed(args.seed)
     rows = size_table(
-        ns=_parse_ints(args.n, "--n"),
-        kinds=[StatisticKind.parse(t) for t in args.stat.split(",") if t.strip()],
-        methods=[CalibrationMethod.parse(t) for t in args.method.split(",") if t.strip()],
+        ns=_parse_list(args.n, "--n", int),
+        kinds=_parse_list(args.stat, "--stat", StatisticKind.parse),
+        methods=_parse_list(args.method, "--method", CalibrationMethod.parse),
         alphas=_parse_alphas(args.alpha),
         reps=args.reps,
         master_seed=args.seed,
@@ -205,11 +179,11 @@ def _cmd_power_curve(args: argparse.Namespace, config: dict) -> int:
     if args.beta_grid.strip() == "default":
         betas = beta_grid_default()
     else:
-        betas = _parse_floats(args.beta_grid, "--beta-grid")
+        betas = _parse_list(args.beta_grid, "--beta-grid", float)
     points = power_curve(
         n=args.n,
         betas=betas,
-        kinds=[StatisticKind.parse(t) for t in args.stat.split(",") if t.strip()],
+        kinds=_parse_list(args.stat, "--stat", StatisticKind.parse),
         alpha=args.alpha,
         reps_cal=args.cal_reps,
         reps_pow=args.pow_reps,
@@ -217,9 +191,11 @@ def _cmd_power_curve(args: argparse.Namespace, config: dict) -> int:
         threads=args.threads,
     )
     csv_text = _csv_text(config, power_curve_csv(points))
+    # render before writing, so a figure that fails leaves no CSV behind
+    svg_text = None if args.svg is None else svg_from_power_csv(csv_text)
     _write_text(args.out, csv_text)
-    if args.svg is not None:
-        _write_text(args.svg, svg_from_power_csv(csv_text))
+    if svg_text is not None:
+        _write_text(args.svg, svg_text)
     return 0
 
 
@@ -341,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    config = _run_config(args).as_dict()
+    config = _run_config(args)
     try:
         return _COMMANDS[args.command](args, config)
     except SparsemixError as exc:

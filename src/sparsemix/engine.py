@@ -1,19 +1,20 @@
 """Batched Monte Carlo evaluation of the statistics under null and alternative.
 
-Replicate j of a run is a pure function of (master_seed, stream_id), so the
-result vectors do not depend on batch size or worker count.  Null statistic
-vectors are cached per (n, reps, master_seed) so size tables and power-curve
-calibration at the same configuration share one simulation pass.  The first
-pass computes only the requested kinds; a later request for a kind it lacks
-re-simulates once and adds every kind still missing, so no entry is
-simulated more than twice.
+Every simulation, here and in the ALR limit law, runs through `simulate`:
+one task-sizing rule, one pool map, one join in row order.  Replicate j of a
+run is a pure function of (master_seed, stream_id), so the result vectors do
+not depend on batch size or worker count.  Null statistic vectors are cached
+per (n, reps, master_seed) so size tables and power-curve calibration at the
+same configuration share one simulation pass.  The first pass computes only
+the requested kinds; a later request for a kind it lacks re-simulates once
+and adds every kind still missing, so no entry is simulated more than twice.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from collections import OrderedDict
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,10 +25,6 @@ from .stats import P_MAX, P_MIN, StatisticKind, _row_stats, supported_kinds
 
 # Rough per-batch element budget; keeps temporaries ~100 MB at any n.
 ELEMENTS_PER_BATCH = 4_000_000
-
-_NULL_CACHE: OrderedDict[tuple[int, int, int], dict[StatisticKind, np.ndarray]]
-_NULL_CACHE = OrderedDict()
-_NULL_CACHE_CAP = 8
 
 
 def resolve_threads(threads: int) -> int:
@@ -64,6 +61,16 @@ def _ranges(total: int, width: int, threads: int) -> list[tuple[int, int]]:
     return [(s, min(per_task, total - s)) for s in range(0, total, per_task)]
 
 
+def simulate(task, params: tuple, total: int, width: int, threads: int) -> np.ndarray:
+    """Rows 0..total-1 of a simulation, `width` elements each, in row order.
+
+    task((*params, start, count)) returns an array whose last axis holds rows
+    start..start+count-1; the tasks from _ranges are joined along that axis.
+    """
+    tasks = [(*params, start, count) for start, count in _ranges(total, width, threads)]
+    return np.concatenate(map_tasks(task, tasks, threads), axis=-1)
+
+
 def _null_rows(n: int, master_seed: int, start: int, count: int) -> np.ndarray:
     """Sorted clamped p-value matrix for null replicates start..start+count-1."""
     m = uniform_rows(master_seed, DOMAIN_NULL, 0, start, count, n)
@@ -77,8 +84,8 @@ def _alt_rows(
 ) -> np.ndarray:
     """Sorted clamped p-value matrix for alternative replicates.
 
-    Row layout matches mixture.sample_alternative: the first n uniforms pick
-    the shifted components, the next n give the p-values through
+    Each row is 2n uniforms of its stream: the first n pick the shifted
+    components, the next n give the p-values through
     mixture.alternative_pvalues, which inverts only the shifted coordinates
     to normals.
     """
@@ -89,14 +96,18 @@ def _alt_rows(
     return p
 
 
-def _null_task(args) -> dict[StatisticKind, np.ndarray]:
-    n, master_seed, start, count, kinds = args
-    return _row_stats(_null_rows(n, master_seed, start, count), n, kinds)
+def _null_task(args) -> np.ndarray:
+    """(len(kinds), count) statistics of null replicates start..start+count-1."""
+    n, master_seed, kinds, start, count = args
+    stats = _row_stats(_null_rows(n, master_seed, start, count), n, kinds)
+    return np.stack([stats[k] for k in kinds])
 
 
-def _alt_task(args) -> dict[StatisticKind, np.ndarray]:
-    n, eps, mu, master_seed, sub, start, count, kinds = args
-    return _row_stats(_alt_rows(n, eps, mu, master_seed, sub, start, count), n, kinds)
+def _alt_task(args) -> np.ndarray:
+    """(len(kinds), count) statistics of alternative replicates."""
+    n, eps, mu, master_seed, sub, kinds, start, count = args
+    stats = _row_stats(_alt_rows(n, eps, mu, master_seed, sub, start, count), n, kinds)
+    return np.stack([stats[k] for k in kinds])
 
 
 def _check_request(n: int, reps: int, kinds) -> tuple[StatisticKind, ...]:
@@ -108,10 +119,19 @@ def _check_request(n: int, reps: int, kinds) -> tuple[StatisticKind, ...]:
     if kinds is None:
         return available
     kinds = tuple(kinds)
+    if not kinds:
+        raise ConfigError("need at least one statistic kind")
     for k in kinds:
         if k not in available:
             raise SampleTooSmall(f"{k.value} needs n >= 4, got n={n}")
     return kinds
+
+
+@lru_cache(maxsize=8)
+def _null_entry(n: int, reps: int, master_seed: int) -> dict[StatisticKind, np.ndarray]:
+    """The cached statistic vectors of one null configuration, filled in by
+    null_statistics; empty until its first simulation pass completes."""
+    return {}
 
 
 def null_statistics(
@@ -130,22 +150,16 @@ def null_statistics(
     adds every supported kind still missing, so a third is never needed.
     """
     kinds = _check_request(n, reps, kinds)
-    key = (n, reps, master_seed)
-    cached = _NULL_CACHE.get(key)
-    if cached is None:
-        cached, compute = {}, kinds
+    cached = _null_entry(n, reps, master_seed)
+    if not cached:
+        compute = kinds
     elif all(k in cached for k in kinds):
         compute = ()
     else:
         compute = tuple(k for k in supported_kinds(n) if k not in cached)
     if compute:
-        tasks = [(n, master_seed, s, c, compute) for s, c in _ranges(reps, n, threads)]
-        parts = map_tasks(_null_task, tasks, threads)
-        cached.update({k: np.concatenate([p[k] for p in parts]) for k in compute})
-        if key not in _NULL_CACHE:
-            _NULL_CACHE[key] = cached
-            while len(_NULL_CACHE) > _NULL_CACHE_CAP:
-                _NULL_CACHE.popitem(last=False)
+        stats = simulate(_null_task, (n, master_seed, compute), reps, n, threads)
+        cached.update(zip(compute, stats))
     return {k: cached[k] for k in kinds}
 
 
@@ -164,9 +178,6 @@ def alternative_statistics(
     master seed (e.g. the index of a beta grid point).
     """
     kinds = _check_request(spec.n, reps, kinds)
-    tasks = [
-        (spec.n, spec.eps, spec.mu, master_seed, sub, s, c, kinds)
-        for s, c in _ranges(reps, 2 * spec.n, threads)
-    ]
-    parts = map_tasks(_alt_task, tasks, threads)
-    return {k: np.concatenate([p[k] for p in parts]) for k in kinds}
+    params = (spec.n, spec.eps, spec.mu, master_seed, sub, kinds)
+    stats = simulate(_alt_task, params, reps, 2 * spec.n, threads)
+    return dict(zip(kinds, stats))

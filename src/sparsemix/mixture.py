@@ -1,4 +1,4 @@
-"""Sparse normal mixture model: calibration of (eps, mu), p-values, sampling.
+"""Sparse normal mixture model: calibration of (eps, mu) and p-values.
 
 The alternative places a fraction eps_n = n^-beta of observations at mean
 mu_n = sqrt(2 r log n); the detection boundary rho*(beta) separates the
@@ -14,8 +14,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, NonFinite, OutOfRange, SampleTooSmall
-from .rng import RandomStream, normals_from_uniforms
-from .stats import SortedPValues, prepare
+from .rng import normals_from_uniforms
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -84,12 +83,6 @@ def pvalue(x):
     return float(p) if np.isscalar(x) or a.ndim == 0 else p
 
 
-def sample_null(n: int, stream: RandomStream) -> SortedPValues:
-    """One null sample of n p-values: the stream's uniforms, which are iid
-    uniform p-values under the null."""
-    return prepare(stream.generator().random(n))
-
-
 def alternative_pvalues(
     u_pick: np.ndarray, u_norm: np.ndarray, eps: float, mu: float
 ) -> np.ndarray:
@@ -106,12 +99,3 @@ def alternative_pvalues(
     if shifted.any():
         p[shifted] = pvalue(normals_from_uniforms(u_norm[shifted]) + mu)
     return p
-
-
-def sample_alternative(spec: MixtureSpec, stream: RandomStream) -> SortedPValues:
-    """One sample from the mixture: the first n uniforms pick the shifted
-    components (u < eps), the next n give the p-values through
-    alternative_pvalues, which inverts only the shifted ones to normals."""
-    n = spec.n
-    u = stream.generator().random(2 * n)
-    return prepare(alternative_pvalues(u[:n], u[n:], spec.eps, spec.mu))

@@ -14,8 +14,8 @@ ALR limit-law samplers, `sub` separates e.g. grid points within a power
 study, and `index` is the replicate number.
 
 A stream is numpy's `PCG64(SeedSequence((master_seed, stream_id)))`, bit for
-bit.  `RandomStream.generator()` builds exactly that; `uniform_rows` instead
-seats one reused PCG64 at each row's stream through
+bit.  `uniform_rows`, the one way the package draws, seats one reused PCG64
+at each row's stream through
 `RandomStream.generator(seats)`, without building a SeedSequence.  The seed
 pair is at most four 32-bit entropy words (the words of master_seed, then
 those of stream_id), so of the SeedSequence hash (NumPy NEP 19) only the pool
@@ -92,15 +92,10 @@ class RandomStream:
         if not 0 <= self.stream_id < 2**64:
             raise OutOfRange(f"stream_id {self.stream_id} outside [0, 2^64)")
 
-    def generator(self, seats: _Seats | None = None) -> np.random.Generator:
-        """numpy's Generator(PCG64(SeedSequence((master_seed, stream_id)))).
-
-        With `seats` (from `uniform_rows`), the batch's one reused generator
-        is seated at this stream instead of a new one being built.
-        """
-        if seats is None:
-            seq = np.random.SeedSequence((self.master_seed, self.stream_id))
-            return np.random.Generator(np.random.PCG64(seq))
+    def generator(self, seats: _Seats) -> np.random.Generator:
+        """The batch's one reused generator (from `uniform_rows`), seated in
+        the state of numpy's Generator(PCG64(SeedSequence((master_seed,
+        stream_id))))."""
         return seats.seat(self)
 
 

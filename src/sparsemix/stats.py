@@ -108,8 +108,16 @@ def _log_lr_rows(pm: np.ndarray, n: int, t: np.ndarray) -> np.ndarray:
     """log LR_{n,i} for each row of sorted p-values pm at t = i/n, i = 1..m:
     [i log(i/(n p)) + (n-i) log((1 - i/n)/(1 - p))] 1{p < i/n}, floored at zero."""
     i = t * n
-    ell = i * np.log(i / (n * pm)) + (n - i) * (np.log1p(-t) - np.log1p(-pm))
-    ell = np.where(pm < t, ell, 0.0)
+    # Both terms are formed in place: each temporary is a (rows, m) matrix,
+    # and these set the peak memory of a simulation task.
+    ell = np.log(i / (n * pm))
+    ell *= i
+    tail = np.negative(pm)
+    np.log1p(tail, out=tail)
+    np.subtract(np.log1p(-t), tail, out=tail)
+    tail *= n - i
+    ell += tail
+    ell[pm >= t] = 0.0
     np.fmax(ell, 0.0, out=ell)
     return ell
 

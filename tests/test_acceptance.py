@@ -453,11 +453,11 @@ def test_criterion_7_structural_invariants():
         engine.ELEMENTS_PER_BATCH = 2000  # force many tasks
         runs = []
         for threads in (1, 0, 2):
-            engine._NULL_CACHE.clear()
+            engine._null_entry.cache_clear()
             runs.append(
                 simulate_null_distribution(BJ, 50, 2000, SEED + 1, threads=threads)
             )
-        engine._NULL_CACHE.clear()
+        engine._null_entry.cache_clear()
         if not (
             np.array_equal(runs[0].replicates, runs[1].replicates)
             and np.array_equal(runs[0].replicates, runs[2].replicates)

@@ -1,10 +1,12 @@
 """The public API: every exported name resolves, and the removed scalar
-duplicates of the batched kernels stay removed."""
+duplicates of the batched kernels, with the one-sample samplers and their
+stream object, stay removed."""
 
 import sparsemix
 
 REMOVED = (
     "BridgePath",
+    "RandomStream",
     "SparsityParams",
     "StatisticResult",
     "compute_statistic",
@@ -12,8 +14,10 @@ REMOVED = (
     "log_lr_term",
     "sample_alr_limit_cal1",
     "sample_alr_limit_cal2",
+    "sample_alternative",
     "sample_bridge_path",
     "sample_ln",
+    "sample_null",
 )
 
 

@@ -19,7 +19,6 @@ from sparsemix import (
     NonFinite,
     NullSample,
     OutOfRange,
-    RandomStream,
     StatisticKind,
     UnsupportedStatistic,
     alr_limit_cv,
@@ -31,28 +30,32 @@ from sparsemix import (
     stream_id_for,
     thresh_cv,
 )
-from sparsemix import calibration
+from sparsemix import calibration, engine
 from sparsemix.calibration import (
     _bridge_coeffs,
     _cal1_rows,
     _cal1_task,
     _cal2_task,
+    _limit_draws,
     _ln_rows,
 )
-from sparsemix.rng import DOMAIN_CAL1, DOMAIN_CAL2
+from sparsemix.rng import DOMAIN_CAL2, uniform_rows
 
 REL = 1e-12
 
 
-def _stream(seed, idx, domain=DOMAIN_CAL1, sub=0):
-    return RandomStream(seed, stream_id_for(domain, sub, idx))
+def _cal2_uniforms(seed, idx, shape):
+    """Draws from numpy's own Generator(PCG64(SeedSequence((seed, id)))) for
+    cal2 stream idx, as one block of the given shape."""
+    seq = np.random.SeedSequence((seed, stream_id_for(DOMAIN_CAL2, 0, idx)))
+    return np.random.Generator(np.random.PCG64(seq)).random(shape)
 
 
 @pytest.fixture(autouse=True)
 def _clean_caches():
-    calibration._LIMIT_CACHE.clear()
+    _limit_draws.cache_clear()
     yield
-    calibration._LIMIT_CACHE.clear()
+    _limit_draws.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +320,14 @@ def _trapezoid_ln(n, m, b):
 
 def test_ln_functional_matches_sample_ln():
     n, m = 4096, 512
-    u = _stream(21, 9, domain=DOMAIN_CAL2).generator().random((8, m + 1))
+    u = _cal2_uniforms(21, 9, (8, m + 1))
     oracle = _trapezoid_ln(n, m, calibration._bridge_rows(n, m, u))
     np.testing.assert_allclose(_ln_rows(n, m, u), oracle, rtol=1e-9)
 
 
 def test_sample_ln_lower_bound_and_determinism():
     n, m = 1024, 256
-    u = _stream(2, 0, domain=DOMAIN_CAL2).generator().random((200, m + 1))
+    u = _cal2_uniforms(2, 0, (200, m + 1))
     vals = _ln_rows(n, m, u)
     assert vals.min() >= math.log(n / 2.0) / math.log(n)
     assert _ln_rows(n, m, u[7:8])[0] == vals[7]
@@ -341,14 +344,13 @@ def test_bridge_args_validation():
         cal2(15, 512)
     with pytest.raises(DomainError):
         cal2(100, 255)
-    assert len(calibration._LIMIT_CACHE) == 0  # refused before any draw
+    assert _limit_draws.cache_info().currsize == 0  # refused before any draw
 
 
 def test_bridge_marginal_variance():
     # B(t) ~ N(0, t(1-t)): check the sampled variance on a coarse grid
     n, m, draws = 256, 256, 4000
-    gen = _stream(31, 0, domain=DOMAIN_CAL2).generator()
-    u = gen.random((draws, m + 1))
+    u = _cal2_uniforms(31, 0, (draws, m + 1))
     b = calibration._bridge_rows(n, m, u)
     t, _, _, _ = _bridge_coeffs(n, m)
     for idx in (0, m // 2, m):
@@ -361,8 +363,7 @@ def test_ln_median_drifts_slowly_across_decades():
     # the law of L_n stabilizes: medians move < 30% per decade of n
     meds = []
     for n in (100, 1000, 10_000, 100_000, 1_000_000):
-        gen = _stream(17, 0, domain=DOMAIN_CAL2).generator()
-        u = gen.random((400, 513))
+        u = _cal2_uniforms(17, 0, (400, 513))
         meds.append(float(np.median(_ln_rows(n, 512, u))))
     for a, b in zip(meds, meds[1:]):
         assert abs(b - a) / a < 0.30
@@ -371,8 +372,7 @@ def test_ln_median_drifts_slowly_across_decades():
 def test_grid_doubling_shifts_mean_under_two_percent():
     # common random numbers: the coarse path is the fine path at even indexes
     n, m, draws = 10_000, 2048, 3000
-    gen = _stream(23, 0, domain=DOMAIN_CAL2).generator()
-    u = gen.random((draws, 2 * m + 1))
+    u = _cal2_uniforms(23, 0, (draws, 2 * m + 1))
     fine = _ln_rows(n, 2 * m, u)
     b = calibration._bridge_rows(n, 2 * m, u)
     t, _, _, _ = _bridge_coeffs(n, 2 * m)
@@ -391,17 +391,16 @@ def test_alr_limit_cv_deterministic_and_log_domain():
     v = alr_limit_cv(CalibrationMethod.CAL1, 0.1, 10_000, 42, threads=1)
     assert v == alr_limit_cv(CalibrationMethod.CAL1, 0.1, 10_000, 42, threads=1)
     assert v > 0.0  # raw draws are >= 1, so the log cv is nonnegative
-    draws = calibration._limit_draws(
-        CalibrationMethod.CAL1, 10_000, 0, 0, 42, threads=1
-    )
+    draws = _limit_draws(CalibrationMethod.CAL1, 10_000, 0, 0, 42, 1)
     assert v == math.log(draws[quantile_index(10_000, 0.1) - 1])
 
 
 def test_alr_limit_cv_shares_draws_across_alphas():
     alr_limit_cv(CalibrationMethod.CAL1, 0.05, 10_000, 9, threads=1)
-    assert len(calibration._LIMIT_CACHE) == 1
+    assert _limit_draws.cache_info().currsize == 1
     alr_limit_cv(CalibrationMethod.CAL1, 0.1, 10_000, 9, threads=1)
-    assert len(calibration._LIMIT_CACHE) == 1  # second alpha reused the draws
+    info = _limit_draws.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)  # second alpha reused the draws
 
 
 def test_alr_limit_cv_cal2_runs_small():
@@ -414,8 +413,8 @@ def test_alr_limit_cv_cal2_runs_small():
 def test_cal2_draw_composition():
     # one draw = exponential factor plus half the bridge functional
     n, m, seed = 1024, 256, 13
-    direct = _cal2_task((seed, 4, 1, n, m))[0]
-    u = _stream(seed, 4, domain=DOMAIN_CAL2).generator().random(m + 2)
+    direct = _cal2_task((seed, n, m, 4, 1))[0]
+    u = uniform_rows(seed, DOMAIN_CAL2, 0, 4, 1, m + 2)[0]
     e = -math.log1p(-max(u[0], 2.0**-54))
     factor = math.exp(e - 1.0) / e if e < 1.0 else 1.0
     ln = _ln_rows(n, m, u[None, 1:])[0]
@@ -435,3 +434,26 @@ def test_alr_limit_cv_validation():
         alr_limit_cv(CalibrationMethod.CAL2, 0.05, 10_000, 0, grid_size=64)
     with pytest.raises(AlphaOutOfRange):
         alr_limit_cv(CalibrationMethod.CAL1, 1.5, 10_000, 0)
+
+
+@pytest.mark.parametrize(
+    "variant,reps,n_for_l,grid_size",
+    [
+        (CalibrationMethod.CAL1, 20_000, 0, 0),
+        (CalibrationMethod.CAL2, 10_000, 1000, 256),
+    ],
+)
+def test_limit_draws_do_not_depend_on_the_task_split(
+    monkeypatch, variant, reps, n_for_l, grid_size
+):
+    args = (variant, reps, n_for_l, grid_size, 11)
+    runs = [_limit_draws(*args, 1)]
+    _limit_draws.cache_clear()
+    runs.append(_limit_draws(*args, 2))
+    _limit_draws.cache_clear()
+    width = 2 if variant is CalibrationMethod.CAL1 else grid_size + 2
+    monkeypatch.setattr(engine, "ELEMENTS_PER_BATCH", 7 * width)  # 7 rows a task
+    runs.append(_limit_draws(*args, 1))
+    assert runs[0].shape == (reps,)
+    for other in runs[1:]:
+        assert np.array_equal(runs[0], other)

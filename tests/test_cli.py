@@ -19,9 +19,9 @@ ORACLE = {
 
 @pytest.fixture(autouse=True)
 def _clean_cache():
-    engine._NULL_CACHE.clear()
+    engine._null_entry.cache_clear()
     yield
-    engine._NULL_CACHE.clear()
+    engine._null_entry.cache_clear()
 
 
 @pytest.fixture()
@@ -88,7 +88,7 @@ def test_calibrate_reruns_byte_identical(tmp_path):
     argv = ["calibrate", "--stat", "bj", "--n", "32", "--alpha", "0.1",
             "--reps", "300", "--seed", "9", "--out"]
     assert main(argv + [str(out1)]) == 0
-    engine._NULL_CACHE.clear()
+    engine._null_entry.cache_clear()
     assert main(argv + [str(out2)]) == 0
     a, b = out1.read_bytes(), out2.read_bytes()
     # the embedded config names the output path; normalize before comparing
@@ -210,7 +210,38 @@ def test_exit_sparse_tail_precheck(tmp_path):
     argv = ["calibrate", "--stat", "hc", "--n", "32", "--alpha", "0.001",
             "--reps", "300", "--seed", "0", "--out", str(tmp_path / "x.json")]
     assert main(argv) == 12
-    assert not engine._NULL_CACHE
+    assert engine._null_entry.cache_info().currsize == 0
+
+
+_LIST_BASE = {
+    "size-table": ["--n", "32", "--stat", "hc", "--method", "thresh",
+                   "--alpha", "0.05", "--reps", "300", "--seed", "0"],
+    "power-curve": ["--n", "32", "--beta-grid", "0.6", "--stat", "hc",
+                    "--cal-reps", "200", "--pow-reps", "50", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("size-table", "--n", ","),
+        ("size-table", "--n", "32,x"),
+        ("size-table", "--alpha", "0.05,y"),
+        ("size-table", "--stat", ","),
+        ("size-table", "--method", ","),
+        ("power-curve", "--beta-grid", "0.6,zz"),
+        ("power-curve", "--beta-grid", ","),
+        ("power-curve", "--stat", ","),
+    ],
+)
+def test_exit_bad_list_leaves_no_output(tmp_path, capsys, command, flag, value):
+    argv = [command, *_LIST_BASE[command], "--out", str(tmp_path / "p.csv")]
+    argv[argv.index(flag) + 1] = value
+    if command == "power-curve":
+        argv += ["--svg", str(tmp_path / "p.svg")]
+    assert main(argv) == 2
+    assert "error: ConfigError:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_unknown_statistic(tmp_path):

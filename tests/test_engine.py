@@ -7,7 +7,6 @@ from sparsemix import (
     ConfigError,
     InsufficientReplicates,
     MixtureSpec,
-    RandomStream,
     SampleTooSmall,
     StatisticKind,
     alternative_statistics,
@@ -15,26 +14,33 @@ from sparsemix import (
     hc_star,
     log_alr,
     null_statistics,
-    sample_alternative,
-    sample_null,
+    prepare,
     stream_id_for,
 )
 from sparsemix import engine
+from sparsemix.mixture import alternative_pvalues
 from sparsemix.rng import DOMAIN_NULL, DOMAIN_POWER
 
 
 @pytest.fixture(autouse=True)
 def _clean_cache():
-    engine._NULL_CACHE.clear()
+    engine._null_entry.cache_clear()
     yield
-    engine._NULL_CACHE.clear()
+    engine._null_entry.cache_clear()
+
+
+def _numpy_stream(seed, domain, sub, j, width):
+    """The oracle: the first `width` draws of numpy's own
+    Generator(PCG64(SeedSequence((seed, stream_id))))."""
+    seq = np.random.SeedSequence((seed, stream_id_for(domain, sub, j)))
+    return np.random.Generator(np.random.PCG64(seq)).random(width)
 
 
 def test_null_batch_matches_scalar_path_bitwise():
     n, reps, seed = 40, 25, 314
     got = null_statistics(n, reps, seed, threads=1)
     for j in range(reps):
-        s = sample_null(n, RandomStream(seed, stream_id_for(DOMAIN_NULL, 0, j)))
+        s = prepare(_numpy_stream(seed, DOMAIN_NULL, 0, j, n))
         assert got[StatisticKind.HC][j] == hc_star(s)
         assert got[StatisticKind.BJ][j] == bj_plus(s)
         assert got[StatisticKind.ALR][j] == log_alr(s)
@@ -44,10 +50,10 @@ def test_alternative_batch_matches_scalar_path_bitwise():
     spec = MixtureSpec(n=30, eps=0.1, mu=2.0)
     reps, seed, sub = 20, 99, 3
     got = alternative_statistics(spec, reps, seed, sub=sub, threads=1)
+    n = spec.n
     for j in range(reps):
-        s = sample_alternative(
-            spec, RandomStream(seed, stream_id_for(DOMAIN_POWER, sub, j))
-        )
+        u = _numpy_stream(seed, DOMAIN_POWER, sub, j, 2 * n)
+        s = prepare(alternative_pvalues(u[:n], u[n:], spec.eps, spec.mu))
         assert got[StatisticKind.HC][j] == hc_star(s)
         assert got[StatisticKind.BJ][j] == bj_plus(s)
         assert got[StatisticKind.ALR][j] == log_alr(s)
@@ -56,7 +62,7 @@ def test_alternative_batch_matches_scalar_path_bitwise():
 def test_batch_size_does_not_change_results(monkeypatch):
     n, reps, seed = 24, 64, 7
     base = {k: v.copy() for k, v in null_statistics(n, reps, seed, threads=1).items()}
-    engine._NULL_CACHE.clear()
+    engine._null_entry.cache_clear()
     monkeypatch.setattr(engine, "ELEMENTS_PER_BATCH", 5 * n)
     small = null_statistics(n, reps, seed, threads=1)
     for k in base:
@@ -68,7 +74,7 @@ def test_thread_count_does_not_change_results(monkeypatch):
     monkeypatch.setattr(engine, "ELEMENTS_PER_BATCH", 7 * n)  # force several tasks
     runs = []
     for threads in (1, 2, 0):
-        engine._NULL_CACHE.clear()
+        engine._null_entry.cache_clear()
         runs.append(null_statistics(n, reps, seed, threads=threads))
     for k in runs[0]:
         assert np.array_equal(runs[0][k], runs[1][k])
@@ -106,16 +112,16 @@ def test_null_kinds_added_on_demand_equal_one_pass(monkeypatch):
 
     monkeypatch.setattr(engine, "map_tasks", counted)
     first = null_statistics(40, 300, 9, kinds=(hc,), threads=1)
-    cached = engine._NULL_CACHE[(40, 300, 9)]
+    cached = engine._null_entry(40, 300, 9)
     assert set(cached) == {hc}  # BJ and ALR were not computed
     later = null_statistics(40, 300, 9, kinds=(bj, hc), threads=1)
     assert list(later) == [bj, hc]
-    assert engine._NULL_CACHE[(40, 300, 9)] is cached
+    assert engine._null_entry(40, 300, 9) is cached
     assert set(cached) == {hc, bj, alr}  # the second pass fills in every kind
     assert cached[hc] is first[hc]
     null_statistics(40, 300, 9, kinds=(alr,), threads=1)
     assert len(passes) == 2
-    engine._NULL_CACHE.clear()
+    engine._null_entry.cache_clear()
     whole = null_statistics(40, 300, 9, threads=1)
     for k in (hc, bj, alr):
         assert np.array_equal(cached[k], whole[k])
@@ -124,10 +130,11 @@ def test_null_kinds_added_on_demand_equal_one_pass(monkeypatch):
 def test_null_cache_is_keyed_and_bounded():
     null_statistics(20, 10, 1, threads=1)
     null_statistics(20, 10, 2, threads=1)
-    assert len(engine._NULL_CACHE) == 2
-    for seed in range(3, 3 + engine._NULL_CACHE_CAP):
+    info = engine._null_entry.cache_info
+    assert info().currsize == 2
+    for seed in range(3, 3 + info().maxsize):
         null_statistics(20, 10, seed, threads=1)
-    assert len(engine._NULL_CACHE) == engine._NULL_CACHE_CAP
+    assert info().currsize == info().maxsize
 
 
 def test_small_n_skips_alr():
@@ -146,6 +153,17 @@ def test_request_validation():
         null_statistics(10, 5, 0, threads=-1)
     with pytest.raises(InsufficientReplicates):
         alternative_statistics(MixtureSpec(n=10, eps=0.1, mu=1.0), 0, 0)
+
+
+def test_empty_kinds_refused_before_any_task(monkeypatch):
+    def no_tasks(fn, tasks, threads):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(engine, "map_tasks", no_tasks)
+    with pytest.raises(ConfigError):
+        null_statistics(10, 5, 0, kinds=())
+    with pytest.raises(ConfigError):
+        alternative_statistics(MixtureSpec(n=10, eps=0.1, mu=1.0), 5, 0, kinds=[])
 
 
 def test_resolve_threads():

@@ -33,9 +33,9 @@ EMP = CalibrationMethod.EMPIRICAL
 
 @pytest.fixture(autouse=True)
 def _clean_cache():
-    engine._NULL_CACHE.clear()
+    engine._null_entry.cache_clear()
     yield
-    engine._NULL_CACHE.clear()
+    engine._null_entry.cache_clear()
 
 
 def test_beta_grid_default():
@@ -98,10 +98,10 @@ def test_size_table_thresh_rows_are_alpha_independent():
 
 def test_size_table_reuses_null_cache():
     size_table([40], [HC], [EMP], [0.05], 500, 77, threads=1)
-    assert (40, 500, 77) in engine._NULL_CACHE
-    before = engine._NULL_CACHE[(40, 500, 77)][HC]
+    assert engine._null_entry.cache_info().currsize == 1
+    before = engine._null_entry(40, 500, 77)[HC]
     size_table([40], [HC, BJ], [EMP], [0.1], 500, 77, threads=1)
-    assert engine._NULL_CACHE[(40, 500, 77)][HC] is before
+    assert engine._null_entry(40, 500, 77)[HC] is before
 
 
 def test_size_table_csv_golden():
@@ -142,7 +142,8 @@ def test_power_curve_validates_grid_before_simulating():
         power_curve(100, [], [HC], 0.05, 200, 50, 0)
     with pytest.raises(DomainError):
         power_curve(100, [0.6, 0.4], [HC], 0.05, 200, 50, 0)
-    assert not engine._NULL_CACHE  # the bad grid never reached the engine
+    # the bad grid never reached the engine
+    assert engine._null_entry.cache_info().currsize == 0
 
 
 def test_power_curve_points_and_determinism():

@@ -12,18 +12,15 @@ from sparsemix import (
     MixtureSpec,
     NonFinite,
     OutOfRange,
-    RandomStream,
     SampleTooSmall,
     mixture_from,
     pvalue,
     r_of_beta,
     rho_star,
-    sample_alternative,
-    sample_null,
-    stream_id_for,
 )
+from sparsemix.engine import _alt_rows, _null_rows
 from sparsemix.mixture import alternative_pvalues
-from sparsemix.rng import U_FLOOR
+from sparsemix.rng import DOMAIN_POWER, U_FLOOR, uniform_rows
 
 REL = 1e-12
 
@@ -135,25 +132,27 @@ def test_pvalue_shapes_and_validation():
 
 
 # ---------------------------------------------------------------------------
-# null sampler
+# null sampler: the engine's sorted p-value rows, one replicate each
 
-def _stream(seed, idx, sub=0, domain=0):
-    return RandomStream(seed, stream_id_for(domain, sub, idx))
+def _null(n, seed, idx):
+    return _null_rows(n, seed, idx, 1)[0]
+
+
+def _alt(spec, seed, idx):
+    return _alt_rows(spec.n, spec.eps, spec.mu, seed, 0, idx, 1)[0]
 
 
 def test_sample_null_deterministic():
-    a = sample_null(50, _stream(9, 3))
-    b = sample_null(50, _stream(9, 3))
-    assert np.array_equal(a.values, b.values)
-    c = sample_null(50, _stream(9, 4))
-    assert not np.array_equal(a.values, c.values)
+    a = _null(50, 9, 3)
+    b = _null(50, 9, 3)
+    assert np.array_equal(a, b)
+    c = _null(50, 9, 4)
+    assert not np.array_equal(a, c)
 
 
 def test_sample_null_uniformity():
     # pool 100 streams of 1000 draws and check the empirical CDF
-    pooled = np.concatenate(
-        [sample_null(1000, _stream(21, j)).values for j in range(100)]
-    )
+    pooled = _null_rows(1000, 21, 0, 100).ravel()
     d = sps.kstest(pooled, "uniform").statistic
     assert d < 0.006
     assert abs(pooled.mean() - 0.5) < 1e-3
@@ -161,8 +160,7 @@ def test_sample_null_uniformity():
 
 def test_sample_null_mean_large_sample():
     total, count = 0.0, 0
-    for j in range(10):
-        v = sample_null(100_000, _stream(33, j)).values
+    for v in _null_rows(100_000, 33, 0, 10):
         total += v.sum()
         count += v.size
     assert abs(total / count - 0.5) < 1e-3
@@ -214,16 +212,16 @@ def test_alternative_pvalues_sparse_kernel(eps, monkeypatch):
 
 def test_sample_alternative_deterministic():
     spec = mixture_from(200, 0.7)
-    a = sample_alternative(spec, _stream(5, 1, domain=1))
-    b = sample_alternative(spec, _stream(5, 1, domain=1))
-    assert np.array_equal(a.values, b.values)
+    a = _alt(spec, 5, 1)
+    b = _alt(spec, 5, 1)
+    assert np.array_equal(a, b)
 
 
 def test_sample_alternative_eps_zero_matches_null_law():
     spec = MixtureSpec(n=5000, eps=0.0, mu=3.0)
-    alt = sample_alternative(spec, _stream(6, 0, domain=1))
-    nul = sample_null(5000, _stream(6, 1))
-    d = sps.ks_2samp(alt.values, nul.values)
+    alt = _alt(spec, 6, 0)
+    nul = _null(5000, 6, 1)
+    d = sps.ks_2samp(alt, nul)
     assert d.pvalue > 0.01
 
 
@@ -232,21 +230,21 @@ def test_sample_alternative_shift_count_is_binomial():
     n, beta = 10_000, 0.75
     spec = mixture_from(n, beta)
     counts = []
-    for j in range(1000):
-        u = _stream(17, j, domain=1).generator().random(2 * n)
-        counts.append(int((u[:n] < spec.eps).sum()))
+    for start in range(0, 1000, 100):
+        u = uniform_rows(17, DOMAIN_POWER, 0, start, 100, n)
+        counts.extend((u < spec.eps).sum(axis=1))
     mean = np.mean(counts)
     assert abs(mean - 10.0) <= 1.0
     # and the sampler consumes exactly those uniforms: spiked sample has
     # more small p-values than the matched null
-    alt = sample_alternative(mixture_from(n, 0.6), _stream(17, 0, domain=1))
-    nul = sample_null(n, _stream(17, 0))
-    assert (alt.values < 0.01).sum() > (nul.values < 0.01).sum()
+    alt = _alt(mixture_from(n, 0.6), 17, 0)
+    nul = _null(n, 17, 0)
+    assert (alt < 0.01).sum() > (nul < 0.01).sum()
 
 
 def test_sample_alternative_shifts_lower_tail():
     spec = MixtureSpec(n=2000, eps=0.05, mu=4.0)
-    alt = sample_alternative(spec, _stream(8, 2, domain=1))
+    alt = _alt(spec, 8, 2)
     # about 5% of p-values should be pushed near zero
-    frac_tiny = float((alt.values < 1e-3).mean())
+    frac_tiny = float((alt < 1e-3).mean())
     assert 0.02 < frac_tiny < 0.09

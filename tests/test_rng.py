@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
-from sparsemix import OutOfRange, RandomStream, stream_id_for
+from sparsemix import OutOfRange, stream_id_for
 from sparsemix import rng
 from sparsemix.rng import (
     DOMAIN_CAL1,
@@ -15,6 +15,7 @@ from sparsemix.rng import (
     DOMAIN_NULL,
     DOMAIN_POWER,
     POSITION_CHUNK,
+    RandomStream,
     U_FLOOR,
     exponentials_from_uniforms,
     normals_from_uniforms,
@@ -75,20 +76,20 @@ def test_random_stream_validation():
 
 
 def test_same_stream_reproduces_bitwise():
-    a = RandomStream(123, stream_id_for(0, 0, 5)).generator().random(100)
-    b = RandomStream(123, stream_id_for(0, 0, 5)).generator().random(100)
+    a = uniform_rows(123, 0, 0, 5, 1, 100)
+    b = uniform_rows(123, 0, 0, 5, 1, 100)
     assert np.array_equal(a, b)
 
 
 def test_distinct_streams_differ():
-    base = RandomStream(123, stream_id_for(0, 0, 5)).generator().random(100)
-    for other in [
-        RandomStream(124, stream_id_for(0, 0, 5)),
-        RandomStream(123, stream_id_for(0, 0, 6)),
-        RandomStream(123, stream_id_for(0, 1, 5)),
-        RandomStream(123, stream_id_for(1, 0, 5)),
+    base = uniform_rows(123, 0, 0, 5, 1, 100)
+    for seed, domain, sub, index in [
+        (124, 0, 0, 5),
+        (123, 0, 0, 6),
+        (123, 0, 1, 5),
+        (123, 1, 0, 5),
     ]:
-        assert not np.array_equal(base, other.generator().random(100))
+        assert not np.array_equal(base, uniform_rows(seed, domain, sub, index, 1, 100))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
@@ -127,7 +128,7 @@ def test_uniform_rows_seat_each_row_through_its_stream(monkeypatch):
     seated = []
     generator = RandomStream.generator
 
-    def counted(self, seats=None):
+    def counted(self, seats):
         seated.append(self)
         return generator(self, seats)
 
@@ -143,9 +144,8 @@ def test_seated_generator_equals_numpy_seedsequence_in_any_order():
         (0, 0), (2**64 - 1, 2**64 - 1), (5, stream_id_for(3, 2, 9)),
     ):
         expected = _numpy_stream(seed, sid, 300)
-        stream = RandomStream(seed, sid)
-        assert np.array_equal(stream.generator(seats).random(300), expected), (seed, sid)
-        assert np.array_equal(stream.generator().random(300), expected), (seed, sid)
+        generator = RandomStream(seed, sid).generator(seats)
+        assert np.array_equal(generator.random(300), expected), (seed, sid)
 
 
 def test_uniform_rows_split_invariance():
