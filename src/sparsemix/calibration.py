@@ -39,6 +39,7 @@ from .rng import (
     U_FLOOR,
     exponentials_from_uniforms,
     normals_from_uniforms,
+    seats_for,
     uniform_rows,
 )
 from .stats import StatisticKind
@@ -328,16 +329,23 @@ def _bridge_rows(n: int, grid_size: int, u: np.ndarray) -> np.ndarray:
     """
     t, c, _, _ = _bridge_coeffs(n, grid_size)
     z = normals_from_uniforms(u)
-    return (1.0 - t) * np.cumsum(z * c, axis=1)
+    z *= c
+    np.cumsum(z, axis=1, out=z)
+    z *= 1.0 - t
+    return z
 
 
 def _ln_rows(n: int, grid_size: int, u: np.ndarray) -> np.ndarray:
-    """L_n draws from a (batch, grid_size + 1) uniform matrix."""
-    t, _, w, denom = _bridge_coeffs(n, grid_size)
+    """L_n draws from a (batch, grid_size + 1) uniform matrix.  The integrand
+    is formed in place in the bridge's own matrix."""
+    _, _, w, denom = _bridge_coeffs(n, grid_size)
     b = _bridge_rows(n, grid_size, u)
     np.fmax(b, 0.0, out=b)
-    integrand = np.exp(b * b / denom)
-    return np.sum(integrand * w, axis=1) / math.log(n)
+    b *= b
+    b /= denom
+    np.exp(b, out=b)
+    b *= w
+    return np.sum(b, axis=1) / math.log(n)
 
 
 def _cal2_rows(n: int, grid_size: int, u: np.ndarray) -> np.ndarray:
@@ -354,9 +362,35 @@ def _cal1_task(args) -> np.ndarray:
 
 
 def _cal2_task(args) -> np.ndarray:
+    """cal2 draws start..start+count-1, in blocks of engine.BLOCK_ELEMENTS
+    uniforms with one generator for the whole task."""
     master_seed, n, grid_size, start, count = args
-    u = uniform_rows(master_seed, DOMAIN_CAL2, 0, start, count, grid_size + 2)
-    return _cal2_rows(n, grid_size, u)
+    width = grid_size + 2
+    seats = seats_for(DOMAIN_CAL2, 0, start, count)
+
+    def block(s: int, c: int) -> np.ndarray:
+        u = uniform_rows(master_seed, DOMAIN_CAL2, 0, s, c, width, seats=seats)
+        return _cal2_rows(n, grid_size, u)
+
+    return engine.in_blocks(block, (count,), start, width)
+
+
+def check_limit_request(
+    variant: CalibrationMethod, alpha: float, reps: int, n_for_l: int, grid_size: int
+) -> float:
+    """Refuse a limit-law request that cannot be calibrated, before any draw;
+    returns alpha as a float."""
+    if variant not in (CalibrationMethod.CAL1, CalibrationMethod.CAL2):
+        raise IncompatibleMethod(
+            f"ALR limit calibration supports cal1/cal2, got {variant!r}"
+        )
+    alpha = _check_alpha(alpha)
+    if reps < 10_000:
+        raise InsufficientReplicates(f"limit-law calibration needs reps >= 10000, got {reps}")
+    check_tail(reps, alpha)
+    if variant is CalibrationMethod.CAL2:
+        _check_bridge_args(n_for_l, grid_size)
+    return alpha
 
 
 @lru_cache(maxsize=4)
@@ -393,17 +427,8 @@ def alr_limit_cv(
     threads: int = 0,
 ) -> float:
     """Upper-alpha critical value for log ALR from the sampled limit law."""
-    if variant not in (CalibrationMethod.CAL1, CalibrationMethod.CAL2):
-        raise IncompatibleMethod(
-            f"ALR limit calibration supports cal1/cal2, got {variant!r}"
-        )
-    alpha = _check_alpha(alpha)
-    if reps < 10_000:
-        raise InsufficientReplicates(f"limit-law calibration needs reps >= 10000, got {reps}")
-    check_tail(reps, alpha)
-    if variant is CalibrationMethod.CAL2:
-        _check_bridge_args(n_for_l, grid_size)
-    else:
+    alpha = check_limit_request(variant, alpha, reps, n_for_l, grid_size)
+    if variant is CalibrationMethod.CAL1:
         n_for_l = grid_size = 0
     draws = _limit_draws(variant, reps, n_for_l, grid_size, master_seed, threads)
     raw = float(draws[quantile_index(reps, alpha) - 1])

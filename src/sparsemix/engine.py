@@ -1,9 +1,13 @@
 """Batched Monte Carlo evaluation of the statistics under null and alternative.
 
 Every simulation, here and in the ALR limit law, runs through `simulate`:
-one task-sizing rule, one pool map, one join in row order.  Replicate j of a
-run is a pure function of (master_seed, stream_id), so the result vectors do
-not depend on batch size or worker count.  Null statistic vectors are cached
+one task-sizing rule, one pool map, one join in row order.  Inside a task,
+`in_blocks` runs the whole pipeline (uniforms, p-values or bridge, sort,
+kernels) on blocks of about BLOCK_ELEMENTS elements, so a block's temporaries
+stay in a core's L2 cache and a task's memory does not grow with its size.
+Replicate j of a run is a pure function of (master_seed, stream_id), and
+every reduction runs along a row, so the result vectors do not depend on
+task size, block size or worker count.  Null statistic vectors are cached
 per (n, reps, master_seed) so size tables and power-curve calibration at the
 same configuration share one simulation pass.  The first pass computes only
 the requested kinds; a later request for a kind it lacks re-simulates once
@@ -20,11 +24,13 @@ import numpy as np
 
 from .errors import ConfigError, InsufficientReplicates, SampleTooSmall
 from .mixture import MixtureSpec, alternative_pvalues
-from .rng import DOMAIN_NULL, DOMAIN_POWER, uniform_rows
+from .rng import DOMAIN_NULL, DOMAIN_POWER, seats_for, uniform_rows
 from .stats import P_MAX, P_MIN, StatisticKind, _row_stats, supported_kinds
 
-# Rough per-batch element budget; keeps temporaries ~100 MB at any n.
+# Elements per pool task: bounds the rows of one task, not its memory.
 ELEMENTS_PER_BATCH = 4_000_000
+# Elements per block inside a task (1 MiB of doubles), sized to stay in L2.
+BLOCK_ELEMENTS = 1 << 17
 
 
 def resolve_threads(threads: int) -> int:
@@ -71,16 +77,40 @@ def simulate(task, params: tuple, total: int, width: int, threads: int) -> np.nd
     return np.concatenate(map_tasks(task, tasks, threads), axis=-1)
 
 
-def _null_rows(n: int, master_seed: int, start: int, count: int) -> np.ndarray:
+def in_blocks(block, shape: tuple, start: int, width: int) -> np.ndarray:
+    """Rows start..start+shape[-1]-1 of a task, `width` elements each, run in
+    blocks of max(1, BLOCK_ELEMENTS // width) rows.
+
+    block(s, c) returns the results of rows s..s+c-1 along its last axis; they
+    are written into one preallocated array of the given shape.
+    """
+    out = np.empty(shape)
+    count = shape[-1]
+    rows = max(1, BLOCK_ELEMENTS // width)
+    for lo in range(0, count, rows):
+        c = min(rows, count - lo)
+        out[..., lo : lo + c] = block(start + lo, c)
+    return out
+
+
+def _null_rows(n: int, master_seed: int, start: int, count: int, *, seats=None) -> np.ndarray:
     """Sorted clamped p-value matrix for null replicates start..start+count-1."""
-    m = uniform_rows(master_seed, DOMAIN_NULL, 0, start, count, n)
+    m = uniform_rows(master_seed, DOMAIN_NULL, 0, start, count, n, seats=seats)
     np.clip(m, P_MIN, P_MAX, out=m)
     m.sort(axis=1)
     return m
 
 
 def _alt_rows(
-    n: int, eps: float, mu: float, master_seed: int, sub: int, start: int, count: int
+    n: int,
+    eps: float,
+    mu: float,
+    master_seed: int,
+    sub: int,
+    start: int,
+    count: int,
+    *,
+    seats=None,
 ) -> np.ndarray:
     """Sorted clamped p-value matrix for alternative replicates.
 
@@ -89,7 +119,7 @@ def _alt_rows(
     mixture.alternative_pvalues, which inverts only the shifted coordinates
     to normals.
     """
-    u = uniform_rows(master_seed, DOMAIN_POWER, sub, start, count, 2 * n)
+    u = uniform_rows(master_seed, DOMAIN_POWER, sub, start, count, 2 * n, seats=seats)
     p = alternative_pvalues(u[:, :n], u[:, n:], eps, mu)
     np.clip(p, P_MIN, P_MAX, out=p)
     p.sort(axis=1)
@@ -97,17 +127,31 @@ def _alt_rows(
 
 
 def _null_task(args) -> np.ndarray:
-    """(len(kinds), count) statistics of null replicates start..start+count-1."""
+    """(len(kinds), count) statistics of null replicates start..start+count-1,
+    computed in blocks of BLOCK_ELEMENTS, with one generator (and one
+    derivation of stream states) for the whole task."""
     n, master_seed, kinds, start, count = args
-    stats = _row_stats(_null_rows(n, master_seed, start, count), n, kinds)
-    return np.stack([stats[k] for k in kinds])
+    seats = seats_for(DOMAIN_NULL, 0, start, count)
+
+    def block(s: int, c: int) -> list[np.ndarray]:
+        stats = _row_stats(_null_rows(n, master_seed, s, c, seats=seats), n, kinds)
+        return [stats[k] for k in kinds]
+
+    return in_blocks(block, (len(kinds), count), start, n)
 
 
 def _alt_task(args) -> np.ndarray:
-    """(len(kinds), count) statistics of alternative replicates."""
+    """(len(kinds), count) statistics of alternative replicates, in blocks of
+    BLOCK_ELEMENTS uniforms with one generator for the whole task."""
     n, eps, mu, master_seed, sub, kinds, start, count = args
-    stats = _row_stats(_alt_rows(n, eps, mu, master_seed, sub, start, count), n, kinds)
-    return np.stack([stats[k] for k in kinds])
+    seats = seats_for(DOMAIN_POWER, sub, start, count)
+
+    def block(s: int, c: int) -> list[np.ndarray]:
+        p = _alt_rows(n, eps, mu, master_seed, sub, s, c, seats=seats)
+        stats = _row_stats(p, n, kinds)
+        return [stats[k] for k in kinds]
+
+    return in_blocks(block, (len(kinds), count), start, 2 * n)
 
 
 def _check_request(n: int, reps: int, kinds) -> tuple[StatisticKind, ...]:

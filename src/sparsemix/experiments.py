@@ -10,13 +10,16 @@ from . import engine
 from .calibration import (
     CalibrationMethod,
     NullSample,
+    _check_alpha,
     alr_limit_cv,
+    check_limit_request,
+    check_tail,
     empirical_cv,
     evi_cv,
     evii_cv,
     thresh_cv,
 )
-from .errors import DomainError, IncompatibleMethod
+from .errors import ConfigError, DomainError, IncompatibleMethod
 from .mixture import mixture_from
 from .stats import StatisticKind
 
@@ -81,14 +84,23 @@ def size_table(
     """Realized null rejection rates for every (n, kind, method, alpha) cell.
 
     Every requested method must apply to every requested kind; mixed requests
-    (e.g. thresh with alr) are rejected rather than silently skipped.
+    (e.g. thresh with alr) are rejected rather than silently skipped.  Every
+    (method, alpha) cell is checked before the first null simulation.
     """
+    if not methods or not alphas:
+        raise ConfigError("a size table needs at least one method and one level")
     for method in methods:
         for kind in kinds:
             if kind not in _METHOD_KINDS[method]:
                 raise IncompatibleMethod(
                     f"method {method.value} does not calibrate {kind.value}"
                 )
+        for alpha in alphas:
+            _check_alpha(alpha)
+            if method is CalibrationMethod.EMPIRICAL:
+                check_tail(reps, alpha)
+            elif method in (CalibrationMethod.CAL1, CalibrationMethod.CAL2):
+                check_limit_request(method, alpha, limit_reps, limit_n_for_l, limit_grid)
     rows: list[SizeTableRow] = []
     for n in ns:
         stats = engine.null_statistics(n, reps, master_seed, tuple(kinds), threads=threads)
@@ -152,6 +164,7 @@ def power_curve(
     if not betas:
         raise DomainError("beta grid must be nonempty")
     specs = [mixture_from(n, beta) for beta in betas]
+    check_tail(reps_cal, _check_alpha(alpha))
     null_stats = engine.null_statistics(n, reps_cal, master_seed, tuple(kinds), threads=threads)
     cvs = {
         kind: empirical_cv(

@@ -27,7 +27,9 @@ four 64-bit words w, and PCG64's seeding (O'Neill, PCG, 2014) sets
     state = (inc + (w0 << 64 | w1)) * PCG_MULT + inc          (mod 2^128)
 
 which go into the reused generator through its public `state` dict before
-each row is drawn.  tests/test_rng.py holds numpy's own SeedSequence as the
+each row is drawn.  A simulation task that draws its rows block by block
+passes one `seats_for` generator to every block, so the states are derived
+once per task.  tests/test_rng.py holds numpy's own SeedSequence as the
 oracle.
 """
 
@@ -181,17 +183,36 @@ class _Seats:
         return self._gen
 
 
+def seats_for(domain: int, sub: int, start: int, count: int) -> _Seats:
+    """One reused generator for rows start..start+count-1 of (domain, sub).
+
+    A task that draws those rows in several `uniform_rows` calls passes it to
+    each, so the rows' stream states are derived once for the whole task.
+    """
+    return _Seats(stream_id_for(domain, sub, start) + count)
+
+
 def uniform_rows(
-    master_seed: int, domain: int, sub: int, start: int, count: int, width: int
+    master_seed: int,
+    domain: int,
+    sub: int,
+    start: int,
+    count: int,
+    width: int,
+    *,
+    seats: _Seats | None = None,
 ) -> np.ndarray:
     """(count, width) uniforms in [0, 1): row j is the first `width` draws of
-    stream (domain, sub, start + j) under master_seed."""
+    stream (domain, sub, start + j) under master_seed.  `seats` (from
+    `seats_for`, over a range holding these rows) is the generator to reuse;
+    by default each call derives its own."""
     if count < 0 or width < 0:
         raise OutOfRange(f"count {count} and width {width} must be >= 0")
     first = RandomStream(master_seed, stream_id_for(domain, sub, start)).stream_id
     stream_id_for(domain, sub, start + max(count, 1) - 1)  # the last row's index fits
     out = np.empty((count, width))
-    seats = _Seats(first + count)
+    if seats is None:
+        seats = _Seats(first + count)
     for stream_id, row in zip(range(first, first + count), out):
         RandomStream(master_seed, stream_id).generator(seats).random(out=row)
     return out

@@ -257,6 +257,16 @@ def test_exit_incompatible_method(tmp_path):
     assert main(argv) == 13
 
 
+def test_exit_size_table_alpha_out_of_range(tmp_path):
+    # thresh never reads the level, which is still checked before simulating
+    argv = ["size-table", "--n", "32", "--stat", "hc", "--method", "thresh",
+            "--alpha", "1.5", "--reps", "300", "--seed", "0",
+            "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 11
+    assert list(tmp_path.iterdir()) == []
+    assert engine._null_entry.cache_info().currsize == 0
+
+
 def test_exit_negative_seed(tmp_path):
     argv = ["calibrate", "--stat", "hc", "--n", "32", "--alpha", "0.05",
             "--reps", "300", "--seed", "-1", "--out", str(tmp_path / "x.json")]

@@ -1,4 +1,6 @@
-"""Batched Monte Carlo engine: scalar agreement, batching, caching."""
+"""Batched Monte Carlo engine: scalar agreement, batching, blocks, caching."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +19,8 @@ from sparsemix import (
     prepare,
     stream_id_for,
 )
-from sparsemix import engine
-from sparsemix.mixture import alternative_pvalues
+from sparsemix import calibration, engine, rng
+from sparsemix.mixture import alternative_pvalues, mixture_from
 from sparsemix.rng import DOMAIN_NULL, DOMAIN_POWER
 
 
@@ -195,3 +197,71 @@ def test_null_and_power_domains_do_not_collide():
     nul = null_statistics(12, 6, 42, threads=1)
     alt = alternative_statistics(MixtureSpec(n=12, eps=0.0, mu=0.0), 6, 42, threads=1)
     assert not np.array_equal(nul[StatisticKind.HC], alt[StatisticKind.HC])
+
+
+_ALL = (StatisticKind.HC, StatisticKind.BJ, StatisticKind.ALR)
+_ALT = mixture_from(9, 0.6)
+
+# (task, its arguments for rows 3..25, row width): an odd n, and 23 rows,
+# which 7-row blocks leave ragged.
+_TASKS = [
+    pytest.param(engine._null_task, (9, 5, _ALL, 3, 23), 9, id="null"),
+    pytest.param(
+        engine._alt_task, (9, _ALT.eps, _ALT.mu, 5, 2, _ALL, 3, 23), 18, id="alt"
+    ),
+    pytest.param(calibration._cal2_task, (5, 100, 256, 3, 23), 258, id="cal2"),
+]
+
+
+@pytest.mark.parametrize("task,args,width", _TASKS)
+def test_tasks_do_not_depend_on_the_block_size(monkeypatch, task, args, width):
+    runs = []
+    for rows in (1, 7, 23):  # 23 rows: the whole task in one block
+        monkeypatch.setattr(engine, "BLOCK_ELEMENTS", rows * width)
+        runs.append(task(args))
+    assert runs[0].shape[-1] == 23
+    for other in runs[1:]:
+        assert np.array_equal(runs[0], other)
+
+
+@pytest.mark.parametrize("task,args,width", _TASKS)
+def test_a_task_derives_its_stream_states_once(monkeypatch, task, args, width):
+    sizes = []
+    derive = rng._pcg64_states
+
+    def counted(master_seed, stream_ids):
+        sizes.append(stream_ids.size)
+        return derive(master_seed, stream_ids)
+
+    monkeypatch.setattr(rng, "_pcg64_states", counted)
+    monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 7 * width)
+    task((*args[:-2], 0, rng.POSITION_CHUNK))
+    assert sizes == [rng.POSITION_CHUNK]
+
+
+_BIG_ALT = mixture_from(10_000, 0.6)
+
+
+@pytest.mark.parametrize(
+    "task,args",
+    [
+        pytest.param(engine._null_task, (1000, 5, _ALL, 0, 4000), id="null-1e3"),
+        pytest.param(engine._null_task, (10_000, 5, _ALL, 0, 400), id="null-1e4"),
+        pytest.param(
+            engine._alt_task,
+            (10_000, _BIG_ALT.eps, _BIG_ALT.mu, 5, 0, _ALL, 0, 200),
+            id="alt-1e4",
+        ),
+        pytest.param(calibration._cal2_task, (5, 100_000, 4096, 0, 976), id="cal2"),
+    ],
+)
+def test_task_memory_is_bounded_by_its_blocks(task, args):
+    # tracemalloc counts numpy's buffers and does not depend on the C
+    # allocator's heap layout; a task built at full size peaks at 48-122 MiB.
+    tracemalloc.start()
+    try:
+        task(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20

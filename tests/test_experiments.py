@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from sparsemix import (
+    AlphaOutOfRange,
     CalibrationMethod,
+    ConfigError,
     DomainError,
     IncompatibleMethod,
+    InsufficientReplicates,
     MixtureSpec,
     PowerCurvePoint,
     SizeTableRow,
@@ -56,6 +59,45 @@ def test_size_table_rejects_mixed_methods():
         size_table([100], [ALR], [CalibrationMethod.THRESH], [0.05], 200, 0)
     with pytest.raises(IncompatibleMethod):
         size_table([100], [HC], [CalibrationMethod.CAL1], [0.05], 200, 0)
+
+
+CAL1, CAL2 = CalibrationMethod.CAL1, CalibrationMethod.CAL2
+THRESH = CalibrationMethod.THRESH
+
+
+@pytest.mark.parametrize(
+    "error,call,args,kwargs",
+    [
+        pytest.param(InsufficientReplicates, size_table,
+                     ([1000], [ALR], [CAL1], [0.05], 2000, 1), {"limit_reps": 5000},
+                     id="cal1-limit-reps"),
+        pytest.param(InsufficientReplicates, size_table,
+                     ([1000], [ALR], [CAL1], [1e-4], 2000, 1), {"limit_reps": 10_000},
+                     id="cal1-thin-tail"),
+        pytest.param(DomainError, size_table,
+                     ([1000], [ALR], [CAL2], [0.05], 2000, 1), {"limit_grid": 100},
+                     id="cal2-grid"),
+        pytest.param(ConfigError, size_table, ([100], [HC], [], [0.05], 2000, 1), {},
+                     id="no-methods"),
+        pytest.param(ConfigError, size_table, ([100], [HC], [EMP], [], 2000, 1), {},
+                     id="no-alphas"),
+        pytest.param(InsufficientReplicates, size_table,
+                     ([100], [HC], [EMP], [1e-4], 2000, 1), {}, id="empirical-thin-tail"),
+        pytest.param(AlphaOutOfRange, size_table,
+                     ([100], [HC], [THRESH], [1.5], 2000, 1), {}, id="thresh-alpha"),
+        pytest.param(InsufficientReplicates, power_curve,
+                     (100, [0.6], [HC], 1e-4, 2000, 50, 1), {}, id="power-thin-tail"),
+        pytest.param(AlphaOutOfRange, power_curve,
+                     (100, [0.6], [HC], 0.0, 2000, 50, 1), {}, id="power-alpha"),
+    ],
+)
+def test_bad_requests_refused_before_simulating(monkeypatch, error, call, args, kwargs):
+    def no_tasks(fn, tasks, threads):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(engine, "map_tasks", no_tasks)
+    with pytest.raises(error):
+        call(*args, threads=1, **kwargs)
 
 
 def test_size_table_empirical_is_exactly_self_consistent():
