@@ -34,6 +34,7 @@ from .errors import (
     SampleTooSmall,
     SparsemixError,
     UnsupportedStatistic,
+    WorkerLost,
 )
 from .experiments import (
     PowerCurvePoint,
@@ -96,6 +97,7 @@ __all__ = [
     "SparsemixError",
     "StatisticKind",
     "UnsupportedStatistic",
+    "WorkerLost",
     "alr_limit_cv",
     "alternative_statistics",
     "beta_grid_default",

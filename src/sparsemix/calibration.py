@@ -409,10 +409,10 @@ def _limit_draws(
     and keyword arguments apart.
     """
     if variant is CalibrationMethod.CAL1:
-        draws = engine.simulate(_cal1_task, (master_seed,), reps, 2, threads)
+        [draws] = engine.simulate(_cal1_task, [(master_seed,)], reps, 2, threads)
     else:
-        params = (master_seed, n_for_l, grid_size)
-        draws = engine.simulate(_cal2_task, params, reps, grid_size + 2, threads)
+        params = [(master_seed, n_for_l, grid_size)]
+        [draws] = engine.simulate(_cal2_task, params, reps, grid_size + 2, threads)
     return np.sort(draws)
 
 

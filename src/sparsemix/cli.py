@@ -3,7 +3,8 @@
 Subcommands: stat, calibrate, size-table, power-curve, alr-limit.  Every
 output embeds the package version and the full run configuration, outputs are
 written atomically, and errors exit with the code of their error class after
-a single diagnostic line on stderr.
+a single diagnostic line on stderr.  A simulating command runs all of its
+simulations on one worker pool (`engine.workers`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, engine
 from .calibration import (
     CalibrationMethod,
     CriticalValueTable,
@@ -319,7 +320,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     config = _run_config(args)
     try:
-        return _COMMANDS[args.command](args, config)
+        # one worker pool serves every simulation of the command; stat has none
+        with engine.workers(vars(args).get("threads", 1)):
+            return _COMMANDS[args.command](args, config)
     except SparsemixError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -1,7 +1,9 @@
 """Batched Monte Carlo evaluation of the statistics under null and alternative.
 
 Every simulation, here and in the ALR limit law, runs through `simulate`:
-one task-sizing rule, one pool map, one join in row order.  Inside a task,
+one task-sizing rule, one pool map, one join in row order.  `workers` opens
+one process pool for a whole command and every map inside it reuses that
+pool; a map with no pool open opens one for itself.  Inside a task,
 `in_blocks` runs the whole pipeline (uniforms, p-values or bridge, sort,
 kernels) on blocks of about BLOCK_ELEMENTS elements, so a block's temporaries
 stay in a core's L2 cache and a task's memory does not grow with its size.
@@ -18,11 +20,15 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientReplicates, SampleTooSmall
+from .errors import ConfigError, InsufficientReplicates, SampleTooSmall, WorkerLost
 from .mixture import MixtureSpec, alternative_pvalues
 from .rng import DOMAIN_NULL, DOMAIN_POWER, seats_for, uniform_rows
 from .stats import P_MAX, P_MIN, StatisticKind, _row_stats, supported_kinds
@@ -42,17 +48,56 @@ def resolve_threads(threads: int) -> int:
     return threads
 
 
-def map_tasks(fn, tasks: list, threads: int) -> list:
-    """Run fn over tasks, in order, optionally on a process pool."""
-    workers = resolve_threads(threads)
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
+# The pool of the innermost open `workers` block, if any.
+_POOL: ContextVar[ProcessPoolExecutor | None] = ContextVar("sparsemix_pool", default=None)
+
+
+@contextmanager
+def workers(threads: int):
+    """Run every map_tasks call inside the block on one process pool.
+
+    The pool has resolve_threads(threads) workers, forked on its first map,
+    and yields None at one worker.  A block opened inside another reuses the
+    outer pool.  An exception leaving the block, KeyboardInterrupt included,
+    cancels the tasks not yet started; either way every worker has exited
+    when the block ends.
+    """
+    count = resolve_threads(threads)
+    if count <= 1 or _POOL.get() is not None:
+        yield _POOL.get()
+        return
+    # fork: workers inherit the imported package instead of importing numpy
+    # and scipy again; the pool forks every worker on its first map, before
+    # it starts a thread of its own
+    ctx = None
     if "fork" in multiprocessing.get_all_start_methods():
         ctx = multiprocessing.get_context("fork")
-    else:
-        ctx = multiprocessing.get_context()
-    with ctx.Pool(min(workers, len(tasks))) as pool:
-        return pool.map(fn, tasks)
+    pool = ProcessPoolExecutor(count, mp_context=ctx)
+    token = _POOL.set(pool)
+    try:
+        yield pool
+    except BaseException:
+        pool.shutdown(cancel_futures=True)
+        raise
+    finally:
+        _POOL.reset(token)
+        pool.shutdown()
+
+
+def map_tasks(fn, tasks: list, threads: int) -> list:
+    """Run fn over tasks, in order, on the open pool (or a pool of its own).
+
+    One resolved worker, or a single task, runs in this process.  A worker
+    that dies (killed by a signal, say) raises WorkerLost.
+    """
+    count = min(resolve_threads(threads), len(tasks))
+    if count <= 1:
+        return [fn(task) for task in tasks]
+    with workers(count) as pool:
+        try:
+            return list(pool.map(fn, tasks))
+        except BrokenProcessPool as exc:
+            raise WorkerLost(f"a worker process died: {exc}") from exc
 
 
 def _ranges(total: int, width: int, threads: int) -> list[tuple[int, int]]:
@@ -67,14 +112,18 @@ def _ranges(total: int, width: int, threads: int) -> list[tuple[int, int]]:
     return [(s, min(per_task, total - s)) for s in range(0, total, per_task)]
 
 
-def simulate(task, params: tuple, total: int, width: int, threads: int) -> np.ndarray:
-    """Rows 0..total-1 of a simulation, `width` elements each, in row order.
+def simulate(task, params: list[tuple], total: int, width: int, threads: int) -> list[np.ndarray]:
+    """Rows 0..total-1 of one simulation per parameter tuple, `width` elements
+    each, in row order; the tasks of every tuple go through one map_tasks call.
 
-    task((*params, start, count)) returns an array whose last axis holds rows
+    task((*params[k], start, count)) returns an array whose last axis holds rows
     start..start+count-1; the tasks from _ranges are joined along that axis.
     """
-    tasks = [(*params, start, count) for start, count in _ranges(total, width, threads)]
-    return np.concatenate(map_tasks(task, tasks, threads), axis=-1)
+    ranges = _ranges(total, width, threads)
+    tasks = [(*p, start, count) for p in params for start, count in ranges]
+    out = map_tasks(task, tasks, threads)
+    k = len(ranges)
+    return [np.concatenate(out[i * k : (i + 1) * k], axis=-1) for i in range(len(params))]
 
 
 def in_blocks(block, shape: tuple, start: int, width: int) -> np.ndarray:
@@ -202,7 +251,7 @@ def null_statistics(
     else:
         compute = tuple(k for k in supported_kinds(n) if k not in cached)
     if compute:
-        stats = simulate(_null_task, (n, master_seed, compute), reps, n, threads)
+        [stats] = simulate(_null_task, [(n, master_seed, compute)], reps, n, threads)
         cached.update(zip(compute, stats))
     return {k: cached[k] for k in kinds}
 
@@ -221,7 +270,37 @@ def alternative_statistics(
     `sub` partitions the stream space between alternatives run under one
     master seed (e.g. the index of a beta grid point).
     """
-    kinds = _check_request(spec.n, reps, kinds)
-    params = (spec.n, spec.eps, spec.mu, master_seed, sub, kinds)
-    stats = simulate(_alt_task, params, reps, 2 * spec.n, threads)
-    return dict(zip(kinds, stats))
+    [stats] = alternative_grid([spec], reps, master_seed, first_sub=sub, kinds=kinds,
+                               threads=threads)
+    return stats
+
+
+def alternative_grid(
+    specs: list[MixtureSpec],
+    reps: int,
+    master_seed: int,
+    *,
+    first_sub: int = 0,
+    kinds: tuple[StatisticKind, ...] | None = None,
+    threads: int = 0,
+) -> list[dict[StatisticKind, np.ndarray]]:
+    """alternative_statistics of every mixture in `specs`, all of one n, with
+    specs[k] on stream sub-range first_sub + k.
+
+    The tasks of every mixture share one map_tasks call, so no worker waits
+    for the last task of one mixture before the next mixture starts.
+    """
+    if not specs:
+        raise ConfigError("need at least one mixture")
+    n = specs[0].n
+    if any(spec.n != n for spec in specs):
+        raise ConfigError("every mixture of a grid needs the same n")
+    kinds = _check_request(n, reps, kinds)
+    params = [
+        (n, spec.eps, spec.mu, master_seed, first_sub + k, kinds)
+        for k, spec in enumerate(specs)
+    ]
+    return [
+        dict(zip(kinds, stats))
+        for stats in simulate(_alt_task, params, reps, 2 * n, threads)
+    ]

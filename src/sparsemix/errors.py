@@ -79,3 +79,9 @@ class IncompatibleMethod(SparsemixError):
     """Calibration method does not apply to the requested statistic."""
 
     exit_code = 13
+
+
+class WorkerLost(SparsemixError):
+    """A worker process died (killed by a signal, say) before its task ended."""
+
+    exit_code = 14

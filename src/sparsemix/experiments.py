@@ -35,6 +35,13 @@ _METHOD_KINDS = {
     CalibrationMethod.CAL2: frozenset({StatisticKind.ALR}),
 }
 
+# The calibrations that need no simulation: cv(kind, n, alpha).
+_CLOSED_FORMS = {
+    CalibrationMethod.THRESH: lambda kind, n, alpha: thresh_cv(kind, n),
+    CalibrationMethod.EVI: evi_cv,
+    CalibrationMethod.EVII: evii_cv,
+}
+
 
 @dataclass(frozen=True)
 class SizeTableRow:
@@ -85,7 +92,8 @@ def size_table(
 
     Every requested method must apply to every requested kind; mixed requests
     (e.g. thresh with alr) are rejected rather than silently skipped.  Every
-    (method, alpha) cell is checked before the first null simulation.
+    (method, alpha) cell is checked, and every closed-form critical value
+    computed, before the first null simulation.
     """
     if not methods or not alphas:
         raise ConfigError("a size table needs at least one method and one level")
@@ -101,6 +109,14 @@ def size_table(
                 check_tail(reps, alpha)
             elif method in (CalibrationMethod.CAL1, CalibrationMethod.CAL2):
                 check_limit_request(method, alpha, limit_reps, limit_n_for_l, limit_grid)
+    closed = {
+        (n, kind, method, alpha): _CLOSED_FORMS[method](kind, n, alpha)
+        for n in ns
+        for kind in kinds
+        for method in methods
+        if method in _CLOSED_FORMS
+        for alpha in alphas
+    }
     rows: list[SizeTableRow] = []
     for n in ns:
         stats = engine.null_statistics(n, reps, master_seed, tuple(kinds), threads=threads)
@@ -113,12 +129,8 @@ def size_table(
                 for alpha in alphas:
                     if method is CalibrationMethod.EMPIRICAL:
                         cv = empirical_cv(sample, alpha)
-                    elif method is CalibrationMethod.THRESH:
-                        cv = thresh_cv(kind, n)
-                    elif method is CalibrationMethod.EVI:
-                        cv = evi_cv(kind, n, alpha)
-                    elif method is CalibrationMethod.EVII:
-                        cv = evii_cv(kind, n, alpha)
+                    elif method in _CLOSED_FORMS:
+                        cv = closed[n, kind, method, alpha]
                     else:
                         cv = alr_limit_cv(
                             method,
@@ -159,7 +171,7 @@ def power_curve(
 
     Critical values come from reps_cal null replicates at level alpha; each
     grid point then draws reps_pow alternative replicates on its own stream
-    sub-range.
+    sub-range, and the tasks of every grid point share one pool queue.
     """
     if not betas:
         raise DomainError("beta grid must be nonempty")
@@ -178,11 +190,12 @@ def power_curve(
         )
         for kind in kinds
     }
+    # grid point k runs on stream sub-range k
+    alts = engine.alternative_grid(
+        specs, reps_pow, master_seed, kinds=tuple(kinds), threads=threads
+    )
     points: list[PowerCurvePoint] = []
-    for sub, (beta, spec) in enumerate(zip(betas, specs)):
-        alt = engine.alternative_statistics(
-            spec, reps_pow, master_seed, sub=sub, kinds=tuple(kinds), threads=threads
-        )
+    for beta, alt in zip(betas, alts):
         for kind in kinds:
             points.append(
                 PowerCurvePoint(

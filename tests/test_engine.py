@@ -92,6 +92,22 @@ def test_alternative_threads_and_batching_invariance(monkeypatch):
         assert np.array_equal(base[k], redone[k])
 
 
+def test_alternative_grid_equals_one_call_per_mixture():
+    specs = [mixture_from(16, beta) for beta in (0.6, 0.9)]
+    grid = engine.alternative_grid(specs, 12, 4, first_sub=3, threads=2)
+    for k, spec in enumerate(specs):
+        one = alternative_statistics(spec, 12, 4, sub=3 + k, threads=1)
+        for kind in one:
+            assert np.array_equal(grid[k][kind], one[kind])
+
+
+def test_alternative_grid_refuses_empty_or_mixed_n():
+    with pytest.raises(ConfigError):
+        engine.alternative_grid([], 12, 4, threads=1)
+    with pytest.raises(ConfigError):
+        engine.alternative_grid([mixture_from(16, 0.6), mixture_from(32, 0.6)], 12, 4, threads=1)
+
+
 def test_null_cache_shares_arrays():
     a = null_statistics(20, 10, 1, threads=1)
     b = null_statistics(20, 10, 1, threads=1)
@@ -265,3 +281,4 @@ def test_task_memory_is_bounded_by_its_blocks(task, args):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+

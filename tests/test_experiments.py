@@ -13,6 +13,7 @@ from sparsemix import (
     IncompatibleMethod,
     InsufficientReplicates,
     MixtureSpec,
+    NegativeQ,
     PowerCurvePoint,
     SizeTableRow,
     StatisticKind,
@@ -62,7 +63,7 @@ def test_size_table_rejects_mixed_methods():
 
 
 CAL1, CAL2 = CalibrationMethod.CAL1, CalibrationMethod.CAL2
-THRESH = CalibrationMethod.THRESH
+THRESH, EVI = CalibrationMethod.THRESH, CalibrationMethod.EVI
 
 
 @pytest.mark.parametrize(
@@ -85,6 +86,10 @@ THRESH = CalibrationMethod.THRESH
                      ([100], [HC], [EMP], [1e-4], 2000, 1), {}, id="empirical-thin-tail"),
         pytest.param(AlphaOutOfRange, size_table,
                      ([100], [HC], [THRESH], [1.5], 2000, 1), {}, id="thresh-alpha"),
+        pytest.param(DomainError, size_table,
+                     ([8], [HC], [THRESH], [0.05], 200, 1), {}, id="thresh-small-n"),
+        pytest.param(NegativeQ, size_table,
+                     ([20], [HC], [EVI], [0.9], 200, 1), {}, id="evi-negative-q"),
         pytest.param(InsufficientReplicates, power_curve,
                      (100, [0.6], [HC], 1e-4, 2000, 50, 1), {}, id="power-thin-tail"),
         pytest.param(AlphaOutOfRange, power_curve,
@@ -204,6 +209,32 @@ def test_power_curve_points_and_determinism():
     # one cv per kind, shared across the grid
     assert pts[0].cv_used == pts[2].cv_used
     assert pts[1].cv_used == pts[3].cv_used
+
+
+@pytest.mark.parametrize("grid", [[0.6], [0.55, 0.8, 1.0], beta_grid_default()])
+def test_power_curve_maps_the_null_and_the_whole_grid_once(monkeypatch, grid):
+    calls = []
+    run_tasks = engine.map_tasks
+
+    def counted(fn, tasks, threads):
+        calls.append(len(tasks))
+        return run_tasks(fn, tasks, threads)
+
+    monkeypatch.setattr(engine, "map_tasks", counted)
+    power_curve(40, grid, [HC, BJ], 0.05, 400, 30, 17, threads=1)
+    assert len(calls) == 2  # the null, then every grid point in one queue
+
+
+def test_power_curve_grid_is_thread_invariant_and_keeps_sub_ranges(monkeypatch):
+    grid = [0.55, 0.7, 0.9]
+    pts = power_curve(40, grid, [HC, BJ, ALR], 0.05, 400, 30, 19, threads=1)
+    monkeypatch.setattr(engine, "ELEMENTS_PER_BATCH", 7 * 2 * 40)  # several tasks a point
+    assert power_curve(40, grid, [HC, BJ, ALR], 0.05, 400, 30, 19, threads=2) == pts
+    # grid point k draws from stream sub-range k, as a call of its own would
+    for k, beta in enumerate(grid):
+        alt = engine.alternative_statistics(mixture_from(40, beta), 30, 19, sub=k, threads=1)
+        for p in pts[3 * k : 3 * k + 3]:
+            assert p.power == float(np.mean(alt[p.kind] > p.cv_used))
 
 
 def test_power_curve_null_signal_recovers_alpha():
