@@ -6,7 +6,9 @@ one process pool for a whole command and every map inside it reuses that
 pool; a map with no pool open opens one for itself.  Inside a task,
 `in_blocks` runs the whole pipeline (uniforms, p-values or bridge, sort,
 kernels) on blocks of about BLOCK_ELEMENTS elements, so a block's temporaries
-stay in a core's L2 cache and a task's memory does not grow with its size.
+stay in a core's L2 cache and a task's memory does not grow with its size; a
+null or alternative task allocates its block buffers once and every block
+writes into them.
 Replicate j of a run is a pure function of (master_seed, stream_id), and
 every reduction runs along a row, so the result vectors do not depend on
 task size, block size or worker count.  Null statistic vectors are cached
@@ -126,25 +128,47 @@ def simulate(task, params: list[tuple], total: int, width: int, threads: int) ->
     return [np.concatenate(out[i * k : (i + 1) * k], axis=-1) for i in range(len(params))]
 
 
+def block_rows(count: int, width: int) -> int:
+    """Rows per block of a task of `count` rows, `width` elements each: about
+    BLOCK_ELEMENTS elements, at least one row and at most the task."""
+    return max(1, min(count, BLOCK_ELEMENTS // width))
+
+
 def in_blocks(block, shape: tuple, start: int, width: int) -> np.ndarray:
     """Rows start..start+shape[-1]-1 of a task, `width` elements each, run in
-    blocks of max(1, BLOCK_ELEMENTS // width) rows.
+    blocks of block_rows(shape[-1], width) rows.
 
     block(s, c) returns the results of rows s..s+c-1 along its last axis; they
     are written into one preallocated array of the given shape.
     """
     out = np.empty(shape)
     count = shape[-1]
-    rows = max(1, BLOCK_ELEMENTS // width)
+    rows = block_rows(count, width)
     for lo in range(0, count, rows):
         c = min(rows, count - lo)
         out[..., lo : lo + c] = block(start + lo, c)
     return out
 
 
-def _null_rows(n: int, master_seed: int, start: int, count: int, *, seats=None) -> np.ndarray:
-    """Sorted clamped p-value matrix for null replicates start..start+count-1."""
-    m = uniform_rows(master_seed, DOMAIN_NULL, 0, start, count, n, seats=seats)
+def _task_buffers(rows: int, width: int, n: int) -> tuple[np.ndarray, tuple]:
+    """A task's block buffers: the (rows, width) uniform matrix and the
+    `_row_stats` scratch at sample size n.  The uniforms and the two float
+    scratch matrices are one allocation: once glibc has unmapped one chunk of
+    that size it keeps the next on its heap when freed, so a later task of
+    the same shape faults none of it in again."""
+    m = n // 2
+    flat = np.empty(rows * (width + 2 * m))
+    u = flat[: rows * width].reshape(rows, width)
+    a, b = flat[rows * width :].reshape(2, rows, m)
+    return u, (a, b, np.empty((rows, m), dtype=bool))
+
+
+def _null_rows(
+    n: int, master_seed: int, start: int, count: int, *, seats=None, out=None
+) -> np.ndarray:
+    """Sorted clamped p-value matrix for null replicates start..start+count-1,
+    formed in `out` (a new array by default)."""
+    m = uniform_rows(master_seed, DOMAIN_NULL, 0, start, count, n, seats=seats, out=out)
     np.clip(m, P_MIN, P_MAX, out=m)
     m.sort(axis=1)
     return m
@@ -160,15 +184,17 @@ def _alt_rows(
     count: int,
     *,
     seats=None,
+    out=None,
 ) -> np.ndarray:
     """Sorted clamped p-value matrix for alternative replicates.
 
-    Each row is 2n uniforms of its stream: the first n pick the shifted
-    components, the next n give the p-values through
-    mixture.alternative_pvalues, which inverts only the shifted coordinates
-    to normals.
+    Each row is 2n uniforms of its stream, drawn into `out` (a new array by
+    default): the first n pick the shifted components, the next n give the
+    p-values through mixture.alternative_pvalues, which inverts only the
+    shifted coordinates to normals.
     """
-    u = uniform_rows(master_seed, DOMAIN_POWER, sub, start, count, 2 * n, seats=seats)
+    u = uniform_rows(master_seed, DOMAIN_POWER, sub, start, count, 2 * n, seats=seats,
+                     out=out)
     p = alternative_pvalues(u[:, :n], u[:, n:], eps, mu)
     np.clip(p, P_MIN, P_MAX, out=p)
     p.sort(axis=1)
@@ -178,12 +204,15 @@ def _alt_rows(
 def _null_task(args) -> np.ndarray:
     """(len(kinds), count) statistics of null replicates start..start+count-1,
     computed in blocks of BLOCK_ELEMENTS, with one generator (and one
-    derivation of stream states) for the whole task."""
+    derivation of stream states) and one set of block buffers for the whole
+    task; the last, shorter block uses their leading rows."""
     n, master_seed, kinds, start, count = args
     seats = seats_for(DOMAIN_NULL, 0, start, count)
+    u, scratch = _task_buffers(block_rows(count, n), n, n)
 
     def block(s: int, c: int) -> list[np.ndarray]:
-        stats = _row_stats(_null_rows(n, master_seed, s, c, seats=seats), n, kinds)
+        p = _null_rows(n, master_seed, s, c, seats=seats, out=u[:c])
+        stats = _row_stats(p, n, kinds, scratch)
         return [stats[k] for k in kinds]
 
     return in_blocks(block, (len(kinds), count), start, n)
@@ -191,13 +220,15 @@ def _null_task(args) -> np.ndarray:
 
 def _alt_task(args) -> np.ndarray:
     """(len(kinds), count) statistics of alternative replicates, in blocks of
-    BLOCK_ELEMENTS uniforms with one generator for the whole task."""
+    BLOCK_ELEMENTS uniforms with one generator and one set of uniform and
+    kernel buffers for the whole task."""
     n, eps, mu, master_seed, sub, kinds, start, count = args
     seats = seats_for(DOMAIN_POWER, sub, start, count)
+    u, scratch = _task_buffers(block_rows(count, 2 * n), 2 * n, n)
 
     def block(s: int, c: int) -> list[np.ndarray]:
-        p = _alt_rows(n, eps, mu, master_seed, sub, s, c, seats=seats)
-        stats = _row_stats(p, n, kinds)
+        p = _alt_rows(n, eps, mu, master_seed, sub, s, c, seats=seats, out=u[:c])
+        stats = _row_stats(p, n, kinds, scratch)
         return [stats[k] for k in kinds]
 
     return in_blocks(block, (len(kinds), count), start, 2 * n)

@@ -19,7 +19,7 @@ from .calibration import (
     evii_cv,
     thresh_cv,
 )
-from .errors import ConfigError, DomainError, IncompatibleMethod
+from .errors import ConfigError, DomainError, IncompatibleMethod, InsufficientReplicates
 from .mixture import mixture_from
 from .stats import StatisticKind
 
@@ -177,6 +177,8 @@ def power_curve(
         raise DomainError("beta grid must be nonempty")
     specs = [mixture_from(n, beta) for beta in betas]
     check_tail(reps_cal, _check_alpha(alpha))
+    if reps_pow < 1:
+        raise InsufficientReplicates(f"need at least one power replicate, got {reps_pow}")
     null_stats = engine.null_statistics(n, reps_cal, master_seed, tuple(kinds), threads=threads)
     cvs = {
         kind: empirical_cv(

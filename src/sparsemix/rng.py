@@ -201,16 +201,21 @@ def uniform_rows(
     width: int,
     *,
     seats: _Seats | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """(count, width) uniforms in [0, 1): row j is the first `width` draws of
     stream (domain, sub, start + j) under master_seed.  `seats` (from
     `seats_for`, over a range holding these rows) is the generator to reuse;
-    by default each call derives its own."""
+    by default each call derives its own.  `out`, a C-contiguous float64
+    (count, width) array, receives the draws; by default a new one does."""
     if count < 0 or width < 0:
         raise OutOfRange(f"count {count} and width {width} must be >= 0")
     first = RandomStream(master_seed, stream_id_for(domain, sub, start)).stream_id
     stream_id_for(domain, sub, start + max(count, 1) - 1)  # the last row's index fits
-    out = np.empty((count, width))
+    if out is None:
+        out = np.empty((count, width))
+    elif out.shape != (count, width):
+        raise OutOfRange(f"out has shape {out.shape}, need {(count, width)}")
     if seats is None:
         seats = _Seats(first + count)
     for stream_id, row in zip(range(first, first + count), out):

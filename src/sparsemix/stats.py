@@ -104,28 +104,48 @@ def _alr_log_weights(n: int) -> np.ndarray:
     return logw
 
 
-def _log_lr_rows(pm: np.ndarray, n: int, t: np.ndarray) -> np.ndarray:
+def _hc_rows(pm: np.ndarray, n: int, t: np.ndarray, a=None, b=None) -> np.ndarray:
+    """HC* per row of sorted p-values pm at t = i/n: the maximum of
+    sqrt(n) (t - p) / sqrt(p (1 - p)), formed in the float buffers a and b
+    (allocated when not given)."""
+    a = np.subtract(t, pm, out=a)
+    a *= math.sqrt(n)
+    b = np.subtract(1.0, pm, out=b)
+    b *= pm
+    np.sqrt(b, out=b)
+    a /= b
+    return a.max(axis=1)
+
+
+def _log_lr_rows(
+    pm: np.ndarray, n: int, t: np.ndarray, ell=None, tail=None, mask=None
+) -> np.ndarray:
     """log LR_{n,i} for each row of sorted p-values pm at t = i/n, i = 1..m:
-    [i log(i/(n p)) + (n-i) log((1 - i/n)/(1 - p))] 1{p < i/n}, floored at zero."""
+    [i log(i/(n p)) + (n-i) log((1 - i/n)/(1 - p))] 1{p < i/n}, floored at zero.
+
+    The result is formed in the float buffer ell, with tail and the bool mask
+    as scratch; each is allocated when not given."""
     i = t * n
-    # Both terms are formed in place: each temporary is a (rows, m) matrix,
-    # and these set the peak memory of a simulation task.
-    ell = np.log(i / (n * pm))
+    ell = np.multiply(n, pm, out=ell)
+    np.divide(i, ell, out=ell)
+    np.log(ell, out=ell)
     ell *= i
-    tail = np.negative(pm)
+    tail = np.negative(pm, out=tail)
     np.log1p(tail, out=tail)
     np.subtract(np.log1p(-t), tail, out=tail)
     tail *= n - i
     ell += tail
-    ell[pm >= t] = 0.0
+    mask = np.greater_equal(pm, t, out=mask)
+    np.copyto(ell, 0.0, where=mask)
     np.fmax(ell, 0.0, out=ell)
     return ell
 
 
-def _log_alr_rows(ell: np.ndarray, n: int) -> np.ndarray:
+def _log_alr_rows(ell: np.ndarray, n: int, x=None) -> np.ndarray:
     """log ALR per row of log LR terms: a max-shifted log-sum-exp of
-    ell + log w, reduced in one temporary so large terms cannot overflow."""
-    x = ell + _alr_log_weights(n)
+    ell + log w, reduced in the float buffer x (allocated when not given) so
+    large terms cannot overflow."""
+    x = np.add(ell, _alr_log_weights(n), out=x)
     top = x.max(axis=1)
     x -= top[:, None]
     np.exp(x, out=x)
@@ -133,23 +153,29 @@ def _log_alr_rows(ell: np.ndarray, n: int) -> np.ndarray:
 
 
 def _row_stats(
-    p: np.ndarray, n: int, kinds: tuple[StatisticKind, ...]
+    p: np.ndarray, n: int, kinds: tuple[StatisticKind, ...], scratch=None
 ) -> dict[StatisticKind, np.ndarray]:
-    """Requested statistics for every row of a (batch, n) sorted matrix."""
+    """Requested statistics for every row of a (batch, n) sorted matrix.
+
+    `scratch` holds the buffers the kernels write into: two float arrays and
+    one bool array, each (rows, n // 2) with rows >= batch, of which the first
+    `batch` rows are used.  Without it each kernel allocates its own.
+    """
     m = n // 2
     pm = p[:, :m]
     t = np.arange(1, m + 1, dtype=float) / n
+    a = b = mask = None
+    if scratch is not None:
+        a, b, mask = (buf[: len(p)] for buf in scratch)
     out: dict[StatisticKind, np.ndarray] = {}
     if StatisticKind.HC in kinds:
-        out[StatisticKind.HC] = (
-            math.sqrt(n) * (t - pm) / np.sqrt(pm * (1.0 - pm))
-        ).max(axis=1)
+        out[StatisticKind.HC] = _hc_rows(pm, n, t, a, b)
     if StatisticKind.BJ in kinds or StatisticKind.ALR in kinds:
-        ell = _log_lr_rows(pm, n, t)
+        ell = _log_lr_rows(pm, n, t, a, b, mask)
         if StatisticKind.BJ in kinds:
             out[StatisticKind.BJ] = ell.max(axis=1)
         if StatisticKind.ALR in kinds:
-            out[StatisticKind.ALR] = _log_alr_rows(ell, n)
+            out[StatisticKind.ALR] = _log_alr_rows(ell, n, b)
     return out
 
 

@@ -267,6 +267,15 @@ def test_exit_size_table_alpha_out_of_range(tmp_path):
     assert engine._null_entry.cache_info().currsize == 0
 
 
+def test_exit_power_curve_without_power_replicates(tmp_path):
+    argv = ["power-curve", *_LIST_BASE["power-curve"], "--out", str(tmp_path / "p.csv"),
+            "--svg", str(tmp_path / "p.svg")]
+    argv[argv.index("--pow-reps") + 1] = "0"
+    assert main(argv) == 12
+    assert list(tmp_path.iterdir()) == []
+    assert engine._null_entry.cache_info().currsize == 0
+
+
 def test_exit_negative_seed(tmp_path):
     argv = ["calibrate", "--stat", "hc", "--n", "32", "--alpha", "0.05",
             "--reps", "300", "--seed", "-1", "--out", str(tmp_path / "x.json")]

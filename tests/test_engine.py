@@ -1,6 +1,9 @@
 """Batched Monte Carlo engine: scalar agreement, batching, blocks, caching."""
 
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from sparsemix import (
     prepare,
     stream_id_for,
 )
+import sparsemix
 from sparsemix import calibration, engine, rng
 from sparsemix.mixture import alternative_pvalues, mixture_from
 from sparsemix.rng import DOMAIN_NULL, DOMAIN_POWER
@@ -282,3 +286,40 @@ def test_task_memory_is_bounded_by_its_blocks(task, args):
         tracemalloc.stop()
     assert peak <= 8 * 2**20
 
+
+# Four null tasks of one shape in a fresh interpreter: the first allocates its
+# block buffers; minor page faults per block are counted over the other three.
+_FAULTS = """
+import math, resource, sys
+sys.path.insert(0, {src!r})
+from sparsemix import engine
+from sparsemix.stats import StatisticKind
+
+n, count = {n}, {count}
+args = (n, 5, tuple(StatisticKind(k) for k in {kinds!r}), 0, count)
+engine._null_task(args)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    engine._null_task(args)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults / (3 * math.ceil(count / (engine.BLOCK_ELEMENTS // n))))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+@pytest.mark.parametrize(
+    "n,count,kinds",
+    [
+        pytest.param(1000, 2000, ("hc", "bj"), id="null-1e3"),
+        pytest.param(10_000, 400, ("hc", "bj", "alr"), id="null-1e4"),
+    ],
+)
+def test_null_blocks_reuse_their_buffers_without_page_faults(n, count, kinds):
+    # A fresh interpreter, because this process's heap history decides whether
+    # freed temporaries go back to the OS.  Blocks that allocate their
+    # temporaries fault about 600 pages each back in.
+    src = str(Path(sparsemix.__file__).parents[1])
+    script = _FAULTS.format(src=src, n=n, count=count, kinds=kinds)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert float(done.stdout) <= 16

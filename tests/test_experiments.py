@@ -94,6 +94,8 @@ THRESH, EVI = CalibrationMethod.THRESH, CalibrationMethod.EVI
                      (100, [0.6], [HC], 1e-4, 2000, 50, 1), {}, id="power-thin-tail"),
         pytest.param(AlphaOutOfRange, power_curve,
                      (100, [0.6], [HC], 0.0, 2000, 50, 1), {}, id="power-alpha"),
+        pytest.param(InsufficientReplicates, power_curve,
+                     (100, [0.6], [HC], 0.05, 2000, 0, 1), {}, id="power-no-reps"),
     ],
 )
 def test_bad_requests_refused_before_simulating(monkeypatch, error, call, args, kwargs):

@@ -156,6 +156,16 @@ def test_uniform_rows_split_invariance():
     assert uniform_rows(1729, DOMAIN_CAL2, 4, 10, 0, 7).shape == (0, 7)
 
 
+def test_uniform_rows_fill_a_given_buffer():
+    buf = np.full((5, 7), np.nan)
+    got = uniform_rows(1729, DOMAIN_CAL2, 4, 10, 3, 7, out=buf[:3])
+    assert got.base is buf
+    assert np.array_equal(got, uniform_rows(1729, DOMAIN_CAL2, 4, 10, 3, 7))
+    assert np.isnan(buf[3:]).all()
+    with pytest.raises(OutOfRange):
+        uniform_rows(1729, DOMAIN_CAL2, 4, 10, 3, 7, out=buf)
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -25,8 +25,10 @@ from sparsemix.stats import (
     P_MAX,
     P_MIN,
     _alr_log_weights,
+    _hc_rows,
     _log_alr_rows,
     _log_lr_rows,
+    _row_stats,
 )
 
 REL = 1e-12
@@ -93,6 +95,75 @@ def test_log_lr_term_nonnegative_everywhere():
         m = n // 2
         p = np.sort(rng.uniform(1e-12, 1.0 - 1e-12, size=(4, m)), axis=1)
         assert np.all(_log_lr_rows(p, n, np.arange(1, m + 1) / n) >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# in-place kernels against their out-of-place expressions
+
+def _hc_out_of_place(pm, n, t):
+    return (math.sqrt(n) * (t - pm) / np.sqrt(pm * (1.0 - pm))).max(axis=1)
+
+
+def _log_lr_out_of_place(pm, n, t):
+    i = t * n
+    ell = i * np.log(i / (n * pm)) + (n - i) * (np.log1p(-t) - np.log1p(-pm))
+    return np.fmax(np.where(pm >= t, 0.0, ell), 0.0)
+
+
+def _log_alr_out_of_place(ell, n):
+    x = ell + _alr_log_weights(n)
+    top = x.max(axis=1)
+    return top + np.log(np.exp(x - top[:, None]).sum(axis=1))
+
+
+def _edge_matrix(n, rows=6):
+    """Sorted clamped rows at sample size n: uniform rows, a row with P_MIN
+    entries, a row ending in P_MAX, and a row with p_(i) >= i/n everywhere."""
+    rng = np.random.default_rng(n)
+    p = rng.random((rows, n))
+    p[1, : max(1, n // 4)] = P_MIN
+    p[2, -2:] = P_MAX
+    p[3] = np.linspace(0.5, 1.0, n)
+    return np.sort(np.clip(p, P_MIN, P_MAX), axis=1)
+
+
+def _stale(rows, m):
+    """Kernel buffers of `rows` rows holding values no kernel may read."""
+    return np.full((rows, m), np.nan), np.full((rows, m), -7.0), np.ones((rows, m), bool)
+
+
+@pytest.mark.parametrize("n", [4, 5, 9, 100, 1001, 10_000])
+def test_kernels_equal_their_out_of_place_expressions(n):
+    m = n // 2
+    p = _edge_matrix(n)
+    pm, t = p[:, :m], np.arange(1, m + 1) / n
+    assert np.all(pm[3] >= t)
+    hc, ell = _hc_out_of_place(pm, n, t), _log_lr_out_of_place(pm, n, t)
+    alr = _log_alr_out_of_place(ell, n)
+    assert np.all(np.isfinite(hc)) and np.all(np.isfinite(alr))
+    assert not ell[3].any()
+
+    assert np.array_equal(_hc_rows(pm, n, t), hc)
+    assert np.array_equal(_log_lr_rows(pm, n, t), ell)
+    assert np.array_equal(_log_alr_rows(ell, n), alr)
+    a, b, mask = _stale(len(p), m)
+    assert np.array_equal(_hc_rows(pm, n, t, a, b), hc)
+    got = _log_lr_rows(pm, n, t, a, b, mask)
+    assert got is a and np.array_equal(got, ell)
+    assert np.array_equal(_log_alr_rows(got, n, b), alr)
+
+    kinds = supported_kinds(n)
+    want = {StatisticKind.HC: hc, StatisticKind.BJ: ell.max(axis=1), StatisticKind.ALR: alr}
+    # buffers of more rows than the block, as a task's last block sees them
+    for scratch in (None, _stale(len(p) + 3, m)):
+        got = _row_stats(p, n, kinds, scratch)
+        assert list(got) == list(kinds)
+        for kind in kinds:
+            assert np.array_equal(got[kind], want[kind])
+        # a ragged block: the leading rows of the same buffers
+        tail = _row_stats(p[:2], n, kinds, scratch)
+        for kind in kinds:
+            assert np.array_equal(tail[kind], want[kind][:2])
 
 
 # ---------------------------------------------------------------------------
