@@ -321,25 +321,30 @@ def _check_bridge_args(n: int, grid_size: int) -> None:
         raise DomainError(f"grid_size must be >= 256, got {grid_size}")
 
 
-def _bridge_rows(n: int, grid_size: int, u: np.ndarray) -> np.ndarray:
-    """Brownian bridge values on the grid for each uniform row.
+def _bridge_rows(
+    n: int, grid_size: int, u: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Brownian bridge values on the grid for each uniform row, formed in
+    `out` (u itself may be given; a new array by default).
 
     Writing Y_j = B(t_j) / (1 - t_j), the exact conditional transitions
     collapse to Y_j = Y_{j-1} + c_j Z_j, so each path is one cumulative sum.
     """
     t, c, _, _ = _bridge_coeffs(n, grid_size)
-    z = normals_from_uniforms(u)
+    z = normals_from_uniforms(u, out=out)
     z *= c
     np.cumsum(z, axis=1, out=z)
     z *= 1.0 - t
     return z
 
 
-def _ln_rows(n: int, grid_size: int, u: np.ndarray) -> np.ndarray:
+def _ln_rows(
+    n: int, grid_size: int, u: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """L_n draws from a (batch, grid_size + 1) uniform matrix.  The integrand
-    is formed in place in the bridge's own matrix."""
+    is formed in place in the bridge's own matrix, `out` as in _bridge_rows."""
     _, _, w, denom = _bridge_coeffs(n, grid_size)
-    b = _bridge_rows(n, grid_size, u)
+    b = _bridge_rows(n, grid_size, u, out=out)
     np.fmax(b, 0.0, out=b)
     b *= b
     b /= denom
@@ -350,9 +355,10 @@ def _ln_rows(n: int, grid_size: int, u: np.ndarray) -> np.ndarray:
 
 def _cal2_rows(n: int, grid_size: int, u: np.ndarray) -> np.ndarray:
     """cal2 limit draws from a (batch, grid_size + 2) uniform matrix: the
-    first uniform drives E, the remaining grid_size + 1 drive the bridge."""
+    first uniform drives E, the remaining grid_size + 1 drive the bridge,
+    which is formed in their place."""
     e = exponentials_from_uniforms(np.fmax(u[:, 0], U_FLOOR))
-    ln = _ln_rows(n, grid_size, u[:, 1:])
+    ln = _ln_rows(n, grid_size, u[:, 1:], out=u[:, 1:])
     return 0.5 * _exp_factor(e) + 0.5 * ln
 
 
@@ -363,14 +369,16 @@ def _cal1_task(args) -> np.ndarray:
 
 def _cal2_task(args) -> np.ndarray:
     """cal2 draws start..start+count-1, in blocks of engine.BLOCK_ELEMENTS
-    uniforms with one generator for the whole task."""
+    uniforms with one generator and one uniform buffer for the whole task;
+    the last, shorter block uses its leading rows."""
     master_seed, n, grid_size, start, count = args
     width = grid_size + 2
     seats = seats_for(DOMAIN_CAL2, 0, start, count)
+    u = np.empty((engine.block_rows(count, width), width))
 
     def block(s: int, c: int) -> np.ndarray:
-        u = uniform_rows(master_seed, DOMAIN_CAL2, 0, s, c, width, seats=seats)
-        return _cal2_rows(n, grid_size, u)
+        uniform_rows(master_seed, DOMAIN_CAL2, 0, s, c, width, seats=seats, out=u[:c])
+        return _cal2_rows(n, grid_size, u[:c])
 
     return engine.in_blocks(block, (count,), start, width)
 

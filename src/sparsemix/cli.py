@@ -22,6 +22,7 @@ from .calibration import (
     CalibrationMethod,
     CriticalValueTable,
     alr_limit_cv,
+    check_limit_request,
     check_tail,
     empirical_cv,
     quantile_index,
@@ -206,6 +207,8 @@ def _cmd_alr_limit(args: argparse.Namespace, config: dict) -> int:
     if variant not in (CalibrationMethod.CAL1, CalibrationMethod.CAL2):
         raise ConfigError(f"--variant must be cal1 or cal2, got {args.variant!r}")
     alphas = _parse_alphas(args.alpha)
+    for alpha in alphas:  # refuse any level before the first draw
+        check_limit_request(variant, alpha, args.reps, args.n_for_l, args.grid)
     entries = []
     for alpha in alphas:
         log_cv = alr_limit_cv(

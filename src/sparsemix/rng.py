@@ -14,28 +14,37 @@ ALR limit-law samplers, `sub` separates e.g. grid points within a power
 study, and `index` is the replicate number.
 
 A stream is numpy's `PCG64(SeedSequence((master_seed, stream_id)))`, bit for
-bit.  `uniform_rows`, the one way the package draws, seats one reused PCG64
-at each row's stream through
-`RandomStream.generator(seats)`, without building a SeedSequence.  The seed
-pair is at most four 32-bit entropy words (the words of master_seed, then
-those of stream_id), so of the SeedSequence hash (NumPy NEP 19) only the pool
-fill and the cross-mix run; both are applied to a chunk of adjacent stream
-ids at once in uint32 arithmetic.  Eight state words drawn from the pool give
-four 64-bit words w, and PCG64's seeding (O'Neill, PCG, 2014) sets
+bit, and `uniform_rows`, the one way the package draws, builds no
+SeedSequence.  The seed pair is at most four 32-bit entropy words (the words
+of master_seed, then those of stream_id), so of the SeedSequence hash (NumPy
+NEP 19) only the pool fill and the cross-mix run; both are applied to a chunk
+of adjacent stream ids at once in uint32 arithmetic.  Eight state words drawn
+from the pool give four 64-bit words w, and PCG64's seeding (O'Neill, PCG,
+2014) sets
 
     inc   = (w2 << 64 | w3) << 1 | 1                          (mod 2^128)
     state = (inc + (w0 << 64 | w1)) * PCG_MULT + inc          (mod 2^128)
 
-which go into the reused generator through its public `state` dict before
-each row is drawn.  A simulation task that draws its rows block by block
-passes one `seats_for` generator to every block, so the states are derived
-once per task.  tests/test_rng.py holds numpy's own SeedSequence as the
-oracle.
+in uint64 (hi, lo) limbs, the high half of each 64x64-bit product formed
+from 32-bit halves.  `uniform_rows` then draws a row in one of two ways,
+chosen by its width:
+
+* At most VECTOR_WIDTH draws: every row at once.  Each column steps all the
+  rows' states (state * PCG_MULT + inc), applies PCG64's XSL-RR output and
+  takes (x >> 11) * 2^-53, which is what Generator.random() computes.  Per
+  column this costs a few dozen numpy calls over the rows.
+* Wider rows: one reused PCG64, seated at each row's stream through
+  `RandomStream.generator(seats)` and its public `state` dict, which costs
+  a few microseconds a row and then draws at numpy's own speed.
+
+VECTOR_WIDTH is where the two cost the same on the blocks the simulation
+tasks draw.  A task that draws its rows block by block passes one
+`seats_for` object to every block, so either way the states are derived once
+per task.  tests/test_rng.py holds numpy's own SeedSequence as the oracle.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,12 +71,19 @@ _MIX_L = np.uint32(0xCA01F9DD)
 _MIX_R = np.uint32(0x4973F715)
 _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _POOL = 4
+# PCG_MULT as uint64 limbs, and the 32-bit halves of its low limb.
+_MULT_HI = np.uint64(_PCG_MULT >> 64)
+_MULT_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+_MULT_LO_HALVES = (np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32))
+_LOW32 = np.uint64(_MASK32)
 
-# Rows positioned per batch of Python ints; bounds the lists' memory.
+# Streams whose states are derived at once; bounds the limbs' memory.
 POSITION_CHUNK = 4096
+# Widest row drawn for all rows at once; wider rows seat the generator.  The
+# two cost the same on the null's 1024-row blocks of width 128.
+VECTOR_WIDTH = 128
 
 
 def stream_id_for(domain: int, sub: int, index: int) -> int:
@@ -123,8 +139,28 @@ def _hashmix(value: np.ndarray, step: tuple[np.uint32, np.uint32]) -> np.ndarray
     return value ^ (value >> _XSHIFT)
 
 
-def _pcg64_states(master_seed: int, stream_ids: np.ndarray) -> Iterator[tuple[int, int]]:
-    """(state, inc) of PCG64(SeedSequence((master_seed, id))) for each uint64 id."""
+def _mulhi_mult(a: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit product a * (PCG_MULT mod 2^64), formed
+    from 32-bit halves so that no partial product overflows."""
+    b0, b1 = _MULT_LO_HALVES
+    a0, a1 = a & _LOW32, a >> 32
+    t = a1 * b0 + (a0 * b0 >> 32)
+    w = a0 * b1 + (t & _LOW32)
+    return a1 * b1 + (t >> 32) + (w >> 32)
+
+
+def _pcg64_step(
+    hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) limbs of state * PCG_MULT + inc (mod 2^128), elementwise."""
+    new_lo = lo * _MULT_LO + inc_lo
+    new_hi = _mulhi_mult(lo) + lo * _MULT_HI + hi * _MULT_LO + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
+
+
+def _pcg64_states(master_seed: int, stream_ids: np.ndarray) -> np.ndarray:
+    """(4, ids) uint64 limbs (state hi, state lo, inc hi, inc lo) of
+    PCG64(SeedSequence((master_seed, id))) for each uint64 id."""
     # Entropy: master_seed's little-endian words (0 is one zero word), then
     # stream_id's low and high word.  An id below 2^32 has one word; its zero
     # high word is the pool's zero padding.
@@ -144,20 +180,32 @@ def _pcg64_states(master_seed: int, stream_ids: np.ndarray) -> Iterator[tuple[in
         _hashmix(pool[i % _POOL], step).astype(np.uint64)
         for i, step in enumerate(_STATE_STEPS)
     ]
-    # The 128-bit seeding runs on object arrays: Python ints, one per row.
-    w0, w1, w2, w3 = (
-        (words[2 * k] | words[2 * k + 1] << 32).astype(object) for k in range(4)
-    )
-    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-    state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
-    return zip(state.tolist(), inc.tolist())
+    w0, w1, w2, w3 = (words[2 * k] | words[2 * k + 1] << 32 for k in range(4))
+    inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
+    seed_lo = inc_lo + w1
+    seed_hi = inc_hi + w0 + (seed_lo < w1)
+    return np.stack([*_pcg64_step(seed_hi, seed_lo, inc_hi, inc_lo), inc_hi, inc_lo])
+
+
+def _pcg64_random(limbs: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = the first out.shape[1] Generator.random() draws of the PCG64
+    in state limbs[:, i], drawn for every row at once, one column at a time."""
+    hi, lo, inc_hi, inc_lo = limbs
+    for col in out.T:
+        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR: the xor of the halves, rotated right by the state's top 6 bits
+        x, rot = hi ^ lo, hi >> 58
+        x = x >> rot | x << (64 - rot & 63)
+        np.multiply(x >> 11, 2.0**-53, out=col)
 
 
 class _Seats:
-    """One reused PCG64 generator, seated in turn at streams below `stop`.
+    """The states of the streams below `stop`, and one reused PCG64 generator
+    to seat at them.
 
-    The (state, inc) pairs are derived for up to POSITION_CHUNK adjacent
-    streams at a time, when a stream outside the current chunk is seated.
+    The state limbs are derived for up to POSITION_CHUNK adjacent streams at a
+    time, when a stream outside the current chunk is asked for; their Python
+    ints are built once per chunk, when a row of it is first seated.
     """
 
     def __init__(self, stop: int) -> None:
@@ -165,26 +213,49 @@ class _Seats:
         self._gen = np.random.Generator(self._bitgen)
         self._full = self._bitgen.state
         self._stop = stop
-        self._chunk = (-1, 0)  # (master_seed, first stream id) of _pairs
-        self._pairs: list[tuple[int, int]] = []
+        self._chunk = (-1, 0)  # (master_seed, first stream id) of _limbs
+        self._limbs = np.empty((4, 0), np.uint64)
+        self._ints: list[tuple[int, int]] | None = None  # (state, inc), once seated
+
+    def _index(self, master_seed: int, stream_id: int) -> int:
+        """stream_id's column in _limbs, derived from it onward if not there."""
+        seed, first = self._chunk
+        k = stream_id - first
+        if seed == master_seed and 0 <= k < self._limbs.shape[1]:
+            return k
+        count = max(1, min(POSITION_CHUNK, self._stop - stream_id))
+        ids = np.uint64(stream_id) + np.arange(count, dtype=np.uint64)
+        self._chunk = (master_seed, stream_id)
+        self._limbs = _pcg64_states(master_seed, ids)
+        self._ints = None
+        return 0
 
     def seat(self, stream: RandomStream) -> np.random.Generator:
-        seed, first = self._chunk
-        k = stream.stream_id - first
-        if seed != stream.master_seed or not 0 <= k < len(self._pairs):
-            first, k = stream.stream_id, 0
-            count = max(1, min(POSITION_CHUNK, self._stop - first))
-            ids = np.uint64(first) + np.arange(count, dtype=np.uint64)
-            self._chunk = (stream.master_seed, first)
-            self._pairs = list(_pcg64_states(stream.master_seed, ids))
+        k = self._index(stream.master_seed, stream.stream_id)
+        if self._ints is None:
+            self._ints = [
+                (hi << 64 | lo, inc_hi << 64 | inc_lo)
+                for hi, lo, inc_hi, inc_lo in self._limbs.T.tolist()
+            ]
         pcg = self._full["state"]
-        pcg["state"], pcg["inc"] = self._pairs[k]
+        pcg["state"], pcg["inc"] = self._ints[k]
         self._bitgen.state = self._full
         return self._gen
 
+    def draw(self, master_seed: int, first: int, out: np.ndarray) -> None:
+        """out[j] = the first out.shape[1] draws of stream first + j, without
+        seating the generator."""
+        done = 0
+        while done < len(out):
+            k = self._index(master_seed, first + done)
+            limbs = self._limbs[:, k : k + len(out) - done]
+            _pcg64_random(limbs, out[done : done + limbs.shape[1]])
+            done += limbs.shape[1]
+
 
 def seats_for(domain: int, sub: int, start: int, count: int) -> _Seats:
-    """One reused generator for rows start..start+count-1 of (domain, sub).
+    """The stream states, and one reused generator, for rows
+    start..start+count-1 of (domain, sub).
 
     A task that draws those rows in several `uniform_rows` calls passes it to
     each, so the rows' stream states are derived once for the whole task.
@@ -205,7 +276,7 @@ def uniform_rows(
 ) -> np.ndarray:
     """(count, width) uniforms in [0, 1): row j is the first `width` draws of
     stream (domain, sub, start + j) under master_seed.  `seats` (from
-    `seats_for`, over a range holding these rows) is the generator to reuse;
+    `seats_for`, over a range holding these rows) holds their stream states;
     by default each call derives its own.  `out`, a C-contiguous float64
     (count, width) array, receives the draws; by default a new one does."""
     if count < 0 or width < 0:
@@ -216,16 +287,25 @@ def uniform_rows(
         out = np.empty((count, width))
     elif out.shape != (count, width):
         raise OutOfRange(f"out has shape {out.shape}, need {(count, width)}")
+    elif out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise OutOfRange(f"out must be C-contiguous float64, got {out.dtype}")
     if seats is None:
         seats = _Seats(first + count)
-    for stream_id, row in zip(range(first, first + count), out):
-        RandomStream(master_seed, stream_id).generator(seats).random(out=row)
+    if width <= VECTOR_WIDTH:
+        seats.draw(master_seed, first, out)
+    else:
+        for stream_id, row in zip(range(first, first + count), out):
+            RandomStream(master_seed, stream_id).generator(seats).random(out=row)
     return out
 
 
-def normals_from_uniforms(u: np.ndarray) -> np.ndarray:
-    """Standard normals by CDF inversion of uniforms in [0, 1)."""
-    return special.ndtri(np.fmax(u, U_FLOOR))
+def normals_from_uniforms(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Standard normals by CDF inversion of uniforms in [0, 1), formed in
+    `out` (u itself may be given; a new array by default)."""
+    if out is None:
+        return special.ndtri(np.fmax(u, U_FLOOR))
+    np.fmax(u, U_FLOOR, out=out)
+    return special.ndtri(out, out=out)
 
 
 def exponentials_from_uniforms(u: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Critical values: quantile rule, asymptotic formulas, ALR limit law."""
 
+import hashlib
 import json
 import math
 
@@ -419,6 +420,21 @@ def test_cal2_draw_composition():
     factor = math.exp(e - 1.0) / e if e < 1.0 else 1.0
     ln = _ln_rows(n, m, u[None, 1:])[0]
     assert direct == pytest.approx(0.5 * factor + 0.5 * ln, rel=1e-12)
+
+
+def test_limit_task_draws_are_pinned():
+    # SHA-256 of the task outputs as every row was drawn when each stream
+    # was seated through numpy's own generator: a change to the stream
+    # layout, the draws or the limit-law arithmetic shows here.
+    cal1 = calibration._cal1_task((1729, 0, 5000))
+    cal2 = _cal2_task((1729, 1000, 256, 0, 64))
+    assert (cal1.shape, cal2.shape) == ((5000,), (64,))
+    assert hashlib.sha256(cal1.tobytes()).hexdigest() == (
+        "88652719f8d650e1cf73646693f22b8c7b4db2598ecbc3c5928242ef5a234f86"
+    )
+    assert hashlib.sha256(cal2.tobytes()).hexdigest() == (
+        "9613213d8a4aac699acf46bd608bdcb08bd71705eb2d5b3d8a4ab6e474dd13c3"
+    )
 
 
 def test_alr_limit_cv_validation():

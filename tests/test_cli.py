@@ -7,7 +7,7 @@ import os
 import pytest
 
 from sparsemix import CriticalValueTable, svg_from_power_csv
-from sparsemix import engine
+from sparsemix import calibration, engine
 from sparsemix.cli import main
 
 ORACLE = {
@@ -274,6 +274,25 @@ def test_exit_power_curve_without_power_replicates(tmp_path):
     assert main(argv) == 12
     assert list(tmp_path.iterdir()) == []
     assert engine._null_entry.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("variant", ["cal1", "cal2"])
+def test_exit_alr_limit_alpha_out_of_range_before_simulating(tmp_path, monkeypatch, variant):
+    calibration._limit_draws.cache_clear()
+    maps = []
+    run_tasks = engine.map_tasks
+
+    def counted(fn, tasks, threads):
+        maps.append(1)
+        return run_tasks(fn, tasks, threads)
+
+    monkeypatch.setattr(engine, "map_tasks", counted)
+    argv = ["alr-limit", "--variant", variant, "--reps", "10000", "--alpha", "0.05,1.5",
+            "--n-for-l", "1000", "--grid", "256", "--seed", "0",
+            "--out", str(tmp_path / "x.json")]
+    assert main(argv) == 11
+    assert list(tmp_path.iterdir()) == []
+    assert maps == []
 
 
 def test_exit_negative_seed(tmp_path):

@@ -287,39 +287,57 @@ def test_task_memory_is_bounded_by_its_blocks(task, args):
     assert peak <= 8 * 2**20
 
 
-# Four null tasks of one shape in a fresh interpreter: the first allocates its
-# block buffers; minor page faults per block are counted over the other three.
+# Four tasks of one shape in a fresh interpreter: the first allocates its block
+# buffers; minor page faults per block are counted over the other three.
 _FAULTS = """
 import math, resource, sys
 sys.path.insert(0, {src!r})
-from sparsemix import engine
+from sparsemix import calibration, engine
 from sparsemix.stats import StatisticKind
 
-n, count = {n}, {count}
-args = (n, 5, tuple(StatisticKind(k) for k in {kinds!r}), 0, count)
-engine._null_task(args)
+HC, BJ, ALR = (StatisticKind(k) for k in ("hc", "bj", "alr"))
+task, args, width = {task}, {args}, {width}
+task(args)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(3):
-    engine._null_task(args)
+    task(args)
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-print(faults / (3 * math.ceil(count / (engine.BLOCK_ELEMENTS // n))))
+count = args[-1]
+print(faults / (3 * math.ceil(count / engine.block_rows(count, width))))
 """
+
+
+def _faults_per_block(task: str, args: str, width: int) -> float:
+    """Minor page faults per block of `task` (an expression such as
+    "engine._null_task") at the tuple expression `args`, rows `width` wide.
+
+    A fresh interpreter, because this process's heap history decides whether
+    freed temporaries go back to the OS.
+    """
+    src = str(Path(sparsemix.__file__).parents[1])
+    script = _FAULTS.format(src=src, task=task, args=args, width=width)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, check=True)
+    return float(done.stdout)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
 @pytest.mark.parametrize(
     "n,count,kinds",
     [
-        pytest.param(1000, 2000, ("hc", "bj"), id="null-1e3"),
-        pytest.param(10_000, 400, ("hc", "bj", "alr"), id="null-1e4"),
+        pytest.param(1000, 2000, "HC, BJ", id="null-1e3"),
+        pytest.param(10_000, 400, "HC, BJ, ALR", id="null-1e4"),
     ],
 )
 def test_null_blocks_reuse_their_buffers_without_page_faults(n, count, kinds):
-    # A fresh interpreter, because this process's heap history decides whether
-    # freed temporaries go back to the OS.  Blocks that allocate their
-    # temporaries fault about 600 pages each back in.
-    src = str(Path(sparsemix.__file__).parents[1])
-    script = _FAULTS.format(src=src, n=n, count=count, kinds=kinds)
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=120, check=True)
-    assert float(done.stdout) <= 16
+    # Blocks that allocate their temporaries fault about 600 pages each back in.
+    args = f"({n}, 5, ({kinds}), 0, {count})"
+    assert _faults_per_block("engine._null_task", args, n) <= 16
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+def test_cal2_blocks_reuse_their_buffer_without_page_faults():
+    # A cal2 block that allocates its uniforms and bridge faults about 450
+    # pages back in.
+    args = "(5, 100_000, 4096, 0, 976)"
+    assert _faults_per_block("calibration._cal2_task", args, 4098) <= 16

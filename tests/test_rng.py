@@ -17,6 +17,7 @@ from sparsemix.rng import (
     POSITION_CHUNK,
     RandomStream,
     U_FLOOR,
+    VECTOR_WIDTH,
     exponentials_from_uniforms,
     normals_from_uniforms,
     uniform_rows,
@@ -96,7 +97,8 @@ def test_distinct_streams_differ():
 @pytest.mark.parametrize("domain", DOMAINS)
 @pytest.mark.parametrize("sub", [0, 2**16 - 1])
 def test_uniform_rows_equal_numpy_seedsequence_streams(seed, domain, sub):
-    for width in (1, 2, 4098):
+    # VECTOR_WIDTH and one more: the widest vectorised and narrowest seated rows
+    for width in (1, 2, VECTOR_WIDTH, VECTOR_WIDTH + 1, 4098):
         for start, count in ((0, 2), (2**32 - 1, 1)):  # indices 0, 1 and 2^32 - 1
             rows = uniform_rows(seed, domain, sub, start, count, width)
             assert rows.shape == (count, width)
@@ -133,7 +135,7 @@ def test_uniform_rows_seat_each_row_through_its_stream(monkeypatch):
         return generator(self, seats)
 
     monkeypatch.setattr(RandomStream, "generator", counted)
-    uniform_rows(3, DOMAIN_CAL1, 2, 8, 5, 4)
+    uniform_rows(3, DOMAIN_CAL1, 2, 8, 5, VECTOR_WIDTH + 1)  # a seated width
     assert seated == [RandomStream(3, stream_id_for(DOMAIN_CAL1, 2, 8 + j)) for j in range(5)]
 
 
@@ -164,6 +166,11 @@ def test_uniform_rows_fill_a_given_buffer():
     assert np.isnan(buf[3:]).all()
     with pytest.raises(OutOfRange):
         uniform_rows(1729, DOMAIN_CAL2, 4, 10, 3, 7, out=buf)
+    # either way of drawing refuses a buffer it could not fill exactly
+    for width in (7, VECTOR_WIDTH + 1):
+        for bad in (np.empty((3, width), np.float32), np.empty((3, width), order="F")):
+            with pytest.raises(OutOfRange):
+                uniform_rows(1729, DOMAIN_CAL2, 4, 10, 3, width, out=bad)
 
 
 @pytest.mark.parametrize(
@@ -192,6 +199,18 @@ def test_normal_inversion_handles_zero():
     assert math.isfinite(z[0])
     assert z[0] == special.ndtri(U_FLOOR)
     assert z[0] < -8.0
+
+
+def test_normal_inversion_in_place_on_a_strided_view():
+    u = uniform_rows(1729, DOMAIN_CAL2, 0, 0, 6, 9)
+    u[1, 3] = u[4, 1] = u[5, 8] = 0.0
+    view = u[:, 1:]  # rows of 8 at a stride of 9, as the cal2 bridge uses them
+    first = u[:, 0].copy()
+    expected = normals_from_uniforms(view.copy())
+    assert normals_from_uniforms(view, out=view).base is u
+    assert np.array_equal(view, expected)
+    assert view[1, 2] == view[4, 0] == view[5, 7] == special.ndtri(U_FLOOR)
+    assert np.array_equal(u[:, 0], first)
 
 
 def test_normal_inversion_round_trips():
