@@ -37,6 +37,7 @@ from .rng import (
     DOMAIN_CAL1,
     DOMAIN_CAL2,
     U_FLOOR,
+    _seated_rows,
     exponentials_from_uniforms,
     normals_from_uniforms,
     seats_for,
@@ -249,23 +250,6 @@ class CriticalValueTable:
         }
         return json.dumps(payload, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "CriticalValueTable":
-        try:
-            payload = json.loads(text)
-            return cls(
-                kind=StatisticKind.parse(payload["kind"]),
-                n=int(payload["n"]),
-                method=CalibrationMethod.parse(payload["method"]),
-                entries=tuple((float(e["alpha"]), float(e["cv"])) for e in payload["entries"]),
-                reps=None if payload["R"] is None else int(payload["R"]),
-                master_seed=(
-                    None if payload["master_seed"] is None else int(payload["master_seed"])
-                ),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed critical value table: {exc}") from None
-
 
 # --- ALR limit law -----------------------------------------------------------
 #
@@ -274,7 +258,15 @@ class CriticalValueTable:
 # finite-n bridge functional
 #     L_n = (1/log n) int_{1/n}^{1/2} (1/t) exp(B+(t)^2 / (2t(1-t))) dt
 # evaluated by the trapezoid rule in u = log t on a log-spaced grid with exact
-# Brownian-bridge transitions.
+# Brownian-bridge transitions.  Writing Y(t) = B(t) / (1 - t), the
+# transitions collapse to Y_j = Y_{j-1} + c_j Z_j, so each path is one
+# cumulative sum of standard normals, and the integrand's exponent is
+# B+(t)^2 / (2t(1-t)) = Y+(t)^2 (1-t) / (2t).
+#
+# A cal1 draw inverts 2 uniforms of its stream.  A cal2 draw takes its
+# stream's first uniform for E and the next grid + 1 standard normals, drawn
+# by numpy's ziggurat sampler (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000),
+# for the bridge.
 
 
 def _exp_factor(e: np.ndarray) -> np.ndarray:
@@ -295,9 +287,9 @@ def _cal1_rows(u: np.ndarray) -> np.ndarray:
 def _bridge_coeffs(n: int, grid_size: int):
     """Log-spaced grid on [1/n, 1/2] plus transition and trapezoid weights.
 
-    Returns (t, c, w, denom): grid points, cumsum coefficients for the
+    Returns (t, c, w, k): grid points, cumsum coefficients for the
     telescoped bridge transitions, trapezoid weights in u = log t, and the
-    variance scale 2 t (1 - t).
+    integrand's scale (1 - t) / (2 t) on the squared Y+.
     """
     u = np.linspace(math.log(1.0 / n), math.log(0.5), grid_size + 1)
     t = np.exp(u)
@@ -310,8 +302,8 @@ def _bridge_coeffs(n: int, grid_size: int):
     w = np.zeros(grid_size + 1)
     w[:-1] += 0.5 * du
     w[1:] += 0.5 * du
-    denom = 2.0 * t * (1.0 - t)
-    return t, c, w, denom
+    k = (1.0 - t) / (2.0 * t)
+    return t, c, w, k
 
 
 def _check_bridge_args(n: int, grid_size: int) -> None:
@@ -321,44 +313,29 @@ def _check_bridge_args(n: int, grid_size: int) -> None:
         raise DomainError(f"grid_size must be >= 256, got {grid_size}")
 
 
-def _bridge_rows(
-    n: int, grid_size: int, u: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Brownian bridge values on the grid for each uniform row, formed in
-    `out` (u itself may be given; a new array by default).
-
-    Writing Y_j = B(t_j) / (1 - t_j), the exact conditional transitions
-    collapse to Y_j = Y_{j-1} + c_j Z_j, so each path is one cumulative sum.
-    """
-    t, c, _, _ = _bridge_coeffs(n, grid_size)
-    z = normals_from_uniforms(u, out=out)
-    z *= c
-    np.cumsum(z, axis=1, out=z)
-    z *= 1.0 - t
-    return z
-
-
 def _ln_rows(
-    n: int, grid_size: int, u: np.ndarray, out: np.ndarray | None = None
+    n: int, grid_size: int, z: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """L_n draws from a (batch, grid_size + 1) uniform matrix.  The integrand
-    is formed in place in the bridge's own matrix, `out` as in _bridge_rows."""
-    _, _, w, denom = _bridge_coeffs(n, grid_size)
-    b = _bridge_rows(n, grid_size, u, out=out)
-    np.fmax(b, 0.0, out=b)
-    b *= b
-    b /= denom
-    np.exp(b, out=b)
-    b *= w
-    return np.sum(b, axis=1) / math.log(n)
+    """L_n draws from a (batch, grid_size + 1) matrix of standard normals, one
+    bridge path a row.  The integrand is formed in `out` (z itself may be
+    given; a new array by default)."""
+    _, c, w, k = _bridge_coeffs(n, grid_size)
+    y = np.multiply(z, c, out=out)
+    np.cumsum(y, axis=1, out=y)
+    np.fmax(y, 0.0, out=y)
+    y *= y
+    y *= k
+    np.exp(y, out=y)
+    y *= w
+    return np.sum(y, axis=1) / math.log(n)
 
 
-def _cal2_rows(n: int, grid_size: int, u: np.ndarray) -> np.ndarray:
-    """cal2 limit draws from a (batch, grid_size + 2) uniform matrix: the
-    first uniform drives E, the remaining grid_size + 1 drive the bridge,
-    which is formed in their place."""
-    e = exponentials_from_uniforms(np.fmax(u[:, 0], U_FLOOR))
-    ln = _ln_rows(n, grid_size, u[:, 1:], out=u[:, 1:])
+def _cal2_rows(n: int, grid_size: int, draws: np.ndarray) -> np.ndarray:
+    """cal2 limit draws from a (batch, grid_size + 2) matrix: a uniform that
+    drives E, then grid_size + 1 standard normals that drive the bridge,
+    whose integrand is formed in their place."""
+    e = exponentials_from_uniforms(np.fmax(draws[:, 0], U_FLOOR))
+    ln = _ln_rows(n, grid_size, draws[:, 1:], out=draws[:, 1:])
     return 0.5 * _exp_factor(e) + 0.5 * ln
 
 
@@ -368,17 +345,20 @@ def _cal1_task(args) -> np.ndarray:
 
 
 def _cal2_task(args) -> np.ndarray:
-    """cal2 draws start..start+count-1, in blocks of engine.BLOCK_ELEMENTS
-    uniforms with one generator and one uniform buffer for the whole task;
-    the last, shorter block uses its leading rows."""
+    """cal2 draws start..start+count-1, in blocks of about
+    engine.BLOCK_ELEMENTS draws with one generator and one buffer for the
+    whole task; the last, shorter block uses its leading rows.  Row j is its
+    stream's first random() and then grid_size + 1 standard_normal()."""
     master_seed, n, grid_size, start, count = args
     width = grid_size + 2
     seats = seats_for(DOMAIN_CAL2, 0, start, count)
-    u = np.empty((engine.block_rows(count, width), width))
+    buf = np.empty((engine.block_rows(count, width), width))
 
     def block(s: int, c: int) -> np.ndarray:
-        uniform_rows(master_seed, DOMAIN_CAL2, 0, s, c, width, seats=seats, out=u[:c])
-        return _cal2_rows(n, grid_size, u[:c])
+        for generator, row in _seated_rows(master_seed, DOMAIN_CAL2, 0, s, buf[:c], seats):
+            row[0] = generator.random()
+            generator.standard_normal(out=row[1:])
+        return _cal2_rows(n, grid_size, buf[:c])
 
     return engine.in_blocks(block, (count,), start, width)
 

@@ -14,13 +14,12 @@ ALR limit-law samplers, `sub` separates e.g. grid points within a power
 study, and `index` is the replicate number.
 
 A stream is numpy's `PCG64(SeedSequence((master_seed, stream_id)))`, bit for
-bit, and `uniform_rows`, the one way the package draws, builds no
-SeedSequence.  The seed pair is at most four 32-bit entropy words (the words
-of master_seed, then those of stream_id), so of the SeedSequence hash (NumPy
-NEP 19) only the pool fill and the cross-mix run; both are applied to a chunk
-of adjacent stream ids at once in uint32 arithmetic.  Eight state words drawn
-from the pool give four 64-bit words w, and PCG64's seeding (O'Neill, PCG,
-2014) sets
+bit, and the package builds no SeedSequence to draw from it.  The seed pair
+is at most four 32-bit entropy words (the words of master_seed, then those of
+stream_id), so of the SeedSequence hash (NumPy NEP 19) only the pool fill and
+the cross-mix run; both are applied to a chunk of adjacent stream ids at once
+in uint32 arithmetic.  Eight state words drawn from the pool give four
+64-bit words w, and PCG64's seeding (O'Neill, PCG, 2014) sets
 
     inc   = (w2 << 64 | w3) << 1 | 1                          (mod 2^128)
     state = (inc + (w0 << 64 | w1)) * PCG_MULT + inc          (mod 2^128)
@@ -41,6 +40,15 @@ VECTOR_WIDTH is where the two cost the same on the blocks the simulation
 tasks draw.  A task that draws its rows block by block passes one
 `seats_for` object to every block, so either way the states are derived once
 per task.  tests/test_rng.py holds numpy's own SeedSequence as the oracle.
+
+The cal2 limit law draws other than uniforms from its streams: row j is the
+stream's first Generator.random() and then grid + 1
+Generator.standard_normal() draws (numpy's ziggurat).  It seats its rows
+through `_seated_rows`, the loop that `uniform_rows` seats wide rows with.
+NEP 19 freezes the bit streams of numpy's bit generators but not the
+Generator methods that transform them.  random() is reproduced above from
+the raw PCG64 output, but a numpy release may change the ziggurat, so the
+cal2 draws are tied to the numpy version.
 """
 
 from __future__ import annotations
@@ -263,6 +271,44 @@ def seats_for(domain: int, sub: int, start: int, count: int) -> _Seats:
     return _Seats(stream_id_for(domain, sub, start) + count)
 
 
+def _checked_rows(
+    master_seed: int,
+    domain: int,
+    sub: int,
+    start: int,
+    count: int,
+    width: int,
+    out: np.ndarray | None,
+) -> tuple[int, np.ndarray]:
+    """The first row's stream id and the buffer for rows start..start+count-1
+    of (domain, sub), `width` wide (a new one if out is None).  Raises
+    OutOfRange, before anything is drawn, if a row's coordinates or `out`
+    do not fit."""
+    if count < 0 or width < 0:
+        raise OutOfRange(f"count {count} and width {width} must be >= 0")
+    first = RandomStream(master_seed, stream_id_for(domain, sub, start)).stream_id
+    stream_id_for(domain, sub, start + max(count, 1) - 1)  # the last row's index fits
+    if out is None:
+        out = np.empty((count, width))
+    elif out.shape != (count, width):
+        raise OutOfRange(f"out has shape {out.shape}, need {(count, width)}")
+    elif out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise OutOfRange(f"out must be C-contiguous float64, got {out.dtype}")
+    return first, out
+
+
+def _seated_rows(
+    master_seed: int, domain: int, sub: int, start: int, out: np.ndarray, seats: _Seats
+):
+    """(generator, out[j]) for each row j of `out`, in order: the reused
+    generator of `seats`, seated at stream (domain, sub, start + j) through
+    `RandomStream.generator`.  The rows and `out` are checked as by
+    `uniform_rows` before the first is seated."""
+    first, out = _checked_rows(master_seed, domain, sub, start, *out.shape, out)
+    for stream_id, row in zip(range(first, first + len(out)), out):
+        yield RandomStream(master_seed, stream_id).generator(seats), row
+
+
 def uniform_rows(
     master_seed: int,
     domain: int,
@@ -279,33 +325,20 @@ def uniform_rows(
     `seats_for`, over a range holding these rows) holds their stream states;
     by default each call derives its own.  `out`, a C-contiguous float64
     (count, width) array, receives the draws; by default a new one does."""
-    if count < 0 or width < 0:
-        raise OutOfRange(f"count {count} and width {width} must be >= 0")
-    first = RandomStream(master_seed, stream_id_for(domain, sub, start)).stream_id
-    stream_id_for(domain, sub, start + max(count, 1) - 1)  # the last row's index fits
-    if out is None:
-        out = np.empty((count, width))
-    elif out.shape != (count, width):
-        raise OutOfRange(f"out has shape {out.shape}, need {(count, width)}")
-    elif out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise OutOfRange(f"out must be C-contiguous float64, got {out.dtype}")
+    first, out = _checked_rows(master_seed, domain, sub, start, count, width, out)
     if seats is None:
         seats = _Seats(first + count)
     if width <= VECTOR_WIDTH:
         seats.draw(master_seed, first, out)
     else:
-        for stream_id, row in zip(range(first, first + count), out):
-            RandomStream(master_seed, stream_id).generator(seats).random(out=row)
+        for generator, row in _seated_rows(master_seed, domain, sub, start, out, seats):
+            generator.random(out=row)
     return out
 
 
-def normals_from_uniforms(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Standard normals by CDF inversion of uniforms in [0, 1), formed in
-    `out` (u itself may be given; a new array by default)."""
-    if out is None:
-        return special.ndtri(np.fmax(u, U_FLOOR))
-    np.fmax(u, U_FLOOR, out=out)
-    return special.ndtri(out, out=out)
+def normals_from_uniforms(u: np.ndarray) -> np.ndarray:
+    """Standard normals by CDF inversion of uniforms in [0, 1)."""
+    return special.ndtri(np.fmax(u, U_FLOOR))
 
 
 def exponentials_from_uniforms(u: np.ndarray) -> np.ndarray:

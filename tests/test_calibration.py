@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
 from sparsemix import (
     AlphaOutOfRange,
@@ -40,16 +40,37 @@ from sparsemix.calibration import (
     _limit_draws,
     _ln_rows,
 )
-from sparsemix.rng import DOMAIN_CAL2, uniform_rows
+from sparsemix.rng import DOMAIN_CAL2, U_FLOOR
+from table_json import table_from_json
 
 REL = 1e-12
 
 
-def _cal2_uniforms(seed, idx, shape):
-    """Draws from numpy's own Generator(PCG64(SeedSequence((seed, id)))) for
-    cal2 stream idx, as one block of the given shape."""
+def _cal2_generator(seed, idx):
+    """numpy's own Generator(PCG64(SeedSequence((seed, id)))) for cal2 stream idx."""
     seq = np.random.SeedSequence((seed, stream_id_for(DOMAIN_CAL2, 0, idx)))
-    return np.random.Generator(np.random.PCG64(seq)).random(shape)
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def _cal2_uniforms(seed, idx, shape):
+    """Uniforms from cal2 stream idx, as one block of the given shape."""
+    return _cal2_generator(seed, idx).random(shape)
+
+
+def _normals(u):
+    """Standard normals by inverting uniforms, as the bridge once drew them."""
+    return special.ndtri(np.fmax(u, U_FLOOR))
+
+
+def _bridge_rows(n, grid_size, u):
+    """Oracle: Brownian bridge values on the grid for each uniform row, by the
+    sampler cal2 used before it drew ziggurat normals.
+
+    Writing Y_j = B(t_j) / (1 - t_j), the exact conditional transitions
+    collapse to Y_j = Y_{j-1} + c_j Z_j, so each path is one cumulative sum.
+    """
+    t, c, _, _ = _bridge_coeffs(n, grid_size)
+    return np.cumsum(_normals(u) * c, axis=1) * (1.0 - t)
 
 
 @pytest.fixture(autouse=True)
@@ -247,7 +268,7 @@ def test_table_lookup_and_json_round_trip():
         t.cv(0.2)
     payload = json.loads(t.to_json())
     assert payload["kind"] == "hc" and payload["R"] == 1000
-    assert CriticalValueTable.from_json(t.to_json()) == t
+    assert table_from_json(t.to_json()) == t
 
 
 def test_table_validation():
@@ -267,11 +288,11 @@ def test_table_validation():
 
 def test_table_from_json_rejects_garbage():
     with pytest.raises(ConfigError):
-        CriticalValueTable.from_json("not json")
+        table_from_json("not json")
     with pytest.raises(ConfigError):
-        CriticalValueTable.from_json("{}")
+        table_from_json("{}")
     with pytest.raises(ConfigError):
-        CriticalValueTable.from_json('{"kind": "hc", "n": "x"}')
+        table_from_json('{"kind": "hc", "n": "x"}')
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +317,17 @@ def test_cal1_draws_at_least_one():
 # bridge functional
 
 def test_bridge_grid_endpoints_exact():
-    t, c, w, denom = _bridge_coeffs(1000, 512)
+    t, c, w, k = _bridge_coeffs(1000, 512)
     assert t[0] == 1e-3 and t[-1] == 0.5
     assert t.size == 513 and np.all(np.diff(t) > 0.0)
-    assert np.all(c > 0.0) and np.all(denom > 0.0)
+    assert np.all(c > 0.0) and np.all(k > 0.0)
     assert w.sum() == pytest.approx(math.log(500.0), rel=REL)
 
 
 def test_zero_bridge_value_is_log_ratio():
-    # ndtri(0.5) == 0.0 exactly, so every bridge increment vanishes
+    # zero normals: every bridge increment vanishes
     n, m = 10_000, 512
-    ln = _ln_rows(n, m, np.full((1, m + 1), 0.5))[0]
+    ln = _ln_rows(n, m, np.zeros((1, m + 1)))[0]
     assert ln == pytest.approx(0.9247425010840047, rel=REL)
     assert ln == pytest.approx(math.log(n / 2.0) / math.log(n), rel=REL)
 
@@ -322,16 +343,16 @@ def _trapezoid_ln(n, m, b):
 def test_ln_functional_matches_sample_ln():
     n, m = 4096, 512
     u = _cal2_uniforms(21, 9, (8, m + 1))
-    oracle = _trapezoid_ln(n, m, calibration._bridge_rows(n, m, u))
-    np.testing.assert_allclose(_ln_rows(n, m, u), oracle, rtol=1e-9)
+    oracle = _trapezoid_ln(n, m, _bridge_rows(n, m, u))
+    np.testing.assert_allclose(_ln_rows(n, m, _normals(u)), oracle, rtol=1e-9)
 
 
 def test_sample_ln_lower_bound_and_determinism():
     n, m = 1024, 256
-    u = _cal2_uniforms(2, 0, (200, m + 1))
-    vals = _ln_rows(n, m, u)
+    z = _normals(_cal2_uniforms(2, 0, (200, m + 1)))
+    vals = _ln_rows(n, m, z)
     assert vals.min() >= math.log(n / 2.0) / math.log(n)
-    assert _ln_rows(n, m, u[7:8])[0] == vals[7]
+    assert _ln_rows(n, m, z[7:8])[0] == vals[7]
 
 
 def test_bridge_args_validation():
@@ -352,7 +373,7 @@ def test_bridge_marginal_variance():
     # B(t) ~ N(0, t(1-t)): check the sampled variance on a coarse grid
     n, m, draws = 256, 256, 4000
     u = _cal2_uniforms(31, 0, (draws, m + 1))
-    b = calibration._bridge_rows(n, m, u)
+    b = _bridge_rows(n, m, u)
     t, _, _, _ = _bridge_coeffs(n, m)
     for idx in (0, m // 2, m):
         sd = math.sqrt(t[idx] * (1.0 - t[idx]))
@@ -364,8 +385,8 @@ def test_ln_median_drifts_slowly_across_decades():
     # the law of L_n stabilizes: medians move < 30% per decade of n
     meds = []
     for n in (100, 1000, 10_000, 100_000, 1_000_000):
-        u = _cal2_uniforms(17, 0, (400, 513))
-        meds.append(float(np.median(_ln_rows(n, 512, u))))
+        z = _normals(_cal2_uniforms(17, 0, (400, 513)))
+        meds.append(float(np.median(_ln_rows(n, 512, z))))
     for a, b in zip(meds, meds[1:]):
         assert abs(b - a) / a < 0.30
 
@@ -374,8 +395,8 @@ def test_grid_doubling_shifts_mean_under_two_percent():
     # common random numbers: the coarse path is the fine path at even indexes
     n, m, draws = 10_000, 2048, 3000
     u = _cal2_uniforms(23, 0, (draws, 2 * m + 1))
-    fine = _ln_rows(n, 2 * m, u)
-    b = calibration._bridge_rows(n, 2 * m, u)
+    fine = _ln_rows(n, 2 * m, _normals(u))
+    b = _bridge_rows(n, 2 * m, u)
     t, _, _, _ = _bridge_coeffs(n, 2 * m)
     bc = np.fmax(b[:, ::2], 0.0)
     tc = t[::2]
@@ -413,13 +434,65 @@ def test_alr_limit_cv_cal2_runs_small():
 
 def test_cal2_draw_composition():
     # one draw = exponential factor plus half the bridge functional
+    # from numpy alone: the stream's first uniform, then m + 1 normals
     n, m, seed = 1024, 256, 13
     direct = _cal2_task((seed, n, m, 4, 1))[0]
-    u = uniform_rows(seed, DOMAIN_CAL2, 0, 4, 1, m + 2)[0]
-    e = -math.log1p(-max(u[0], 2.0**-54))
+    g = _cal2_generator(seed, 4)
+    u0, z = g.random(), g.standard_normal(m + 1)
+    e = -math.log1p(-max(u0, U_FLOOR))
     factor = math.exp(e - 1.0) / e if e < 1.0 else 1.0
-    ln = _ln_rows(n, m, u[None, 1:])[0]
+    ln = _ln_rows(n, m, z[None, :])[0]
     assert direct == pytest.approx(0.5 * factor + 0.5 * ln, rel=1e-12)
+
+
+def _task_bridges(monkeypatch, args):
+    """The normals that _cal2_task(args) feeds _ln_rows, and its L_n draws."""
+    normals, lns = [], []
+    ln_rows = calibration._ln_rows
+
+    def recorded(n, grid_size, z, out=None):
+        normals.append(z.copy())
+        lns.append(ln_rows(n, grid_size, z, out=out))
+        return lns[-1]
+
+    monkeypatch.setattr(calibration, "_ln_rows", recorded)
+    _cal2_task(args)
+    return np.vstack(normals), np.concatenate(lns)
+
+
+def test_ln_law_matches_the_inversion_sampler(monkeypatch):
+    # two independent samples: the task's ziggurat normals, and the inverted
+    # uniforms of a stream of another seed
+    n, m, draws = 1000, 256, 4000
+    _, new = _task_bridges(monkeypatch, (42, n, m, 0, draws))
+    old = _trapezoid_ln(n, m, _bridge_rows(n, m, _cal2_uniforms(41, 0, (draws, m + 1))))
+    assert new.shape == old.shape == (draws,)
+    assert stats.ks_2samp(old, new).pvalue > 1e-3
+
+
+def test_bridge_increments_are_standard_normal(monkeypatch):
+    # undo the cumulative sum of a task's bridges: the increments are N(0, 1)
+    n, m = 1000, 256
+    z, _ = _task_bridges(monkeypatch, (43, n, m, 0, 4000))
+    _, c, _, _ = _bridge_coeffs(n, m)
+    y = np.cumsum(z * c, axis=1)
+    increments = np.diff(y, axis=1, prepend=0.0) / c
+    assert increments.shape == (4000, m + 1)
+    assert stats.kstest(increments.ravel(), "norm").pvalue > 1e-3
+
+
+def test_cal2_draws_do_not_depend_on_the_thread_count():
+    runs = []
+    for threads in (1, 2, 0):
+        _limit_draws.cache_clear()
+        cv = alr_limit_cv(
+            CalibrationMethod.CAL2, 0.1, 10_000, 19,
+            n_for_l=1000, grid_size=256, threads=threads,
+        )
+        runs.append((cv, _limit_draws(CalibrationMethod.CAL2, 10_000, 1000, 256, 19, threads)))
+    for cv, draws in runs[1:]:
+        assert cv == runs[0][0]
+        assert np.array_equal(draws, runs[0][1])
 
 
 def test_limit_task_draws_are_pinned():
@@ -433,7 +506,7 @@ def test_limit_task_draws_are_pinned():
         "88652719f8d650e1cf73646693f22b8c7b4db2598ecbc3c5928242ef5a234f86"
     )
     assert hashlib.sha256(cal2.tobytes()).hexdigest() == (
-        "9613213d8a4aac699acf46bd608bdcb08bd71705eb2d5b3d8a4ab6e474dd13c3"
+        "05a061436dad59960b5fb4edd707773dfe7e692f7d4ffc9e6ee23597417a85a0"
     )
 
 
