@@ -276,10 +276,12 @@ def _exp_factor(e: np.ndarray) -> np.ndarray:
 
 
 def _cal1_rows(u: np.ndarray) -> np.ndarray:
-    """cal1 limit draws from a (batch, 2) uniform matrix."""
+    """cal1 limit draws from a (batch, 2) uniform matrix.  Z+ is 0 wherever
+    the second uniform is at most 1/2, so only the others are inverted."""
     e = exponentials_from_uniforms(np.fmax(u[:, 0], U_FLOOR))
-    z = normals_from_uniforms(u[:, 1])
-    zp = np.fmax(z, 0.0)
+    upper = u[:, 1] > 0.5
+    zp = np.zeros(len(u))
+    zp[upper] = normals_from_uniforms(u[upper, 1])
     return 0.5 * _exp_factor(e) + 0.5 * np.exp(0.5 * zp * zp)
 
 

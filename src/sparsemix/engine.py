@@ -4,11 +4,11 @@ Every simulation, here and in the ALR limit law, runs through `simulate`:
 one task-sizing rule, one pool map, one join in row order.  `workers` opens
 one process pool for a whole command and every map inside it reuses that
 pool; a map with no pool open opens one for itself.  Inside a task,
-`in_blocks` runs the whole pipeline (uniforms, p-values or bridge, sort,
-kernels) on blocks of about BLOCK_ELEMENTS elements, so a block's temporaries
-stay in a core's L2 cache and a task's memory does not grow with its size; a
-null or alternative task allocates its block buffers once and every block
-writes into them.
+`in_blocks` runs the whole pipeline (uniforms, p-values or bridge, lower-half
+sort, kernels) on blocks of about BLOCK_ELEMENTS elements, so a block's
+temporaries stay in a core's L2 cache and a task's memory does not grow with
+its size; a null or alternative task allocates its block buffers once and
+every block writes into them.
 Replicate j of a run is a pure function of (master_seed, stream_id), and
 every reduction runs along a row, so the result vectors do not depend on
 task size, block size or worker count.  Null statistic vectors are cached
@@ -69,8 +69,8 @@ def workers(threads: int):
         yield _POOL.get()
         return
     # fork: workers inherit the imported package instead of importing numpy
-    # and scipy again; the pool forks every worker on its first map, before
-    # it starts a thread of its own
+    # again; the pool forks every worker on its first map, before it starts a
+    # thread of its own
     ctx = None
     if "fork" in multiprocessing.get_all_start_methods():
         ctx = multiprocessing.get_context("fork")
@@ -163,15 +163,29 @@ def _task_buffers(rows: int, width: int, n: int) -> tuple[np.ndarray, tuple]:
     return u, (a, b, np.empty((rows, m), dtype=bool))
 
 
+def _lower_half(p: np.ndarray) -> np.ndarray:
+    """p, a (rows, n) p-value matrix, with its m = n // 2 smallest entries per
+    row moved to the front, clamped to [P_MIN, P_MAX] and sorted there: the
+    only part `_row_stats` reads.  The upper half is left in any order and
+    unclamped.  Clamping is monotone, so it commutes with the selection and
+    the sort, and p[:, :m] equals the lower half of the fully sorted, clamped
+    row bitwise."""
+    m = p.shape[1] // 2
+    p.partition(m - 1, axis=1)
+    low = p[:, :m]
+    np.clip(low, P_MIN, P_MAX, out=low)
+    low.sort(axis=1)
+    return p
+
+
 def _null_rows(
     n: int, master_seed: int, start: int, count: int, *, seats=None, out=None
 ) -> np.ndarray:
-    """Sorted clamped p-value matrix for null replicates start..start+count-1,
-    formed in `out` (a new array by default)."""
-    m = uniform_rows(master_seed, DOMAIN_NULL, 0, start, count, n, seats=seats, out=out)
-    np.clip(m, P_MIN, P_MAX, out=m)
-    m.sort(axis=1)
-    return m
+    """P-value matrix for null replicates start..start+count-1, formed in
+    `out` (a new array by default), whose lower half is sorted and clamped
+    (see `_lower_half`)."""
+    p = uniform_rows(master_seed, DOMAIN_NULL, 0, start, count, n, seats=seats, out=out)
+    return _lower_half(p)
 
 
 def _alt_rows(
@@ -186,19 +200,19 @@ def _alt_rows(
     seats=None,
     out=None,
 ) -> np.ndarray:
-    """Sorted clamped p-value matrix for alternative replicates.
+    """P-value matrix for alternative replicates, whose lower half is sorted
+    and clamped (see `_lower_half`).
 
     Each row is 2n uniforms of its stream, drawn into `out` (a new array by
     default): the first n pick the shifted components, the next n give the
     p-values through mixture.alternative_pvalues, which inverts only the
-    shifted coordinates to normals.
+    shifted coordinates to normals.  The p-values overwrite the first n
+    columns, and the matrix returned is that (count, n) view.
     """
     u = uniform_rows(master_seed, DOMAIN_POWER, sub, start, count, 2 * n, seats=seats,
                      out=out)
-    p = alternative_pvalues(u[:, :n], u[:, n:], eps, mu)
-    np.clip(p, P_MIN, P_MAX, out=p)
-    p.sort(axis=1)
-    return p
+    pick = u[:, :n]
+    return _lower_half(alternative_pvalues(pick, u[:, n:], eps, mu, out=pick))
 
 
 def _null_task(args) -> np.ndarray:

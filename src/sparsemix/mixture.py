@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from .cephes import erfc
 from .errors import DomainError, NonFinite, OutOfRange, SampleTooSmall
 from .rng import normals_from_uniforms
 
@@ -79,14 +79,15 @@ def pvalue(x):
     a = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(a)):
         raise NonFinite("observations must be finite")
-    p = 0.5 * special.erfc(a / _SQRT2)
+    p = 0.5 * erfc(a / _SQRT2)
     return float(p) if np.isscalar(x) or a.ndim == 0 else p
 
 
 def alternative_pvalues(
-    u_pick: np.ndarray, u_norm: np.ndarray, eps: float, mu: float
+    u_pick: np.ndarray, u_norm: np.ndarray, eps: float, mu: float, out=None
 ) -> np.ndarray:
-    """Mixture p-values from two equal-shape uniform blocks (any leading shape).
+    """Mixture p-values from two equal-shape uniform blocks (any leading shape),
+    formed in `out` (a new array by default; it may be u_pick itself).
 
     Coordinate k is shifted when u_pick[k] < eps; its p-value is then
     Phi-bar(Phi^-1(u_norm[k]) + mu).  Only shifted coordinates are inverted to
@@ -95,7 +96,7 @@ def alternative_pvalues(
     is within 6e-15 relative of the inverted-and-back value.
     """
     shifted = u_pick < eps
-    p = 1.0 - u_norm
+    p = np.subtract(1.0, u_norm, out=out)
     if shifted.any():
         p[shifted] = pvalue(normals_from_uniforms(u_norm[shifted]) + mu)
     return p

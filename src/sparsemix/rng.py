@@ -56,8 +56,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from .cephes import ndtri
 from .errors import OutOfRange
 
 DOMAIN_NULL = 0
@@ -338,7 +338,7 @@ def uniform_rows(
 
 def normals_from_uniforms(u: np.ndarray) -> np.ndarray:
     """Standard normals by CDF inversion of uniforms in [0, 1)."""
-    return special.ndtri(np.fmax(u, U_FLOOR))
+    return ndtri(np.fmax(u, U_FLOOR))
 
 
 def exponentials_from_uniforms(u: np.ndarray) -> np.ndarray:

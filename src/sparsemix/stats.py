@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,19 +96,36 @@ def prepare(raw) -> SortedPValues:
     return SortedPValues(values=v, n=n, m=n // 2)
 
 
+@lru_cache(maxsize=8)
+def _columns(n: int) -> tuple[np.ndarray, ...]:
+    """The kernels' per-index columns at sample size n, i = 1..n // 2, built
+    once per n and read-only: t = i/n, i (formed as t * n), log1p(-t) and
+    n - i."""
+    t = np.arange(1, n // 2 + 1, dtype=float) / n
+    i = t * n
+    cols = (t, i, np.log1p(-t), n - i)
+    for c in cols:
+        c.flags.writeable = False
+    return cols
+
+
+@lru_cache(maxsize=8)
 def _alr_log_weights(n: int) -> np.ndarray:
-    """log of the ALR mixing weights: w_1 = 1/2, w_i = 1/(2 i log(n/3))."""
+    """log of the ALR mixing weights, w_1 = 1/2, w_i = 1/(2 i log(n/3)),
+    built once per n and read-only."""
     m = n // 2
     i = np.arange(1, m + 1, dtype=float)
     logw = -np.log(2.0 * i * np.log(n / 3.0))
     logw[0] = -math.log(2.0)
+    logw.flags.writeable = False
     return logw
 
 
-def _hc_rows(pm: np.ndarray, n: int, t: np.ndarray, a=None, b=None) -> np.ndarray:
+def _hc_rows(pm: np.ndarray, n: int, a=None, b=None) -> np.ndarray:
     """HC* per row of sorted p-values pm at t = i/n: the maximum of
     sqrt(n) (t - p) / sqrt(p (1 - p)), formed in the float buffers a and b
     (allocated when not given)."""
+    t = _columns(n)[0]
     a = np.subtract(t, pm, out=a)
     a *= math.sqrt(n)
     b = np.subtract(1.0, pm, out=b)
@@ -117,23 +135,21 @@ def _hc_rows(pm: np.ndarray, n: int, t: np.ndarray, a=None, b=None) -> np.ndarra
     return a.max(axis=1)
 
 
-def _log_lr_rows(
-    pm: np.ndarray, n: int, t: np.ndarray, ell=None, tail=None, mask=None
-) -> np.ndarray:
+def _log_lr_rows(pm: np.ndarray, n: int, ell=None, tail=None, mask=None) -> np.ndarray:
     """log LR_{n,i} for each row of sorted p-values pm at t = i/n, i = 1..m:
     [i log(i/(n p)) + (n-i) log((1 - i/n)/(1 - p))] 1{p < i/n}, floored at zero.
 
     The result is formed in the float buffer ell, with tail and the bool mask
     as scratch; each is allocated when not given."""
-    i = t * n
+    t, i, log1p_t, n_minus_i = _columns(n)
     ell = np.multiply(n, pm, out=ell)
     np.divide(i, ell, out=ell)
     np.log(ell, out=ell)
     ell *= i
     tail = np.negative(pm, out=tail)
     np.log1p(tail, out=tail)
-    np.subtract(np.log1p(-t), tail, out=tail)
-    tail *= n - i
+    np.subtract(log1p_t, tail, out=tail)
+    tail *= n_minus_i
     ell += tail
     mask = np.greater_equal(pm, t, out=mask)
     np.copyto(ell, 0.0, where=mask)
@@ -155,7 +171,8 @@ def _log_alr_rows(ell: np.ndarray, n: int, x=None) -> np.ndarray:
 def _row_stats(
     p: np.ndarray, n: int, kinds: tuple[StatisticKind, ...], scratch=None
 ) -> dict[StatisticKind, np.ndarray]:
-    """Requested statistics for every row of a (batch, n) sorted matrix.
+    """Requested statistics for every row of a (batch, n) p-value matrix,
+    of which only the sorted lower half p[:, :n // 2] is read.
 
     `scratch` holds the buffers the kernels write into: two float arrays and
     one bool array, each (rows, n // 2) with rows >= batch, of which the first
@@ -163,15 +180,14 @@ def _row_stats(
     """
     m = n // 2
     pm = p[:, :m]
-    t = np.arange(1, m + 1, dtype=float) / n
     a = b = mask = None
     if scratch is not None:
         a, b, mask = (buf[: len(p)] for buf in scratch)
     out: dict[StatisticKind, np.ndarray] = {}
     if StatisticKind.HC in kinds:
-        out[StatisticKind.HC] = _hc_rows(pm, n, t, a, b)
+        out[StatisticKind.HC] = _hc_rows(pm, n, a, b)
     if StatisticKind.BJ in kinds or StatisticKind.ALR in kinds:
-        ell = _log_lr_rows(pm, n, t, a, b, mask)
+        ell = _log_lr_rows(pm, n, a, b, mask)
         if StatisticKind.BJ in kinds:
             out[StatisticKind.BJ] = ell.max(axis=1)
         if StatisticKind.ALR in kinds:

@@ -18,6 +18,7 @@ from sparsemix import (
     r_of_beta,
     rho_star,
 )
+from sparsemix import mixture
 from sparsemix.engine import _alt_rows, _null_rows
 from sparsemix.mixture import alternative_pvalues
 from sparsemix.rng import DOMAIN_POWER, U_FLOOR, uniform_rows
@@ -189,7 +190,7 @@ def test_alternative_pvalues_sparse_kernel(eps, monkeypatch):
         def no_erfc(x):
             raise AssertionError("erfc called with nothing shifted")
 
-        monkeypatch.setattr(special, "erfc", no_erfc)
+        monkeypatch.setattr(mixture, "erfc", no_erfc)
     if eps > 0.5:
         assert shifted.all()
     got = alternative_pvalues(u_pick, u_norm, eps, mu)
@@ -205,6 +206,10 @@ def test_alternative_pvalues_sparse_kernel(eps, monkeypatch):
     )
     # one row through the 1-d path equals the same row of the batch
     assert np.array_equal(alternative_pvalues(u_pick[1], u_norm[1], eps, mu), got[1])
+    # formed in place of the picking uniforms, as the engine does
+    pick = u_pick.copy()
+    assert alternative_pvalues(pick, u_norm, eps, mu, out=pick) is pick
+    assert np.array_equal(pick, got)
 
 
 # ---------------------------------------------------------------------------

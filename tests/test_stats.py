@@ -25,6 +25,7 @@ from sparsemix.stats import (
     P_MAX,
     P_MIN,
     _alr_log_weights,
+    _columns,
     _hc_rows,
     _log_alr_rows,
     _log_lr_rows,
@@ -49,7 +50,7 @@ def _log_lr_term(n, i, p):
 def _lr_at(n, i, p):
     """_log_lr_rows at index i of an (1, m) row holding p at every index."""
     m = n // 2
-    return float(_log_lr_rows(np.full((1, m), p), n, np.arange(1, m + 1) / n)[0, i - 1])
+    return float(_log_lr_rows(np.full((1, m), p), n)[0, i - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +95,7 @@ def test_log_lr_term_nonnegative_everywhere():
         n = int(rng.integers(2, 40))
         m = n // 2
         p = np.sort(rng.uniform(1e-12, 1.0 - 1e-12, size=(4, m)), axis=1)
-        assert np.all(_log_lr_rows(p, n, np.arange(1, m + 1) / n) >= 0.0)
+        assert np.all(_log_lr_rows(p, n) >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +144,12 @@ def test_kernels_equal_their_out_of_place_expressions(n):
     assert np.all(np.isfinite(hc)) and np.all(np.isfinite(alr))
     assert not ell[3].any()
 
-    assert np.array_equal(_hc_rows(pm, n, t), hc)
-    assert np.array_equal(_log_lr_rows(pm, n, t), ell)
+    assert np.array_equal(_hc_rows(pm, n), hc)
+    assert np.array_equal(_log_lr_rows(pm, n), ell)
     assert np.array_equal(_log_alr_rows(ell, n), alr)
     a, b, mask = _stale(len(p), m)
-    assert np.array_equal(_hc_rows(pm, n, t, a, b), hc)
-    got = _log_lr_rows(pm, n, t, a, b, mask)
+    assert np.array_equal(_hc_rows(pm, n, a, b), hc)
+    got = _log_lr_rows(pm, n, a, b, mask)
     assert got is a and np.array_equal(got, ell)
     assert np.array_equal(_log_alr_rows(got, n, b), alr)
 
@@ -285,7 +286,7 @@ def test_log_alr_reduction_matches_scipy_logsumexp(n):
     rng = np.random.default_rng(n)
     m = n // 2
     p = np.sort(np.clip(rng.random((16, n)), P_MIN, P_MAX), axis=1)
-    ell = _log_lr_rows(p[:, :m], n, np.arange(1, m + 1) / n)
+    ell = _log_lr_rows(p[:, :m], n)
     huge = ell.copy()
     huge[np.arange(16), rng.integers(0, m, 16)] = 1e6
     for terms in (ell, huge):
@@ -362,3 +363,16 @@ def test_bj_nonnegative_and_alr_bounded_below(raw):
     s = prepare(raw)
     assert bj_plus(s) >= 0.0
     assert log_alr(s) >= math.log(0.5) - 1e-12
+
+
+def test_kernel_columns_are_cached_and_read_only():
+    # built once per n and shared by every block, so no caller may write them
+    n = 1001
+    cols = (*_columns(n), _alr_log_weights(n))
+    assert _columns(n)[0] is cols[0] and _alr_log_weights(n) is cols[-1]
+    for c in cols:
+        assert c.shape == (n // 2,) and not c.flags.writeable
+    t = np.arange(1, n // 2 + 1) / n
+    assert np.array_equal(cols[0], t) and np.array_equal(cols[1], t * n)
+    with pytest.raises(ValueError):
+        cols[0][0] = 0.0
