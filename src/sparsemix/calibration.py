@@ -392,18 +392,20 @@ def _limit_draws(
     master_seed: int,
     threads: int,
 ) -> np.ndarray:
-    """Sorted limit-law draws, cached and shared; callers must not mutate them.
+    """Sorted limit-law draws, cached, shared and read-only.
 
     cal1 ignores n_for_l and grid_size; pass 0 for both so that one cache
     entry serves every call.  Call positionally: lru_cache keys positional
     and keyword arguments apart.
     """
     if variant is CalibrationMethod.CAL1:
-        [draws] = engine.simulate(_cal1_task, [(master_seed,)], reps, 2, threads)
+        [draws] = engine.simulate(_cal1_task, [(master_seed,)], reps, threads)
     else:
         params = [(master_seed, n_for_l, grid_size)]
-        [draws] = engine.simulate(_cal2_task, params, reps, grid_size + 2, threads)
-    return np.sort(draws)
+        [draws] = engine.simulate(_cal2_task, params, reps, threads)
+    draws = np.sort(draws)
+    draws.flags.writeable = False
+    return draws
 
 
 def alr_limit_cv(

@@ -52,21 +52,20 @@ def _run_config(args: argparse.Namespace) -> dict:
 
 def _parse_list(text: str, flag: str, parse) -> list:
     """The comma-separated values of `flag`, each through `parse`; a
-    malformed or empty list is a ConfigError."""
+    malformed, empty or repeating list is a ConfigError."""
     try:
         values = [parse(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise ConfigError(f"{flag} expects comma-separated values, got {text!r}") from None
     if not values:
         raise ConfigError(f"{flag} expects at least one value")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{flag} values must be distinct, got {text!r}")
     return values
 
 
 def _parse_alphas(text: str) -> list[float]:
-    alphas = sorted(_parse_list(text, "--alpha", float))
-    if len(set(alphas)) != len(alphas):
-        raise ConfigError(f"--alpha values must be distinct, got {text!r}")
-    return alphas
+    return sorted(_parse_list(text, "--alpha", float))
 
 
 def _check_seed(seed: int) -> int:
@@ -101,7 +100,11 @@ def _csv_text(config: dict, body: str) -> str:
 
 def _read_sample(path: str, input_kind: str):
     values: list[float] = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not a text file of numbers") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         token = line.strip()
         if not token:
             continue

@@ -1,14 +1,14 @@
 """Batched Monte Carlo evaluation of the statistics under null and alternative.
 
 Every simulation, here and in the ALR limit law, runs through `simulate`:
-one task-sizing rule, one pool map, one join in row order.  `workers` opens
-one process pool for a whole command and every map inside it reuses that
-pool; a map with no pool open opens one for itself.  Inside a task,
-`in_blocks` runs the whole pipeline (uniforms, p-values or bridge, lower-half
-sort, kernels) on blocks of about BLOCK_ELEMENTS elements, so a block's
-temporaries stay in a core's L2 cache and a task's memory does not grow with
-its size; a null or alternative task allocates its block buffers once and
-every block writes into them.
+one task per worker, each with a near-equal share of the rows, one pool map,
+one join in row order.  `workers` opens one process pool for a whole command
+and every map inside it reuses that pool; a map with no pool open opens one
+for itself.  Inside a task, `in_blocks` runs the whole pipeline (uniforms,
+p-values or bridge, lower-half sort, kernels) on blocks of about
+BLOCK_ELEMENTS elements, so a block's temporaries stay in a core's L2 cache
+and a task's memory does not grow with its size; a null or alternative task
+allocates its block buffers once and every block writes into them.
 Replicate j of a run is a pure function of (master_seed, stream_id), and
 every reduction runs along a row, so the result vectors do not depend on
 task size, block size or worker count.  Null statistic vectors are cached
@@ -35,8 +35,6 @@ from .mixture import MixtureSpec, alternative_pvalues
 from .rng import DOMAIN_NULL, DOMAIN_POWER, seats_for, uniform_rows
 from .stats import P_MAX, P_MIN, StatisticKind, _row_stats, supported_kinds
 
-# Elements per pool task: bounds the rows of one task, not its memory.
-ELEMENTS_PER_BATCH = 4_000_000
 # Elements per block inside a task (1 MiB of doubles), sized to stay in L2.
 BLOCK_ELEMENTS = 1 << 17
 
@@ -102,26 +100,24 @@ def map_tasks(fn, tasks: list, threads: int) -> list:
             raise WorkerLost(f"a worker process died: {exc}") from exc
 
 
-def _ranges(total: int, width: int, threads: int) -> list[tuple[int, int]]:
-    """(start, count) tasks over `total` rows of `width` elements each.
-
-    A task holds at most ELEMENTS_PER_BATCH // width rows, and at most its
-    even share of the resolved workers, so no worker sits idle while another
-    runs a job that fits in one batch.
-    """
-    per_task = min(ELEMENTS_PER_BATCH // width, -(-total // resolve_threads(threads)))
-    per_task = max(1, per_task)
-    return [(s, min(per_task, total - s)) for s in range(0, total, per_task)]
+def _ranges(total: int, threads: int) -> list[tuple[int, int]]:
+    """(start, count) tasks over `total` rows: min(workers, total) tasks of
+    floor or ceil(total / workers) rows, one per resolved worker.  A task's
+    memory is bounded by its blocks, not by its row count."""
+    count = min(resolve_threads(threads), total)
+    cuts = [total * k // count for k in range(1, count + 1)]
+    return [(a, b - a) for a, b in zip([0, *cuts], cuts)]
 
 
-def simulate(task, params: list[tuple], total: int, width: int, threads: int) -> list[np.ndarray]:
-    """Rows 0..total-1 of one simulation per parameter tuple, `width` elements
-    each, in row order; the tasks of every tuple go through one map_tasks call.
+def simulate(task, params: list[tuple], total: int, threads: int) -> list[np.ndarray]:
+    """Rows 0..total-1 of one simulation per parameter tuple, in row order,
+    split into one task per worker by _ranges; the tasks of every tuple go
+    through one map_tasks call.
 
     task((*params[k], start, count)) returns an array whose last axis holds rows
     start..start+count-1; the tasks from _ranges are joined along that axis.
     """
-    ranges = _ranges(total, width, threads)
+    ranges = _ranges(total, threads)
     tasks = [(*p, start, count) for p in params for start, count in ranges]
     out = map_tasks(task, tasks, threads)
     k = len(ranges)
@@ -282,7 +278,7 @@ def null_statistics(
 ) -> dict[StatisticKind, np.ndarray]:
     """Statistic vectors over `reps` null replicates, keyed by kind.
 
-    Returned arrays are cached and shared; callers must not mutate them.
+    Returned arrays are cached, shared and read-only.
     A configuration's first call computes only its `kinds`.  A later call
     asking for a kind the entry lacks runs a second simulation pass, which
     adds every supported kind still missing, so a third is never needed.
@@ -296,7 +292,8 @@ def null_statistics(
     else:
         compute = tuple(k for k in supported_kinds(n) if k not in cached)
     if compute:
-        [stats] = simulate(_null_task, [(n, master_seed, compute)], reps, n, threads)
+        [stats] = simulate(_null_task, [(n, master_seed, compute)], reps, threads)
+        stats.flags.writeable = False
         cached.update(zip(compute, stats))
     return {k: cached[k] for k in kinds}
 
@@ -347,5 +344,5 @@ def alternative_grid(
     ]
     return [
         dict(zip(kinds, stats))
-        for stats in simulate(_alt_task, params, reps, 2 * n, threads)
+        for stats in simulate(_alt_task, params, reps, threads)
     ]

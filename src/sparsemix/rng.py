@@ -212,8 +212,8 @@ class _Seats:
     to seat at them.
 
     The state limbs are derived for up to POSITION_CHUNK adjacent streams at a
-    time, when a stream outside the current chunk is asked for; their Python
-    ints are built once per chunk, when a row of it is first seated.
+    time, when a stream outside the current chunk is asked for.  Seating a row
+    builds the Python ints of that row's state alone.
     """
 
     def __init__(self, stop: int) -> None:
@@ -223,7 +223,6 @@ class _Seats:
         self._stop = stop
         self._chunk = (-1, 0)  # (master_seed, first stream id) of _limbs
         self._limbs = np.empty((4, 0), np.uint64)
-        self._ints: list[tuple[int, int]] | None = None  # (state, inc), once seated
 
     def _index(self, master_seed: int, stream_id: int) -> int:
         """stream_id's column in _limbs, derived from it onward if not there."""
@@ -235,18 +234,13 @@ class _Seats:
         ids = np.uint64(stream_id) + np.arange(count, dtype=np.uint64)
         self._chunk = (master_seed, stream_id)
         self._limbs = _pcg64_states(master_seed, ids)
-        self._ints = None
         return 0
 
     def seat(self, stream: RandomStream) -> np.random.Generator:
         k = self._index(stream.master_seed, stream.stream_id)
-        if self._ints is None:
-            self._ints = [
-                (hi << 64 | lo, inc_hi << 64 | inc_lo)
-                for hi, lo, inc_hi, inc_lo in self._limbs.T.tolist()
-            ]
+        hi, lo, inc_hi, inc_lo = self._limbs[:, k].tolist()
         pcg = self._full["state"]
-        pcg["state"], pcg["inc"] = self._ints[k]
+        pcg["state"], pcg["inc"] = hi << 64 | lo, inc_hi << 64 | inc_lo
         self._bitgen.state = self._full
         return self._gen
 

@@ -447,24 +447,15 @@ def test_criterion_7_structural_invariants():
         ):
             errs.append(f"n={n}: permutation changed a statistic")
 
-    # simulated null samples are bitwise identical for any worker count
-    saved = engine.ELEMENTS_PER_BATCH
-    try:
-        engine.ELEMENTS_PER_BATCH = 2000  # force many tasks
-        runs = []
-        for threads in (1, 0, 2):
-            engine._null_entry.cache_clear()
-            runs.append(
-                simulate_null_distribution(BJ, 50, 2000, SEED + 1, threads=threads)
-            )
+    # simulated null samples are bitwise identical for any worker count; one
+    # task per worker, so 5 workers split the run into 5 tasks
+    runs = []
+    for threads in (1, 0, 2, 5):
         engine._null_entry.cache_clear()
-        if not (
-            np.array_equal(runs[0].replicates, runs[1].replicates)
-            and np.array_equal(runs[0].replicates, runs[2].replicates)
-        ):
-            errs.append("null sample depends on the thread count")
-    finally:
-        engine.ELEMENTS_PER_BATCH = saved
+        runs.append(simulate_null_distribution(BJ, 50, 2000, SEED + 1, threads=threads))
+    engine._null_entry.cache_clear()
+    if not all(np.array_equal(runs[0].replicates, r.replicates) for r in runs[1:]):
+        errs.append("null sample depends on the thread count")
 
     ok = not errs
     _report(7, "structural invariants", ok, "bounds, permutation, threading")

@@ -525,6 +525,13 @@ def test_alr_limit_cv_validation():
         alr_limit_cv(CalibrationMethod.CAL1, 1.5, 10_000, 0)
 
 
+def test_cached_limit_draws_are_read_only():
+    draws = _limit_draws(CalibrationMethod.CAL1, 10_000, 0, 0, 3, 1)
+    with pytest.raises(ValueError):
+        draws[0] = 0.0
+    assert _limit_draws(CalibrationMethod.CAL1, 10_000, 0, 0, 3, 1) is draws
+
+
 @pytest.mark.parametrize(
     "variant,reps,n_for_l,grid_size",
     [
@@ -532,17 +539,19 @@ def test_alr_limit_cv_validation():
         (CalibrationMethod.CAL2, 10_000, 1000, 256),
     ],
 )
-def test_limit_draws_do_not_depend_on_the_task_split(
-    monkeypatch, variant, reps, n_for_l, grid_size
-):
+def test_limit_draws_do_not_depend_on_the_task_split(variant, reps, n_for_l, grid_size):
     args = (variant, reps, n_for_l, grid_size, 11)
-    runs = [_limit_draws(*args, 1)]
-    _limit_draws.cache_clear()
-    runs.append(_limit_draws(*args, 2))
-    _limit_draws.cache_clear()
-    width = 2 if variant is CalibrationMethod.CAL1 else grid_size + 2
-    monkeypatch.setattr(engine, "ELEMENTS_PER_BATCH", 7 * width)  # 7 rows a task
-    runs.append(_limit_draws(*args, 1))
+    runs = []
+    for threads in (1, 2, 5):  # 5 workers: 5 tasks, more than the cores
+        _limit_draws.cache_clear()
+        runs.append(_limit_draws(*args, threads))
+    if variant is CalibrationMethod.CAL1:
+        task, params = calibration._cal1_task, (11,)
+    else:
+        task, params = calibration._cal2_task, (11, n_for_l, grid_size)
+    # 7 rows a task, joined in this process
+    tasks = [task((*params, s, min(7, reps - s))) for s in range(0, reps, 7)]
+    runs.append(np.sort(np.concatenate(tasks)))
     assert runs[0].shape == (reps,)
     for other in runs[1:]:
         assert np.array_equal(runs[0], other)

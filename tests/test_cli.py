@@ -179,6 +179,14 @@ def test_exit_non_numeric_line(tmp_path, capsys):
     assert ":2:" in err and "hello" in err
 
 
+def test_exit_undecodable_input_file(tmp_path, capsys):
+    f = tmp_path / "binary.txt"
+    f.write_bytes(b"0.1\n\x7fELF\x02\x01\x01\x00\xff\xfe\x80\n0.3\n")
+    assert main(["stat", "--input", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "error: ConfigError:" in err and str(f) in err
+
+
 def test_exit_singleton_sample(tmp_path, capsys):
     f = tmp_path / "one.txt"
     f.write_text("0.4\n")
@@ -232,6 +240,13 @@ _LIST_BASE = {
         ("power-curve", "--beta-grid", "0.6,zz"),
         ("power-curve", "--beta-grid", ","),
         ("power-curve", "--stat", ","),
+        # a repeated value would write duplicate rows or a doubling-back curve
+        ("size-table", "--n", "32,32"),
+        ("size-table", "--alpha", "0.05,0.050"),
+        ("size-table", "--stat", "hc,HC"),
+        ("size-table", "--method", "thresh,thresh"),
+        ("power-curve", "--beta-grid", "0.6,0.7,0.60"),
+        ("power-curve", "--stat", "hc,hc"),
     ],
 )
 def test_exit_bad_list_leaves_no_output(tmp_path, capsys, command, flag, value):

@@ -65,35 +65,44 @@ def test_alternative_batch_matches_scalar_path_bitwise():
         assert got[StatisticKind.ALR][j] == log_alr(s)
 
 
-def test_batch_size_does_not_change_results(monkeypatch):
+# Rows 0..63 split into ragged tasks, one of them a single row.
+_SPLIT = [(0, 5), (5, 1), (6, 30), (36, 28)]
+
+
+def test_batch_size_does_not_change_results():
     n, reps, seed = 24, 64, 7
-    base = {k: v.copy() for k, v in null_statistics(n, reps, seed, threads=1).items()}
-    engine._null_entry.cache_clear()
-    monkeypatch.setattr(engine, "ELEMENTS_PER_BATCH", 5 * n)
-    small = null_statistics(n, reps, seed, threads=1)
-    for k in base:
-        assert np.array_equal(base[k], small[k])
+    whole = null_statistics(n, reps, seed, threads=1)
+    kinds = tuple(whole)
+    split = np.concatenate(
+        [engine._null_task((n, seed, kinds, s, c)) for s, c in _SPLIT], axis=-1
+    )
+    for i, k in enumerate(kinds):
+        assert np.array_equal(whole[k], split[i])
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
+def test_thread_count_does_not_change_results():
     n, reps, seed = 24, 48, 8
-    monkeypatch.setattr(engine, "ELEMENTS_PER_BATCH", 7 * n)  # force several tasks
     runs = []
-    for threads in (1, 2, 0):
+    for threads in (1, 2, 5, 0):  # 5 workers: 5 tasks, more than the cores
         engine._null_entry.cache_clear()
         runs.append(null_statistics(n, reps, seed, threads=threads))
     for k in runs[0]:
-        assert np.array_equal(runs[0][k], runs[1][k])
-        assert np.array_equal(runs[0][k], runs[2][k])
+        for other in runs[1:]:
+            assert np.array_equal(runs[0][k], other[k])
 
 
-def test_alternative_threads_and_batching_invariance(monkeypatch):
+def test_alternative_threads_and_batching_invariance():
     spec = MixtureSpec(n=16, eps=0.2, mu=1.5)
-    base = alternative_statistics(spec, 30, 5, sub=1, threads=1)
-    monkeypatch.setattr(engine, "ELEMENTS_PER_BATCH", 4 * spec.n)
-    redone = alternative_statistics(spec, 30, 5, sub=1, threads=2)
-    for k in base:
+    base = alternative_statistics(spec, 64, 5, sub=1, threads=1)
+    redone = alternative_statistics(spec, 64, 5, sub=1, threads=5)
+    kinds = tuple(base)
+    split = np.concatenate(
+        [engine._alt_task((spec.n, spec.eps, spec.mu, 5, 1, kinds, s, c)) for s, c in _SPLIT],
+        axis=-1,
+    )
+    for i, k in enumerate(kinds):
         assert np.array_equal(base[k], redone[k])
+        assert np.array_equal(base[k], split[i])
 
 
 def test_alternative_grid_equals_one_call_per_mixture():
@@ -121,6 +130,15 @@ def test_null_cache_shares_arrays():
     c = null_statistics(20, 10, 1, kinds=(StatisticKind.HC,), threads=1)
     assert set(c) == {StatisticKind.HC}
     assert c[StatisticKind.HC] is a[StatisticKind.HC]
+
+
+def test_cached_null_arrays_are_read_only():
+    first = null_statistics(20, 10, 1, kinds=(StatisticKind.HC,), threads=1)
+    later = null_statistics(20, 10, 1, threads=1)  # a second pass adds BJ and ALR
+    for stats in (first, later):
+        for v in stats.values():
+            with pytest.raises(ValueError):
+                v[0] = 0.0
 
 
 def test_null_kinds_added_on_demand_equal_one_pass(monkeypatch):
@@ -196,18 +214,19 @@ def test_resolve_threads():
 
 
 @pytest.mark.parametrize(
-    "total,width,threads,counts",
+    "total,threads,counts",
     [
-        (200_000, 2, 2, [100_000, 100_000]),  # cal1 fits one batch: split for 2 workers
-        (200_000, 2, 1, [200_000]),
-        (100_000, 100, 2, [40_000, 40_000, 20_000]),  # batch budget binds first
-        (5, 4, 3, [2, 2, 1]),
-        (1, 4_000_001, 2, [1]),  # wider than the budget: still one row per task
-        (0, 10, 2, []),
+        (200_000, 2, [100_000, 100_000]),
+        (200_000, 1, [200_000]),
+        (100_000, 2, [50_000, 50_000]),  # the null at n = 100: one task per worker
+        (5, 3, [1, 2, 2]),
+        (1, 2, [1]),  # fewer rows than workers: one row per task
+        (0, 2, []),
+        (7, 5, [1, 1, 2, 1, 2]),  # near-equal, one task per worker
     ],
 )
-def test_ranges_cap_rows_by_budget_and_worker_share(total, width, threads, counts):
-    ranges = engine._ranges(total, width, threads)
+def test_ranges_split_rows_by_worker_share(total, threads, counts):
+    ranges = engine._ranges(total, threads)
     assert [c for _, c in ranges] == counts
     assert [s for s, _ in ranges] == [sum(counts[:k]) for k in range(len(counts))]
 

@@ -227,11 +227,13 @@ def test_power_curve_maps_the_null_and_the_whole_grid_once(monkeypatch, grid):
     assert len(calls) == 2  # the null, then every grid point in one queue
 
 
-def test_power_curve_grid_is_thread_invariant_and_keeps_sub_ranges(monkeypatch):
+def test_power_curve_grid_is_thread_invariant_and_keeps_sub_ranges():
     grid = [0.55, 0.7, 0.9]
     pts = power_curve(40, grid, [HC, BJ, ALR], 0.05, 400, 30, 19, threads=1)
-    monkeypatch.setattr(engine, "ELEMENTS_PER_BATCH", 7 * 2 * 40)  # several tasks a point
     assert power_curve(40, grid, [HC, BJ, ALR], 0.05, 400, 30, 19, threads=2) == pts
+    engine._null_entry.cache_clear()
+    # 5 workers: 5 tasks a point, more than the cores
+    assert power_curve(40, grid, [HC, BJ, ALR], 0.05, 400, 30, 19, threads=5) == pts
     # grid point k draws from stream sub-range k, as a call of its own would
     for k, beta in enumerate(grid):
         alt = engine.alternative_statistics(mixture_from(40, beta), 30, 19, sub=k, threads=1)

@@ -1,6 +1,7 @@
 """Stream addressing, determinism, and inversion helpers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,21 @@ def test_seated_generator_equals_numpy_seedsequence_in_any_order():
         expected = _numpy_stream(seed, sid, 300)
         generator = RandomStream(seed, sid).generator(seats)
         assert np.array_equal(generator.random(300), expected), (seed, sid)
+
+
+def test_seating_a_whole_chunk_builds_no_per_chunk_ints():
+    # a whole chunk's (state, inc) as Python ints would take ~1.5 MiB
+    seats = rng.seats_for(DOMAIN_NULL, 0, 0, POSITION_CHUNK)
+    seats.draw(5, 0, np.empty((1, 1)))  # derives the chunk's limbs
+    streams = [RandomStream(5, j) for j in range(POSITION_CHUNK)]
+    tracemalloc.start()
+    try:
+        for stream in streams:
+            stream.generator(seats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
 
 
 def test_uniform_rows_split_invariance():
