@@ -40,7 +40,6 @@ from .rng import (
     _seated_rows,
     exponentials_from_uniforms,
     normals_from_uniforms,
-    seats_for,
     uniform_rows,
 )
 from .stats import StatisticKind
@@ -233,12 +232,6 @@ class CriticalValueTable:
         elif any(b > a for a, b in zip(cvs, cvs[1:])):
             raise OutOfRange("critical values must be non-increasing in alpha")
 
-    def cv(self, alpha: float) -> float:
-        for a, c in self.entries:
-            if a == alpha:
-                return c
-        raise DomainError(f"alpha {alpha!r} not in table")
-
     def to_json(self) -> str:
         payload = {
             "kind": self.kind.value,
@@ -348,16 +341,15 @@ def _cal1_task(args) -> np.ndarray:
 
 def _cal2_task(args) -> np.ndarray:
     """cal2 draws start..start+count-1, in blocks of about
-    engine.BLOCK_ELEMENTS draws with one generator and one buffer for the
-    whole task; the last, shorter block uses its leading rows.  Row j is its
-    stream's first random() and then grid_size + 1 standard_normal()."""
+    engine.BLOCK_ELEMENTS draws with one buffer for the whole task; the last,
+    shorter block uses its leading rows.  Row j is its stream's first
+    random() and then grid_size + 1 standard_normal()."""
     master_seed, n, grid_size, start, count = args
     width = grid_size + 2
-    seats = seats_for(DOMAIN_CAL2, 0, start, count)
     buf = np.empty((engine.block_rows(count, width), width))
 
     def block(s: int, c: int) -> np.ndarray:
-        for generator, row in _seated_rows(master_seed, DOMAIN_CAL2, 0, s, buf[:c], seats):
+        for generator, row in _seated_rows(master_seed, DOMAIN_CAL2, 0, s, buf[:c]):
             row[0] = generator.random()
             generator.standard_normal(out=row[1:])
         return _cal2_rows(n, grid_size, buf[:c])
@@ -384,6 +376,15 @@ def check_limit_request(
 
 
 @lru_cache(maxsize=4)
+def _limit_entry(
+    variant: CalibrationMethod, reps: int, n_for_l: int, grid_size: int, master_seed: int
+) -> list[np.ndarray]:
+    """The cached draws of one limit-law configuration, filled in by
+    _limit_draws; empty until its simulation completes.  The draws do not
+    depend on the worker count, so it is not part of the key."""
+    return []
+
+
 def _limit_draws(
     variant: CalibrationMethod,
     reps: int,
@@ -395,17 +396,19 @@ def _limit_draws(
     """Sorted limit-law draws, cached, shared and read-only.
 
     cal1 ignores n_for_l and grid_size; pass 0 for both so that one cache
-    entry serves every call.  Call positionally: lru_cache keys positional
-    and keyword arguments apart.
+    entry serves every call.
     """
-    if variant is CalibrationMethod.CAL1:
-        [draws] = engine.simulate(_cal1_task, [(master_seed,)], reps, threads)
-    else:
-        params = [(master_seed, n_for_l, grid_size)]
-        [draws] = engine.simulate(_cal2_task, params, reps, threads)
-    draws = np.sort(draws)
-    draws.flags.writeable = False
-    return draws
+    entry = _limit_entry(variant, reps, n_for_l, grid_size, master_seed)
+    if not entry:
+        if variant is CalibrationMethod.CAL1:
+            task, params = _cal1_task, (master_seed,)
+        else:
+            task, params = _cal2_task, (master_seed, n_for_l, grid_size)
+        [draws] = engine.simulate(task, [params], reps, threads)
+        draws = np.sort(draws)
+        draws.flags.writeable = False
+        entry.append(draws)
+    return entry[0]
 
 
 def alr_limit_cv(

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, InsufficientReplicates, SampleTooSmall, WorkerLost
 from .mixture import MixtureSpec, alternative_pvalues
-from .rng import DOMAIN_NULL, DOMAIN_POWER, seats_for, uniform_rows
+from .rng import DOMAIN_NULL, DOMAIN_POWER, uniform_rows
 from .stats import P_MAX, P_MIN, StatisticKind, _row_stats, supported_kinds
 
 # Elements per block inside a task (1 MiB of doubles), sized to stay in L2.
@@ -174,13 +174,11 @@ def _lower_half(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _null_rows(
-    n: int, master_seed: int, start: int, count: int, *, seats=None, out=None
-) -> np.ndarray:
+def _null_rows(n: int, master_seed: int, start: int, count: int, *, out=None) -> np.ndarray:
     """P-value matrix for null replicates start..start+count-1, formed in
     `out` (a new array by default), whose lower half is sorted and clamped
     (see `_lower_half`)."""
-    p = uniform_rows(master_seed, DOMAIN_NULL, 0, start, count, n, seats=seats, out=out)
+    p = uniform_rows(master_seed, DOMAIN_NULL, 0, start, count, n, out=out)
     return _lower_half(p)
 
 
@@ -193,7 +191,6 @@ def _alt_rows(
     start: int,
     count: int,
     *,
-    seats=None,
     out=None,
 ) -> np.ndarray:
     """P-value matrix for alternative replicates, whose lower half is sorted
@@ -205,23 +202,20 @@ def _alt_rows(
     shifted coordinates to normals.  The p-values overwrite the first n
     columns, and the matrix returned is that (count, n) view.
     """
-    u = uniform_rows(master_seed, DOMAIN_POWER, sub, start, count, 2 * n, seats=seats,
-                     out=out)
+    u = uniform_rows(master_seed, DOMAIN_POWER, sub, start, count, 2 * n, out=out)
     pick = u[:, :n]
     return _lower_half(alternative_pvalues(pick, u[:, n:], eps, mu, out=pick))
 
 
 def _null_task(args) -> np.ndarray:
     """(len(kinds), count) statistics of null replicates start..start+count-1,
-    computed in blocks of BLOCK_ELEMENTS, with one generator (and one
-    derivation of stream states) and one set of block buffers for the whole
-    task; the last, shorter block uses their leading rows."""
+    computed in blocks of BLOCK_ELEMENTS with one set of block buffers for
+    the whole task; the last, shorter block uses their leading rows."""
     n, master_seed, kinds, start, count = args
-    seats = seats_for(DOMAIN_NULL, 0, start, count)
     u, scratch = _task_buffers(block_rows(count, n), n, n)
 
     def block(s: int, c: int) -> list[np.ndarray]:
-        p = _null_rows(n, master_seed, s, c, seats=seats, out=u[:c])
+        p = _null_rows(n, master_seed, s, c, out=u[:c])
         stats = _row_stats(p, n, kinds, scratch)
         return [stats[k] for k in kinds]
 
@@ -230,14 +224,13 @@ def _null_task(args) -> np.ndarray:
 
 def _alt_task(args) -> np.ndarray:
     """(len(kinds), count) statistics of alternative replicates, in blocks of
-    BLOCK_ELEMENTS uniforms with one generator and one set of uniform and
-    kernel buffers for the whole task."""
+    BLOCK_ELEMENTS uniforms with one set of uniform and kernel buffers for
+    the whole task."""
     n, eps, mu, master_seed, sub, kinds, start, count = args
-    seats = seats_for(DOMAIN_POWER, sub, start, count)
     u, scratch = _task_buffers(block_rows(count, 2 * n), 2 * n, n)
 
     def block(s: int, c: int) -> list[np.ndarray]:
-        p = _alt_rows(n, eps, mu, master_seed, sub, s, c, seats=seats, out=u[:c])
+        p = _alt_rows(n, eps, mu, master_seed, sub, s, c, out=u[:c])
         stats = _row_stats(p, n, kinds, scratch)
         return [stats[k] for k in kinds]
 

@@ -33,13 +33,17 @@ chosen by its width:
   takes (x >> 11) * 2^-53, which is what Generator.random() computes.  Per
   column this costs a few dozen numpy calls over the rows.
 * Wider rows: one reused PCG64, seated at each row's stream through
-  `RandomStream.generator(seats)` and its public `state` dict, which costs
+  `RandomStream.generator()` and its public `state` dict, which costs
   a few microseconds a row and then draws at numpy's own speed.
 
 VECTOR_WIDTH is where the two cost the same on the blocks the simulation
-tasks draw.  A task that draws its rows block by block passes one
-`seats_for` object to every block, so either way the states are derived once
-per task.  tests/test_rng.py holds numpy's own SeedSequence as the oracle.
+tasks draw.  Either way the states come from `_chunk_limbs`, which derives
+them POSITION_CHUNK aligned streams at a time and caches the chunks it
+derived last; a task draws its rows in stream order, block by block, so each
+state is derived once per task.  The reused PCG64 is built on the first
+seat, so importing the package, or drawing narrow rows alone, does not load
+numpy.random.  tests/test_rng.py holds numpy's own SeedSequence as the
+oracle.
 
 The cal2 limit law draws other than uniforms from its streams: row j is the
 stream's first Generator.random() and then grid + 1
@@ -54,6 +58,7 @@ cal2 draws are tied to the numpy version.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,7 +92,7 @@ _MULT_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
 _MULT_LO_HALVES = (np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32))
 _LOW32 = np.uint64(_MASK32)
 
-# Streams whose states are derived at once; bounds the limbs' memory.
+# Aligned streams whose states are derived at once; bounds the limbs' memory.
 POSITION_CHUNK = 4096
 # Widest row drawn for all rows at once; wider rows seat the generator.  The
 # two cost the same on the null's 1024-row blocks of width 128.
@@ -118,11 +123,17 @@ class RandomStream:
         if not 0 <= self.stream_id < 2**64:
             raise OutOfRange(f"stream_id {self.stream_id} outside [0, 2^64)")
 
-    def generator(self, seats: _Seats) -> np.random.Generator:
-        """The batch's one reused generator (from `uniform_rows`), seated in
-        the state of numpy's Generator(PCG64(SeedSequence((master_seed,
-        stream_id))))."""
-        return seats.seat(self)
+    def generator(self) -> np.random.Generator:
+        """The module's one reused generator, seated in the state of numpy's
+        Generator(PCG64(SeedSequence((master_seed, stream_id)))).  Only the
+        Python ints of this stream's state are built."""
+        chunk, k = divmod(self.stream_id, POSITION_CHUNK)
+        hi, lo, inc_hi, inc_lo = _chunk_limbs(self.master_seed, chunk)[:, k].tolist()
+        gen, full = _reused_generator()
+        pcg = full["state"]
+        pcg["state"], pcg["inc"] = hi << 64 | lo, inc_hi << 64 | inc_lo
+        gen.bit_generator.state = full
+        return gen
 
 
 def _hash_steps(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
@@ -207,62 +218,35 @@ def _pcg64_random(limbs: np.ndarray, out: np.ndarray) -> None:
         np.multiply(x >> 11, 2.0**-53, out=col)
 
 
-class _Seats:
-    """The states of the streams below `stop`, and one reused PCG64 generator
-    to seat at them.
-
-    The state limbs are derived for up to POSITION_CHUNK adjacent streams at a
-    time, when a stream outside the current chunk is asked for.  Seating a row
-    builds the Python ints of that row's state alone.
-    """
-
-    def __init__(self, stop: int) -> None:
-        self._bitgen = np.random.PCG64(0)
-        self._gen = np.random.Generator(self._bitgen)
-        self._full = self._bitgen.state
-        self._stop = stop
-        self._chunk = (-1, 0)  # (master_seed, first stream id) of _limbs
-        self._limbs = np.empty((4, 0), np.uint64)
-
-    def _index(self, master_seed: int, stream_id: int) -> int:
-        """stream_id's column in _limbs, derived from it onward if not there."""
-        seed, first = self._chunk
-        k = stream_id - first
-        if seed == master_seed and 0 <= k < self._limbs.shape[1]:
-            return k
-        count = max(1, min(POSITION_CHUNK, self._stop - stream_id))
-        ids = np.uint64(stream_id) + np.arange(count, dtype=np.uint64)
-        self._chunk = (master_seed, stream_id)
-        self._limbs = _pcg64_states(master_seed, ids)
-        return 0
-
-    def seat(self, stream: RandomStream) -> np.random.Generator:
-        k = self._index(stream.master_seed, stream.stream_id)
-        hi, lo, inc_hi, inc_lo = self._limbs[:, k].tolist()
-        pcg = self._full["state"]
-        pcg["state"], pcg["inc"] = hi << 64 | lo, inc_hi << 64 | inc_lo
-        self._bitgen.state = self._full
-        return self._gen
-
-    def draw(self, master_seed: int, first: int, out: np.ndarray) -> None:
-        """out[j] = the first out.shape[1] draws of stream first + j, without
-        seating the generator."""
-        done = 0
-        while done < len(out):
-            k = self._index(master_seed, first + done)
-            limbs = self._limbs[:, k : k + len(out) - done]
-            _pcg64_random(limbs, out[done : done + limbs.shape[1]])
-            done += limbs.shape[1]
+@lru_cache(maxsize=2)
+def _chunk_limbs(master_seed: int, chunk: int) -> np.ndarray:
+    """Read-only (4, POSITION_CHUNK) limbs of streams chunk * POSITION_CHUNK
+    onward.  Rows are drawn in stream order, so a task derives each chunk
+    once."""
+    ids = np.uint64(chunk * POSITION_CHUNK) + np.arange(POSITION_CHUNK, dtype=np.uint64)
+    limbs = _pcg64_states(master_seed, ids)
+    limbs.flags.writeable = False
+    return limbs
 
 
-def seats_for(domain: int, sub: int, start: int, count: int) -> _Seats:
-    """The stream states, and one reused generator, for rows
-    start..start+count-1 of (domain, sub).
+@lru_cache(maxsize=1)
+def _reused_generator() -> tuple[np.random.Generator, dict]:
+    """The one PCG64 generator that every seated row reuses, and the state
+    dict it is seated through; built on the first seat, since numpy loads
+    numpy.random lazily."""
+    gen = np.random.Generator(np.random.PCG64(0))
+    return gen, gen.bit_generator.state
 
-    A task that draws those rows in several `uniform_rows` calls passes it to
-    each, so the rows' stream states are derived once for the whole task.
-    """
-    return _Seats(stream_id_for(domain, sub, start) + count)
+
+def _vector_rows(master_seed: int, first: int, out: np.ndarray) -> None:
+    """out[j] = the first out.shape[1] draws of stream first + j, drawn for
+    every row at once without seating the generator."""
+    done = 0
+    while done < len(out):
+        chunk, k = divmod(first + done, POSITION_CHUNK)
+        limbs = _chunk_limbs(master_seed, chunk)[:, k : k + len(out) - done]
+        _pcg64_random(limbs, out[done : done + limbs.shape[1]])
+        done += limbs.shape[1]
 
 
 def _checked_rows(
@@ -291,16 +275,14 @@ def _checked_rows(
     return first, out
 
 
-def _seated_rows(
-    master_seed: int, domain: int, sub: int, start: int, out: np.ndarray, seats: _Seats
-):
+def _seated_rows(master_seed: int, domain: int, sub: int, start: int, out: np.ndarray):
     """(generator, out[j]) for each row j of `out`, in order: the reused
-    generator of `seats`, seated at stream (domain, sub, start + j) through
+    generator, seated at stream (domain, sub, start + j) through
     `RandomStream.generator`.  The rows and `out` are checked as by
     `uniform_rows` before the first is seated."""
     first, out = _checked_rows(master_seed, domain, sub, start, *out.shape, out)
     for stream_id, row in zip(range(first, first + len(out)), out):
-        yield RandomStream(master_seed, stream_id).generator(seats), row
+        yield RandomStream(master_seed, stream_id).generator(), row
 
 
 def uniform_rows(
@@ -311,21 +293,17 @@ def uniform_rows(
     count: int,
     width: int,
     *,
-    seats: _Seats | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """(count, width) uniforms in [0, 1): row j is the first `width` draws of
-    stream (domain, sub, start + j) under master_seed.  `seats` (from
-    `seats_for`, over a range holding these rows) holds their stream states;
-    by default each call derives its own.  `out`, a C-contiguous float64
-    (count, width) array, receives the draws; by default a new one does."""
+    stream (domain, sub, start + j) under master_seed.  `out`, a C-contiguous
+    float64 (count, width) array, receives the draws; by default a new one
+    does."""
     first, out = _checked_rows(master_seed, domain, sub, start, count, width, out)
-    if seats is None:
-        seats = _Seats(first + count)
     if width <= VECTOR_WIDTH:
-        seats.draw(master_seed, first, out)
+        _vector_rows(master_seed, first, out)
     else:
-        for generator, row in _seated_rows(master_seed, domain, sub, start, out, seats):
+        for generator, row in _seated_rows(master_seed, domain, sub, start, out):
             generator.random(out=row)
     return out
 

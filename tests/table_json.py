@@ -1,4 +1,5 @@
-"""Read a critical value table back from the JSON that `calibrate` writes.
+"""Read a critical value table back from the JSON that `calibrate` writes,
+and look up its entries.
 
 The package only writes these tables; the tests read them back to check
 what was written.
@@ -6,7 +7,13 @@ what was written.
 
 import json
 
-from sparsemix import CalibrationMethod, ConfigError, CriticalValueTable, StatisticKind
+from sparsemix import (
+    CalibrationMethod,
+    ConfigError,
+    CriticalValueTable,
+    DomainError,
+    StatisticKind,
+)
 
 
 def table_from_json(text: str) -> CriticalValueTable:
@@ -26,3 +33,12 @@ def table_from_json(text: str) -> CriticalValueTable:
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed critical value table: {exc}") from None
+
+
+def table_cv(table: CriticalValueTable, alpha: float) -> float:
+    """The critical value that `table` lists at exactly `alpha`; DomainError
+    if it lists none."""
+    for a, c in table.entries:
+        if a == alpha:
+            return c
+    raise DomainError(f"alpha {alpha!r} not in table")

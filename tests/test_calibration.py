@@ -38,10 +38,11 @@ from sparsemix.calibration import (
     _cal1_task,
     _cal2_task,
     _limit_draws,
+    _limit_entry,
     _ln_rows,
 )
 from sparsemix.rng import DOMAIN_CAL2, U_FLOOR
-from table_json import table_from_json
+from table_json import table_cv, table_from_json
 
 REL = 1e-12
 
@@ -75,9 +76,9 @@ def _bridge_rows(n, grid_size, u):
 
 @pytest.fixture(autouse=True)
 def _clean_caches():
-    _limit_draws.cache_clear()
+    _limit_entry.cache_clear()
     yield
-    _limit_draws.cache_clear()
+    _limit_entry.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +263,10 @@ def _table(entries, method=CalibrationMethod.EMPIRICAL, **kw):
 
 def test_table_lookup_and_json_round_trip():
     t = _table([(0.05, 3.1), (0.1, 2.8)], reps=1000, master_seed=4)
-    assert t.cv(0.05) == 3.1
-    assert t.cv(0.1) == 2.8
+    assert table_cv(t, 0.05) == 3.1
+    assert table_cv(t, 0.1) == 2.8
     with pytest.raises(DomainError):
-        t.cv(0.2)
+        table_cv(t, 0.2)
     payload = json.loads(t.to_json())
     assert payload["kind"] == "hc" and payload["R"] == 1000
     assert table_from_json(t.to_json()) == t
@@ -366,7 +367,7 @@ def test_bridge_args_validation():
         cal2(15, 512)
     with pytest.raises(DomainError):
         cal2(100, 255)
-    assert _limit_draws.cache_info().currsize == 0  # refused before any draw
+    assert _limit_entry.cache_info().currsize == 0  # refused before any draw
 
 
 def test_bridge_marginal_variance():
@@ -419,10 +420,27 @@ def test_alr_limit_cv_deterministic_and_log_domain():
 
 def test_alr_limit_cv_shares_draws_across_alphas():
     alr_limit_cv(CalibrationMethod.CAL1, 0.05, 10_000, 9, threads=1)
-    assert _limit_draws.cache_info().currsize == 1
+    assert _limit_entry.cache_info().currsize == 1
     alr_limit_cv(CalibrationMethod.CAL1, 0.1, 10_000, 9, threads=1)
-    info = _limit_draws.cache_info()
+    info = _limit_entry.cache_info()
     assert (info.currsize, info.hits) == (1, 1)  # second alpha reused the draws
+
+
+def test_limit_draws_are_cached_across_thread_counts(monkeypatch):
+    maps = []
+    run_tasks = engine.map_tasks
+
+    def counted(fn, tasks, threads):
+        maps.append(threads)
+        return run_tasks(fn, tasks, threads)
+
+    monkeypatch.setattr(engine, "map_tasks", counted)
+    v = alr_limit_cv(CalibrationMethod.CAL1, 0.05, 20_000, 7, threads=1)
+    assert maps == [1]
+    assert alr_limit_cv(CalibrationMethod.CAL1, 0.05, 20_000, 7, threads=2) == v
+    assert maps == [1]  # the second call made no map
+    info = _limit_entry.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_alr_limit_cv_cal2_runs_small():
@@ -484,7 +502,7 @@ def test_bridge_increments_are_standard_normal(monkeypatch):
 def test_cal2_draws_do_not_depend_on_the_thread_count():
     runs = []
     for threads in (1, 2, 0):
-        _limit_draws.cache_clear()
+        _limit_entry.cache_clear()
         cv = alr_limit_cv(
             CalibrationMethod.CAL2, 0.1, 10_000, 19,
             n_for_l=1000, grid_size=256, threads=threads,
@@ -543,7 +561,7 @@ def test_limit_draws_do_not_depend_on_the_task_split(variant, reps, n_for_l, gri
     args = (variant, reps, n_for_l, grid_size, 11)
     runs = []
     for threads in (1, 2, 5):  # 5 workers: 5 tasks, more than the cores
-        _limit_draws.cache_clear()
+        _limit_entry.cache_clear()
         runs.append(_limit_draws(*args, threads))
     if variant is CalibrationMethod.CAL1:
         task, params = calibration._cal1_task, (11,)

@@ -8,7 +8,7 @@ import pytest
 
 from sparsemix import calibration, engine, svg_from_power_csv
 from sparsemix.cli import main
-from table_json import table_from_json
+from table_json import table_cv, table_from_json
 
 ORACLE = {
     "hc": 0.9999999999999999,
@@ -80,7 +80,7 @@ def test_calibrate_writes_parseable_table(tmp_path, capsys):
     assert payload["R"] == 400 and payload["master_seed"] == 7
     assert [e["alpha"] for e in payload["entries"]] == [0.05, 0.1]
     table = table_from_json(text)  # extra keys are tolerated
-    assert table.cv(0.05) >= table.cv(0.1)
+    assert table_cv(table, 0.05) >= table_cv(table, 0.1)
 
 
 def test_calibrate_reruns_byte_identical(tmp_path):
@@ -293,7 +293,7 @@ def test_exit_power_curve_without_power_replicates(tmp_path):
 
 @pytest.mark.parametrize("variant", ["cal1", "cal2"])
 def test_exit_alr_limit_alpha_out_of_range_before_simulating(tmp_path, monkeypatch, variant):
-    calibration._limit_draws.cache_clear()
+    calibration._limit_entry.cache_clear()
     maps = []
     run_tasks = engine.map_tasks
 

@@ -1,7 +1,10 @@
 """Stream addressing, determinism, and inversion helpers."""
 
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,9 +134,9 @@ def test_uniform_rows_seat_each_row_through_its_stream(monkeypatch):
     seated = []
     generator = RandomStream.generator
 
-    def counted(self, seats):
+    def counted(self):
         seated.append(self)
-        return generator(self, seats)
+        return generator(self)
 
     monkeypatch.setattr(RandomStream, "generator", counted)
     uniform_rows(3, DOMAIN_CAL1, 2, 8, 5, VECTOR_WIDTH + 1)  # a seated width
@@ -141,25 +144,46 @@ def test_uniform_rows_seat_each_row_through_its_stream(monkeypatch):
 
 
 def test_seated_generator_equals_numpy_seedsequence_in_any_order():
-    seats = rng._Seats(2**64)
     for seed, sid in (
         (7, 100), (7, 99), (8, 100), (7, 100 + POSITION_CHUNK), (7, 101),
         (0, 0), (2**64 - 1, 2**64 - 1), (5, stream_id_for(3, 2, 9)),
     ):
         expected = _numpy_stream(seed, sid, 300)
-        generator = RandomStream(seed, sid).generator(seats)
+        generator = RandomStream(seed, sid).generator()
         assert np.array_equal(generator.random(300), expected), (seed, sid)
+
+
+def test_seats_across_a_chunk_edge_equal_numpy_in_and_out_of_order():
+    rng._chunk_limbs.cache_clear()
+    edge = 3 * POSITION_CHUNK
+    in_order = list(range(edge - 3, edge + 3))
+    # back and forth over the edge, and through a third chunk that evicts one
+    out_of_order = [edge + 2, edge - 1, edge + POSITION_CHUNK, edge - 3, edge, edge - 2,
+                    edge + 1, edge + POSITION_CHUNK - 1, 0, edge - 1]
+    for sid in in_order + out_of_order:
+        drawn = RandomStream(11, sid).generator().random(VECTOR_WIDTH + 1)
+        assert np.array_equal(drawn, _numpy_stream(11, sid, VECTOR_WIDTH + 1)), sid
+    for first in (edge - 3, edge - 1, edge):
+        rows = uniform_rows(11, DOMAIN_NULL, 0, first, 6, 5)
+        _assert_rows_match_numpy(11, DOMAIN_NULL, 0, first, rows)
+
+
+def test_cached_chunk_limbs_are_read_only():
+    limbs = rng._chunk_limbs(5, 1)
+    assert limbs.shape == (4, POSITION_CHUNK) and limbs.dtype == np.uint64
+    with pytest.raises(ValueError):
+        limbs[0, 0] = 0
+    assert rng._chunk_limbs(5, 1) is limbs
 
 
 def test_seating_a_whole_chunk_builds_no_per_chunk_ints():
     # a whole chunk's (state, inc) as Python ints would take ~1.5 MiB
-    seats = rng.seats_for(DOMAIN_NULL, 0, 0, POSITION_CHUNK)
-    seats.draw(5, 0, np.empty((1, 1)))  # derives the chunk's limbs
     streams = [RandomStream(5, j) for j in range(POSITION_CHUNK)]
+    streams[0].generator()  # derives the chunk's limbs and builds the generator
     tracemalloc.start()
     try:
         for stream in streams:
-            stream.generator(seats)
+            stream.generator()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -203,11 +227,28 @@ def test_uniform_rows_fill_a_given_buffer():
     ],
 )
 def test_uniform_rows_range_checks_before_drawing(monkeypatch, args):
-    drawn = []
-    monkeypatch.setattr(rng, "_Seats", lambda stop: drawn.append(1))
+    derived = []
+    rng._chunk_limbs.cache_clear()  # so that any draw derives its states
+    monkeypatch.setattr(rng, "_pcg64_states", lambda *a: derived.append(a))
     with pytest.raises(OutOfRange):
         uniform_rows(*args)
-    assert not drawn
+    assert not derived
+
+
+def test_narrow_draws_do_not_load_numpy_random():
+    # a fresh interpreter: the CLI import and a null simulation of vectorised
+    # rows leave numpy.random unloaded (numpy loads it lazily)
+    script = f"""
+import sys
+sys.path.insert(0, {str(Path(rng.__file__).parents[1])!r})
+import sparsemix.cli
+from sparsemix.engine import null_statistics
+null_statistics(100, 200, 5, threads=1)
+assert "numpy.random" not in sys.modules, "numpy.random was loaded"
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_normal_inversion_handles_zero():
