@@ -5,10 +5,15 @@ one task per worker, each with a near-equal share of the rows, one pool map,
 one join in row order.  `workers` opens one process pool for a whole command
 and every map inside it reuses that pool; a map with no pool open opens one
 for itself.  Inside a task, `in_blocks` runs the whole pipeline (uniforms,
-p-values or bridge, lower-half sort, kernels) on blocks of about
-BLOCK_ELEMENTS elements, so a block's temporaries stay in a core's L2 cache
+then the sorted lower half of each row's p-values or the bridge, then the
+kernels) on blocks of BLOCK_ELEMENTS // n rows, or about BLOCK_ELEMENTS
+elements of the bridge, so a block's temporaries stay in a core's L2 cache
 and a task's memory does not grow with its size; a null or alternative task
 allocates its block buffers once and every block writes into them.
+`_lower_rows`, the one sampler of null and alternative rows, draws only the
+m = n // 2 smallest p-values of a replicate that the statistics read: m
+spacings and, under the alternative, a shift count and the shifted values,
+so it neither draws nor sorts the upper half.
 Replicate j of a run is a pure function of (master_seed, stream_id), and
 every reduction runs along a row, so the result vectors do not depend on
 task size, block size or worker count.  Null statistic vectors are cached
@@ -147,39 +152,126 @@ def in_blocks(block, shape: tuple, start: int, width: int) -> np.ndarray:
 
 
 def _task_buffers(rows: int, width: int, n: int) -> tuple[np.ndarray, tuple]:
-    """A task's block buffers: the (rows, width) uniform matrix and the
-    `_row_stats` scratch at sample size n.  The uniforms and the two float
+    """A task's block buffers: a flat draw buffer of rows * width elements and
+    the `_row_stats` scratch at sample size n.  The draws and the two float
     scratch matrices are one allocation: once glibc has unmapped one chunk of
     that size it keeps the next on its heap when freed, so a later task of
     the same shape faults none of it in again."""
     m = n // 2
     flat = np.empty(rows * (width + 2 * m))
-    u = flat[: rows * width].reshape(rows, width)
     a, b = flat[rows * width :].reshape(2, rows, m)
-    return u, (a, b, np.empty((rows, m), dtype=bool))
+    return flat[: rows * width], (a, b, np.empty((rows, m), dtype=bool))
 
 
-def _lower_half(p: np.ndarray) -> np.ndarray:
-    """p, a (rows, n) p-value matrix, with its m = n // 2 smallest entries per
-    row moved to the front, clamped to [P_MIN, P_MAX] and sorted there: the
-    only part `_row_stats` reads.  The upper half is left in any order and
-    unclamped.  Clamping is monotone, so it commutes with the selection and
-    the sort, and p[:, :m] equals the lower half of the fully sorted, clamped
-    row bitwise."""
-    m = p.shape[1] // 2
-    p.partition(m - 1, axis=1)
-    low = p[:, :m]
-    np.clip(low, P_MIN, P_MAX, out=low)
-    low.sort(axis=1)
-    return p
+@lru_cache(maxsize=8)
+def _renyi_denominators(n: int) -> np.ndarray:
+    """n + 1 - k for k = 1..n // 2, read-only: the divisors of the null's
+    exponential spacings."""
+    d = (n + 1) - np.arange(1, n // 2 + 1, dtype=float)
+    d.flags.writeable = False
+    return d
 
 
-def _null_rows(n: int, master_seed: int, start: int, count: int, *, out=None) -> np.ndarray:
-    """P-value matrix for null replicates start..start+count-1, formed in
-    `out` (a new array by default), whose lower half is sorted and clamped
-    (see `_lower_half`)."""
-    p = uniform_rows(master_seed, DOMAIN_NULL, 0, start, count, n, out=out)
-    return _lower_half(p)
+@lru_cache(maxsize=16)
+def _shift_cdf(n: int, eps: float) -> np.ndarray:
+    """Read-only CDF of Bin(n, eps), eps > 0, at k = 0, 1, ..., up to the
+    first k where it rounds to 1, which it equals exactly.  A uniform in
+    [0, 1) inverts to at most that k, the table's size minus one.  The pmf
+    is formed relative to its mode by the ratios pmf(k + 1) / pmf(k) =
+    (n - k) / (k + 1) * eps / (1 - eps), which fall away from the mode on
+    both sides, so nothing overflows and only negligible tail terms
+    underflow."""
+    k = np.arange(n, dtype=float)
+    ratio = (n - k) / (k + 1) * (eps / (1.0 - eps))
+    mode = min(int((n + 1) * eps), n)
+    pmf = np.empty(n + 1)
+    pmf[mode] = 1.0
+    pmf[mode + 1 :] = np.cumprod(ratio[mode:])
+    pmf[:mode] = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
+    cdf = np.cumsum(pmf)
+    cdf /= cdf[-1]
+    cdf = cdf[: np.searchsorted(cdf, 1.0) + 1].copy()
+    cdf[-1] = 1.0
+    cdf.flags.writeable = False
+    return cdf
+
+
+def _row_width(n: int, eps: float) -> int:
+    """Draws per row of `_lower_rows`: the m = n // 2 spacings, and with
+    eps > 0 the shift count and room for the most shifts a row can have."""
+    return n // 2 + (_shift_cdf(n, eps).size if eps > 0.0 else 0)
+
+
+def _lower_rows(
+    n: int,
+    eps: float,
+    mu: float,
+    master_seed: int,
+    domain: int,
+    sub: int,
+    start: int,
+    count: int,
+    buf: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
+) -> np.ndarray:
+    """(count, m) sorted lower halves p_(1..m), m = n // 2, clamped to
+    [P_MIN, P_MAX], of replicates start..start+count-1 of the mixture with a
+    fraction eps shifted by mu; row j is drawn from stream (domain, sub,
+    start + j) in the layout the `rng` docstring gives.  The null is eps = 0.
+
+    K ~ Bin(n, eps) coordinates are shifted (none when eps = 0).  The m
+    smallest of the N = n - K unshifted p-values come from the Renyi
+    representation (Renyi 1953; Devroye 1986, ch. V),
+    p_(i) = -expm1(-sum_{k<=i} E_k / (N - k + 1)) with E_k = -log(1 - u_k)
+    (1 - u is exact on the 2^-53 grid), of which the first min(m, N)
+    exist.  The K shifted p-values are mixture.alternative_pvalues of their
+    uniforms, one call per block, merged into the row by a stable sort of
+    its first m + max K columns.
+
+    The rows are formed in `buf`, a flat float64 buffer of at least
+    count * _row_width(n, eps) elements, and the divisors N - k + 1, when
+    some row shifts, in `tmp`, a float64 array of at least (count, m); each
+    is new by default.  The result is a view of `buf`.
+    """
+    m, width = n // 2, _row_width(n, eps)
+    lead = shifts = 0
+    if buf is None:
+        buf = np.empty(count * width)
+    u = buf[: count * width].reshape(count, width)
+    uniform_rows(master_seed, domain, sub, start, count, width, out=u)
+    if eps > 0.0:
+        k = np.searchsorted(_shift_cdf(n, eps), u[:, 0], side="right")
+        lead, shifts = 1, int(k.max(initial=0))
+    x = u[:, lead : lead + m]
+    # -E_k / (N - k + 1), summed along the row
+    np.subtract(1.0, x, out=x)
+    np.log(x, out=x)
+    den = _renyi_denominators(n)
+    short = shifts > n - m  # some row has fewer than m unshifted p-values
+    if shifts:
+        tmp = np.empty((count, m)) if tmp is None else tmp[:count]
+        den = np.subtract(den, k[:, None].astype(float), out=tmp)
+        if short:
+            np.fmax(den, 1.0, out=den)
+    x /= den
+    np.cumsum(x, axis=1, out=x)
+    np.expm1(x, out=x)
+    np.negative(x, out=x)
+    if shifts:
+        if short:
+            x[np.arange(m) >= (n - k)[:, None]] = np.inf
+        tail = u[:, lead + m : lead + m + shifts]
+        used = np.arange(shifts) < k[:, None]
+        tail[used] = alternative_pvalues(tail[used], mu)
+        tail[~used] = np.inf
+        u[:, lead : lead + m + shifts].sort(axis=1, kind="stable")
+    return np.clip(x, P_MIN, P_MAX, out=x)
+
+
+def _null_rows(n: int, master_seed: int, start: int, count: int, *, buf=None) -> np.ndarray:
+    """(count, n // 2) sorted, clamped lower halves of null replicates
+    start..start+count-1: `_lower_rows` at eps = 0, formed in `buf`."""
+    return _lower_rows(n, 0.0, 0.0, master_seed, DOMAIN_NULL, 0, start, count, buf)
 
 
 def _alt_rows(
@@ -191,32 +283,25 @@ def _alt_rows(
     start: int,
     count: int,
     *,
-    out=None,
+    buf=None,
+    tmp=None,
 ) -> np.ndarray:
-    """P-value matrix for alternative replicates, whose lower half is sorted
-    and clamped (see `_lower_half`).
-
-    Each row is 2n uniforms of its stream, drawn into `out` (a new array by
-    default): the first n pick the shifted components, the next n give the
-    p-values through mixture.alternative_pvalues, which inverts only the
-    shifted coordinates to normals.  The p-values overwrite the first n
-    columns, and the matrix returned is that (count, n) view.
-    """
-    u = uniform_rows(master_seed, DOMAIN_POWER, sub, start, count, 2 * n, out=out)
-    pick = u[:, :n]
-    return _lower_half(alternative_pvalues(pick, u[:, n:], eps, mu, out=pick))
+    """(count, n // 2) sorted, clamped lower halves of alternative
+    replicates start..start+count-1 on stream sub-range `sub`: `_lower_rows`
+    of the mixture, formed in `buf` with `tmp` as scratch."""
+    return _lower_rows(n, eps, mu, master_seed, DOMAIN_POWER, sub, start, count, buf, tmp)
 
 
 def _null_task(args) -> np.ndarray:
     """(len(kinds), count) statistics of null replicates start..start+count-1,
-    computed in blocks of BLOCK_ELEMENTS with one set of block buffers for
-    the whole task; the last, shorter block uses their leading rows."""
+    computed in blocks of BLOCK_ELEMENTS // n rows with one set of block
+    buffers for the whole task; the last, shorter block uses their leading
+    rows."""
     n, master_seed, kinds, start, count = args
-    u, scratch = _task_buffers(block_rows(count, n), n, n)
+    buf, scratch = _task_buffers(block_rows(count, n), n // 2, n)
 
     def block(s: int, c: int) -> list[np.ndarray]:
-        p = _null_rows(n, master_seed, s, c, out=u[:c])
-        stats = _row_stats(p, n, kinds, scratch)
+        stats = _row_stats(_null_rows(n, master_seed, s, c, buf=buf), n, kinds, scratch)
         return [stats[k] for k in kinds]
 
     return in_blocks(block, (len(kinds), count), start, n)
@@ -224,17 +309,17 @@ def _null_task(args) -> np.ndarray:
 
 def _alt_task(args) -> np.ndarray:
     """(len(kinds), count) statistics of alternative replicates, in blocks of
-    BLOCK_ELEMENTS uniforms with one set of uniform and kernel buffers for
-    the whole task."""
+    the null's row count, with a draw buffer wide enough for a row that
+    shifts the most coordinates a row can."""
     n, eps, mu, master_seed, sub, kinds, start, count = args
-    u, scratch = _task_buffers(block_rows(count, 2 * n), 2 * n, n)
+    buf, scratch = _task_buffers(block_rows(count, n), _row_width(n, eps), n)
 
     def block(s: int, c: int) -> list[np.ndarray]:
-        p = _alt_rows(n, eps, mu, master_seed, sub, s, c, out=u[:c])
+        p = _alt_rows(n, eps, mu, master_seed, sub, s, c, buf=buf, tmp=scratch[0])
         stats = _row_stats(p, n, kinds, scratch)
         return [stats[k] for k in kinds]
 
-    return in_blocks(block, (len(kinds), count), start, 2 * n)
+    return in_blocks(block, (len(kinds), count), start, n)
 
 
 def _check_request(n: int, reps: int, kinds) -> tuple[StatisticKind, ...]:

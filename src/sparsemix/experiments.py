@@ -92,11 +92,13 @@ def size_table(
 
     Every requested method must apply to every requested kind; mixed requests
     (e.g. thresh with alr) are rejected rather than silently skipped.  Every
-    (method, alpha) cell is checked, and every closed-form critical value
-    computed, before the first null simulation.
+    n and (method, alpha) cell is checked, and every closed-form critical
+    value computed, before the first null simulation.
     """
     if not methods or not alphas:
         raise ConfigError("a size table needs at least one method and one level")
+    for n in ns:
+        engine._check_request(n, reps, kinds)
     for method in methods:
         for kind in kinds:
             if kind not in _METHOD_KINDS[method]:

@@ -45,14 +45,26 @@ seat, so importing the package, or drawing narrow rows alone, does not load
 numpy.random.  tests/test_rng.py holds numpy's own SeedSequence as the
 oracle.
 
-The cal2 limit law draws other than uniforms from its streams: row j is the
-stream's first Generator.random() and then grid + 1
-Generator.standard_normal() draws (numpy's ziggurat).  It seats its rows
-through `_seated_rows`, the loop that `uniform_rows` seats wide rows with.
-NEP 19 freezes the bit streams of numpy's bit generators but not the
-Generator methods that transform them.  random() is reproduced above from
-the raw PCG64 output, but a numpy release may change the ziggurat, so the
-cal2 draws are tied to the numpy version.
+Row layouts, m = n // 2 (engine._lower_rows turns the first two into
+sorted lower halves of p-values):
+
+* Null (DOMAIN_NULL): m uniforms, the spacings of the m smallest of n
+  uniform p-values.
+* Alternative (DOMAIN_POWER), eps > 0: draw 0 gives the shift count K by
+  inverting the Bin(n, eps) CDF, draws 1..m the spacings of the n - K
+  unshifted p-values, and draws m+1..m+K the K shifted ones.  Rows are
+  drawn wide enough for the most shifts any row can have; the draws past
+  m + K are not read.  At eps = 0 a row is the null's m spacings.
+* cal1 (DOMAIN_CAL1): 2 uniforms.
+* cal2 (DOMAIN_CAL2): the stream's first Generator.random() and then
+  grid + 1 Generator.standard_normal() draws (numpy's ziggurat).
+
+The cal2 rows are seated through `_seated_rows`, the loop that
+`uniform_rows` seats wide rows with.  NEP 19 freezes the bit streams of
+numpy's bit generators but not the Generator methods that transform them.
+random() is reproduced above from the raw PCG64 output, but a numpy release
+may change the ziggurat, so the cal2 draws are tied to the numpy version.
+Every other row is uniforms alone.
 """
 
 from __future__ import annotations

@@ -171,8 +171,10 @@ def _log_alr_rows(ell: np.ndarray, n: int, x=None) -> np.ndarray:
 def _row_stats(
     p: np.ndarray, n: int, kinds: tuple[StatisticKind, ...], scratch=None
 ) -> dict[StatisticKind, np.ndarray]:
-    """Requested statistics for every row of a (batch, n) p-value matrix,
-    of which only the sorted lower half p[:, :n // 2] is read.
+    """Requested statistics for every row of p, whose first n // 2 columns
+    are the sorted lower half of a sample of n p-values, and the only
+    columns read: the engine passes the (batch, n // 2) lower halves it
+    samples, a one-sample call the whole (1, n) sorted sample.
 
     `scratch` holds the buffers the kernels write into: two float arrays and
     one bool array, each (rows, n // 2) with rows >= batch, of which the first

@@ -282,6 +282,21 @@ def test_exit_size_table_alpha_out_of_range(tmp_path):
     assert engine._null_entry.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize(
+    "stat,ns", [("hc", "1000,1"), ("alr", "1000,3")], ids=["n-below-2", "alr-below-4"]
+)
+def test_exit_size_table_checks_every_n_before_simulating(tmp_path, monkeypatch, stat, ns):
+    def no_tasks(fn, tasks, threads):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(engine, "map_tasks", no_tasks)
+    argv = ["size-table", "--n", ns, "--stat", stat, "--method", "empirical",
+            "--alpha", "0.05", "--reps", "100000", "--seed", "0", "--threads", "2",
+            "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 8
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_power_curve_without_power_replicates(tmp_path):
     argv = ["power-curve", *_LIST_BASE["power-curve"], "--out", str(tmp_path / "p.csv"),
             "--svg", str(tmp_path / "p.svg")]

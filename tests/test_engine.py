@@ -1,5 +1,6 @@
 """Batched Monte Carlo engine: scalar agreement, batching, blocks, caching."""
 
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
+from scipy import stats as sps
 
 from sparsemix import (
     ConfigError,
@@ -24,8 +27,8 @@ from sparsemix import (
 )
 import sparsemix
 from sparsemix import calibration, engine, rng
-from sparsemix.mixture import alternative_pvalues, mixture_from
-from sparsemix.rng import DOMAIN_NULL, DOMAIN_POWER
+from sparsemix.mixture import mixture_from
+from sparsemix.rng import DOMAIN_NULL, DOMAIN_POWER, U_FLOOR
 
 
 @pytest.fixture(autouse=True)
@@ -42,27 +45,50 @@ def _numpy_stream(seed, domain, sub, j, width):
     return np.random.Generator(np.random.PCG64(seq)).random(width)
 
 
+def _renyi_low(u, unshifted, m):
+    """The oracle for the unshifted part of a row: the min(m, N) smallest of
+    N = `unshifted` uniforms, from the Renyi spacings of the uniforms u."""
+    k = np.arange(1, min(m, unshifted) + 1)
+    return -np.expm1(np.cumsum(np.log(1.0 - u[: k.size]) / (unshifted + 1 - k)))
+
+
+def _scored(low, n):
+    """The sample that hc_star and friends score: the lower half, padded
+    with ones that they never read."""
+    return prepare(np.concatenate([low, np.ones(n - low.size)]))
+
+
 def test_null_batch_matches_scalar_path_bitwise():
     n, reps, seed = 40, 25, 314
     got = null_statistics(n, reps, seed, threads=1)
     for j in range(reps):
-        s = prepare(_numpy_stream(seed, DOMAIN_NULL, 0, j, n))
+        s = _scored(_renyi_low(_numpy_stream(seed, DOMAIN_NULL, 0, j, n // 2), n, n // 2), n)
         assert got[StatisticKind.HC][j] == hc_star(s)
         assert got[StatisticKind.BJ][j] == bj_plus(s)
         assert got[StatisticKind.ALR][j] == log_alr(s)
 
 
 def test_alternative_batch_matches_scalar_path_bitwise():
-    spec = MixtureSpec(n=30, eps=0.1, mu=2.0)
+    # row j from numpy alone: K by the Bin(n, eps) CDF of its first draw, m
+    # spacings, then K shifted uniforms; at eps = 0.6 most rows shift more
+    # than n - m coordinates, so fewer than m unshifted p-values exist
     reps, seed, sub = 20, 99, 3
-    got = alternative_statistics(spec, reps, seed, sub=sub, threads=1)
-    n = spec.n
-    for j in range(reps):
-        u = _numpy_stream(seed, DOMAIN_POWER, sub, j, 2 * n)
-        s = prepare(alternative_pvalues(u[:n], u[n:], spec.eps, spec.mu))
-        assert got[StatisticKind.HC][j] == hc_star(s)
-        assert got[StatisticKind.BJ][j] == bj_plus(s)
-        assert got[StatisticKind.ALR][j] == log_alr(s)
+    for eps in (0.1, 0.6):
+        spec = MixtureSpec(n=30, eps=eps, mu=2.0)
+        got = alternative_statistics(spec, reps, seed, sub=sub, threads=1)
+        n, m = spec.n, spec.n // 2
+        cdf = sps.binom.cdf(np.arange(n + 1), n, spec.eps)
+        for j in range(reps):
+            g = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+                (seed, stream_id_for(DOMAIN_POWER, sub, j)))))
+            shifts = int(np.searchsorted(cdf, g.random(), side="right"))
+            unshifted = _renyi_low(g.random(m), n - shifts, m)
+            z = special.ndtri(np.fmax(g.random(shifts), U_FLOOR)) + spec.mu
+            shifted = 0.5 * special.erfc(z / math.sqrt(2.0))
+            s = _scored(np.sort(np.concatenate([unshifted, shifted]))[:m], n)
+            assert got[StatisticKind.HC][j] == hc_star(s)
+            assert got[StatisticKind.BJ][j] == bj_plus(s)
+            assert got[StatisticKind.ALR][j] == log_alr(s)
 
 
 # Rows 0..63 split into ragged tasks, one of them a single row.
@@ -241,12 +267,12 @@ def test_null_and_power_domains_do_not_collide():
 _ALL = (StatisticKind.HC, StatisticKind.BJ, StatisticKind.ALR)
 _ALT = mixture_from(9, 0.6)
 
-# (task, its arguments for rows 3..25, row width): an odd n, and 23 rows,
-# which 7-row blocks leave ragged.
+# (task, its arguments for rows 3..25, the width its blocks are sized by): an
+# odd n, and 23 rows, which 7-row blocks leave ragged.
 _TASKS = [
     pytest.param(engine._null_task, (9, 5, _ALL, 3, 23), 9, id="null"),
     pytest.param(
-        engine._alt_task, (9, _ALT.eps, _ALT.mu, 5, 2, _ALL, 3, 23), 18, id="alt"
+        engine._alt_task, (9, _ALT.eps, _ALT.mu, 5, 2, _ALL, 3, 23), 9, id="alt"
     ),
     pytest.param(calibration._cal2_task, (5, 100, 256, 3, 23), 258, id="cal2"),
 ]

@@ -18,7 +18,7 @@ from sparsemix import (
     r_of_beta,
     rho_star,
 )
-from sparsemix import mixture
+from sparsemix import engine, mixture
 from sparsemix.engine import _alt_rows, _null_rows
 from sparsemix.mixture import alternative_pvalues
 from sparsemix.rng import DOMAIN_POWER, U_FLOOR, uniform_rows
@@ -133,7 +133,7 @@ def test_pvalue_shapes_and_validation():
 
 
 # ---------------------------------------------------------------------------
-# null sampler: the engine's sorted p-value rows, one replicate each
+# null sampler: the engine's sorted, clamped lower halves, one replicate each
 
 def _null(n, seed, idx):
     return _null_rows(n, seed, idx, 1)[0]
@@ -152,64 +152,71 @@ def test_sample_null_deterministic():
 
 
 def test_sample_null_uniformity():
-    # pool 100 streams of 1000 draws and check the empirical CDF
-    pooled = _null_rows(1000, 21, 0, 100).ravel()
-    d = sps.kstest(pooled, "uniform").statistic
-    assert d < 0.006
-    assert abs(pooled.mean() - 0.5) < 1e-3
+    # p_(i) of n uniforms is Beta(i, n - i + 1): row r is read at one index
+    # i_r, cycling through 1..m, so the transformed values are independent
+    # uniforms
+    n, rows = 1000, 20_000
+    m = n // 2
+    low = _null_rows(n, 21, 0, rows)
+    assert low.shape == (rows, m)
+    i = np.arange(rows) % m + 1
+    v = sps.beta.cdf(low[np.arange(rows), i - 1], i, n - i + 1)
+    assert sps.kstest(v, "uniform").pvalue > 1e-3
 
 
 def test_sample_null_mean_large_sample():
-    total, count = 0.0, 0
-    for v in _null_rows(100_000, 33, 0, 10):
-        total += v.sum()
-        count += v.size
-    assert abs(total / count - 0.5) < 1e-3
-
-
-def _dense_pvalues(u_pick, u_norm, eps, mu):
-    """Oracle: every coordinate inverted to a normal, shifted ones by mu."""
-    z = special.ndtri(np.fmax(u_norm, U_FLOOR))
-    z += mu * (u_pick < eps)
-    return 0.5 * special.erfc(z / math.sqrt(2.0))
+    # E p_(i) = i / (n + 1), so the lower half averages (m + 1) / (2 (n + 1))
+    n = 100_000
+    m = n // 2
+    low = _null_rows(n, 33, 0, 10)
+    assert low.shape == (10, m)
+    assert abs(low.mean() - (m + 1) / (2 * (n + 1))) < 1e-3
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.004, 0.3, 1.0 - 1e-9])
 def test_alternative_pvalues_sparse_kernel(eps, monkeypatch):
-    # white box: unshifted coordinates are 1 - u, shifted ones the full
-    # erfc transform; both agree with the dense oracle
-    mu = 2.5
-    rng = np.random.default_rng(23)
-    u_pick = rng.random((3, 4000))
-    u_norm = rng.random((3, 4000))
-    u_norm[:, :4] = [0.0, U_FLOOR / 2, 0.5, 1.0 - 2.0**-53]
-    shifted = u_pick < eps
+    # white box: a block calls alternative_pvalues once, on draws m+1..m+K of
+    # each row, and not at all when no row shifts; at eps = 0 a row is m
+    # spacing draws and erfc is never called
+    n, mu, rows = 400, 2.5, 6
+    m = n // 2
+    calls, widths = [], []
+    shifted, draw = engine.alternative_pvalues, engine.uniform_rows
+
+    def recorded(u, mu):
+        calls.append(u.copy())
+        return shifted(u, mu)
+
+    def counted(*args, **kwargs):
+        widths.append(args[5])
+        return draw(*args, **kwargs)
+
+    def no_erfc(x):
+        raise AssertionError("erfc called with nothing shifted")
+
+    monkeypatch.setattr(engine, "alternative_pvalues", recorded)
+    monkeypatch.setattr(engine, "uniform_rows", counted)
     if eps == 0.0:
-        assert not shifted.any()
-
-        def no_erfc(x):
-            raise AssertionError("erfc called with nothing shifted")
-
         monkeypatch.setattr(mixture, "erfc", no_erfc)
-    if eps > 0.5:
-        assert shifted.all()
-    got = alternative_pvalues(u_pick, u_norm, eps, mu)
+    low = _alt_rows(n, eps, mu, 23, 0, 0, rows)
     monkeypatch.undo()
-    assert got.shape == u_norm.shape
-    assert np.array_equal(got[~shifted], 1.0 - u_norm[~shifted])
+    assert low.shape == (rows, m)
+    if eps == 0.0:
+        assert calls == [] and widths == [m]
+        return
+    u = uniform_rows(23, DOMAIN_POWER, 0, 0, rows, 1 + m + n)
+    shifts = np.searchsorted(sps.binom.cdf(np.arange(n + 1), n, eps), u[:, 0], side="right")
+    # one draw per block, wide enough for the most shifts a row can draw
+    assert widths == [m + engine._shift_cdf(n, eps).size]
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], np.concatenate(
+        [row[1 + m : 1 + m + k] for row, k in zip(u, shifts)]))
+    # the transform equals the scipy oracle bitwise, edge uniforms included
+    v = np.concatenate([calls[0], [0.0, U_FLOOR / 2, 0.5, 1.0 - 2.0**-53]])
     full = 0.5 * special.erfc(
-        (special.ndtri(np.fmax(u_norm, U_FLOOR)) + mu) / math.sqrt(2.0)
+        (special.ndtri(np.fmax(v, U_FLOOR)) + mu) / math.sqrt(2.0)
     )
-    assert np.array_equal(got[shifted], full[shifted])
-    np.testing.assert_allclose(
-        got, _dense_pvalues(u_pick, u_norm, eps, mu), rtol=1e-14, atol=0.0
-    )
-    # one row through the 1-d path equals the same row of the batch
-    assert np.array_equal(alternative_pvalues(u_pick[1], u_norm[1], eps, mu), got[1])
-    # formed in place of the picking uniforms, as the engine does
-    pick = u_pick.copy()
-    assert alternative_pvalues(pick, u_norm, eps, mu, out=pick) is pick
-    assert np.array_equal(pick, got)
+    assert np.array_equal(alternative_pvalues(v, mu), full)
 
 
 # ---------------------------------------------------------------------------
@@ -231,25 +238,25 @@ def test_sample_alternative_eps_zero_matches_null_law():
 
 
 def test_sample_alternative_shift_count_is_binomial():
-    # white box: the first n uniforms select the shifted component
+    # white box: each row's first draw gives its shift count K ~ Bin(n, eps)
     n, beta = 10_000, 0.75
     spec = mixture_from(n, beta)
-    counts = []
-    for start in range(0, 1000, 100):
-        u = uniform_rows(17, DOMAIN_POWER, 0, start, 100, n)
-        counts.extend((u < spec.eps).sum(axis=1))
-    mean = np.mean(counts)
-    assert abs(mean - 10.0) <= 1.0
-    # and the sampler consumes exactly those uniforms: spiked sample has
-    # more small p-values than the matched null
-    alt = _alt(mixture_from(n, 0.6), 17, 0)
-    nul = _null(n, 17, 0)
+    u = uniform_rows(17, DOMAIN_POWER, 0, 0, 1000, 1)[:, 0]
+    counts = np.searchsorted(engine._shift_cdf(n, spec.eps), u, side="right")
+    assert abs(counts.mean() - 10.0) <= 1.0
+    # and the sampler consumes exactly those uniforms: spiked samples have
+    # more small p-values than matched nulls (about 115 against 100 a row at
+    # beta = 0.6, so one row against one loses about one time in seven)
+    spec = mixture_from(n, 0.6)
+    alt = _alt_rows(n, spec.eps, spec.mu, 17, 0, 0, 20)
+    nul = _null_rows(n, 17, 0, 20)
     assert (alt < 0.01).sum() > (nul < 0.01).sum()
 
 
 def test_sample_alternative_shifts_lower_tail():
     spec = MixtureSpec(n=2000, eps=0.05, mu=4.0)
     alt = _alt(spec, 8, 2)
-    # about 5% of p-values should be pushed near zero
-    frac_tiny = float((alt < 1e-3).mean())
+    # about 5% of the n p-values should be pushed near zero, all of them
+    # into the lower half
+    frac_tiny = float((alt < 1e-3).sum()) / spec.n
     assert 0.02 < frac_tiny < 0.09
