@@ -37,9 +37,9 @@ from .rng import (
     DOMAIN_CAL1,
     DOMAIN_CAL2,
     U_FLOOR,
-    _seated_rows,
     exponentials_from_uniforms,
     normals_from_uniforms,
+    row_generators,
     uniform_rows,
 )
 from .stats import StatisticKind
@@ -256,10 +256,10 @@ class CriticalValueTable:
 # cumulative sum of standard normals, and the integrand's exponent is
 # B+(t)^2 / (2t(1-t)) = Y+(t)^2 (1-t) / (2t).
 #
-# A cal1 draw inverts 2 uniforms of its stream.  A cal2 draw takes its
-# stream's first uniform for E and the next grid + 1 standard normals, drawn
-# by numpy's ziggurat sampler (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000),
-# for the bridge.
+# A cal1 draw inverts 2 uniforms of its row.  A cal2 draw takes its row's
+# first uniform for E and the next grid + 1 standard normals, drawn by numpy's
+# ziggurat sampler (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000), for the
+# bridge.  The `rng` docstring gives where a row's draws sit in its stream.
 
 
 def _exp_factor(e: np.ndarray) -> np.ndarray:
@@ -334,24 +334,43 @@ def _cal2_rows(n: int, grid_size: int, draws: np.ndarray) -> np.ndarray:
     return 0.5 * _exp_factor(e) + 0.5 * ln
 
 
+# Doubles of temporaries a cal1 row makes, which sizes its blocks at 4096 rows.
+_CAL1_ROW_ELEMENTS = 32
+
+
 def _cal1_task(args) -> np.ndarray:
+    """cal1 draws start..start+count-1, in blocks of about 4096 rows with one
+    uniform buffer for the whole task, so its temporaries stay small."""
     master_seed, start, count = args
-    return _cal1_rows(uniform_rows(master_seed, DOMAIN_CAL1, 0, start, count, 2))
+    buf = np.empty((engine.block_rows(count, _CAL1_ROW_ELEMENTS), 2))
+
+    def block(s: int, c: int) -> np.ndarray:
+        return _cal1_rows(uniform_rows(master_seed, DOMAIN_CAL1, 0, s, c, 2, out=buf[:c]))
+
+    return engine.in_blocks(block, (count,), start, _CAL1_ROW_ELEMENTS)
+
+
+def _cal2_draw(generator, row: np.ndarray) -> None:
+    """Draw one cal2 row: a random() that drives E, then the
+    row.size - 1 standard_normal() that drive the bridge."""
+    row[0] = generator.random()
+    generator.standard_normal(out=row[1:])
 
 
 def _cal2_task(args) -> np.ndarray:
     """cal2 draws start..start+count-1, in blocks of about
     engine.BLOCK_ELEMENTS draws with one buffer for the whole task; the last,
-    shorter block uses its leading rows.  Row j is its stream's first
-    random() and then grid_size + 1 standard_normal()."""
+    shorter block uses its leading rows.  The rows come from
+    `row_generators` in order, so the blocks run in order too."""
     master_seed, n, grid_size, start, count = args
     width = grid_size + 2
     buf = np.empty((engine.block_rows(count, width), width))
+    generators = row_generators(master_seed, DOMAIN_CAL2, 0, start, count,
+                                lambda generator: _cal2_draw(generator, buf[0]))
 
     def block(s: int, c: int) -> np.ndarray:
-        for generator, row in _seated_rows(master_seed, DOMAIN_CAL2, 0, s, buf[:c]):
-            row[0] = generator.random()
-            generator.standard_normal(out=row[1:])
+        for row, generator in zip(buf[:c], generators):
+            _cal2_draw(generator, row)
         return _cal2_rows(n, grid_size, buf[:c])
 
     return engine.in_blocks(block, (count,), start, width)

@@ -42,12 +42,14 @@ from .stats import StatisticKind, bj_plus, hc_star, log_alr, prepare
 
 
 def _run_config(args: argparse.Namespace) -> dict:
-    """The full configuration of one CLI run, embedded in every output."""
+    """The full configuration of one CLI run, embedded in every output, with
+    the numpy version that its draws rest on (see the `rng` docstring)."""
     raw = dict(vars(args))
     command = raw.pop("command")
     seed = raw.pop("seed", None)
     outputs = {k: raw.pop(k) for k in ("out", "svg") if k in raw}
-    return {"command": command, "parameters": raw, "seed": seed, "outputs": outputs}
+    return {"command": command, "parameters": raw, "seed": seed, "outputs": outputs,
+            "numpy": np.__version__}
 
 
 def _parse_list(text: str, flag: str, parse) -> list:

@@ -10,17 +10,22 @@ kernels) on blocks of BLOCK_ELEMENTS // n rows, or about BLOCK_ELEMENTS
 elements of the bridge, so a block's temporaries stay in a core's L2 cache
 and a task's memory does not grow with its size; a null or alternative task
 allocates its block buffers once and every block writes into them.
-`_lower_rows`, the one sampler of null and alternative rows, draws only the
-m = n // 2 smallest p-values of a replicate that the statistics read: m
-spacings and, under the alternative, a shift count and the shifted values,
-so it neither draws nor sorts the upper half.
-Replicate j of a run is a pure function of (master_seed, stream_id), and
-every reduction runs along a row, so the result vectors do not depend on
-task size, block size or worker count.  Null statistic vectors are cached
-per (n, reps, master_seed) so size tables and power-curve calibration at the
-same configuration share one simulation pass.  The first pass computes only
-the requested kinds; a later request for a kind it lacks re-simulates once
-and adds every kind still missing, so no entry is simulated more than twice.
+
+A block draws its uniforms with one `rng.uniform_rows` call, which seats one
+generator for each group of rng.GROUP_ROWS replicates that the block
+touches.  `_lower_rows`, the one sampler of null and alternative rows, draws
+only the m = n // 2 smallest p-values of a replicate that the statistics
+read: m spacings and, under the alternative, a shift count and the shifted
+values, so it neither draws nor sorts the upper half.
+
+Replicate j of a run is a pure function of master_seed and its coordinates
+(domain, sub, j), whatever task or block draws it, and every reduction runs
+along a row, so the result vectors do not depend on task size, block size
+or worker count.  Null statistic vectors are cached per (n, reps,
+master_seed) so size tables and power-curve calibration at the same
+configuration share one simulation pass.  The first pass computes only the
+requested kinds; a later request for a kind it lacks re-simulates once and
+adds every kind still missing, so no entry is simulated more than twice.
 """
 
 from __future__ import annotations
@@ -216,8 +221,9 @@ def _lower_rows(
 ) -> np.ndarray:
     """(count, m) sorted lower halves p_(1..m), m = n // 2, clamped to
     [P_MIN, P_MAX], of replicates start..start+count-1 of the mixture with a
-    fraction eps shifted by mu; row j is drawn from stream (domain, sub,
-    start + j) in the layout the `rng` docstring gives.  The null is eps = 0.
+    fraction eps shifted by mu; row j is replicate start + j of (domain,
+    sub), drawn by `uniform_rows` in the layout the `rng` docstring gives.
+    The null is eps = 0.
 
     K ~ Bin(n, eps) coordinates are shifted (none when eps = 0).  The m
     smallest of the N = n - K unshifted p-values come from the Renyi

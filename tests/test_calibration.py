@@ -41,14 +41,15 @@ from sparsemix.calibration import (
     _limit_entry,
     _ln_rows,
 )
-from sparsemix.rng import DOMAIN_CAL2, U_FLOOR
+from sparsemix.rng import DOMAIN_CAL1, DOMAIN_CAL2, GROUP_ROWS, U_FLOOR
 from table_json import table_cv, table_from_json
 
 REL = 1e-12
 
 
 def _cal2_generator(seed, idx):
-    """numpy's own Generator(PCG64(SeedSequence((seed, id)))) for cal2 stream idx."""
+    """numpy's own Generator(PCG64(SeedSequence((seed, id)))) of cal2 stream
+    idx, which holds cal2 rows idx * GROUP_ROWS onward."""
     seq = np.random.SeedSequence((seed, stream_id_for(DOMAIN_CAL2, 0, idx)))
     return np.random.Generator(np.random.PCG64(seq))
 
@@ -451,16 +452,31 @@ def test_alr_limit_cv_cal2_runs_small():
 
 
 def test_cal2_draw_composition():
-    # one draw = exponential factor plus half the bridge functional
-    # from numpy alone: the stream's first uniform, then m + 1 normals
+    # one draw = exponential factor plus half the bridge functional, from
+    # numpy alone: row j is read from stream j // GROUP_ROWS after the
+    # group's earlier rows, each a uniform and then m + 1 normals
     n, m, seed = 1024, 256, 13
-    direct = _cal2_task((seed, n, m, 4, 1))[0]
-    g = _cal2_generator(seed, 4)
-    u0, z = g.random(), g.standard_normal(m + 1)
-    e = -math.log1p(-max(u0, U_FLOOR))
-    factor = math.exp(e - 1.0) / e if e < 1.0 else 1.0
-    ln = _ln_rows(n, m, z[None, :])[0]
-    assert direct == pytest.approx(0.5 * factor + 0.5 * ln, rel=1e-12)
+    for j in (0, 4, GROUP_ROWS + 4):
+        direct = _cal2_task((seed, n, m, j, 1))[0]
+        group, k = divmod(j, GROUP_ROWS)
+        g = _cal2_generator(seed, group)
+        for _ in range(k):
+            g.random(), g.standard_normal(m + 1)
+        u0, z = g.random(), g.standard_normal(m + 1)
+        e = -math.log1p(-max(u0, U_FLOOR))
+        factor = math.exp(e - 1.0) / e if e < 1.0 else 1.0
+        ln = _ln_rows(n, m, z[None, :])[0]
+        assert direct == pytest.approx(0.5 * factor + 0.5 * ln, rel=1e-12), j
+
+
+def test_cal2_tasks_started_mid_group_equal_the_rows_from_its_start():
+    # a task that starts mid-group draws the group's earlier rows and
+    # discards them: its rows equal those of a task from row 0, bitwise
+    whole = _cal2_task((7, 1000, 256, 0, 2 * GROUP_ROWS + 10))
+    for start, count in ((3, 5), (GROUP_ROWS - 6, 12), (GROUP_ROWS, 1),
+                         (GROUP_ROWS + 1, GROUP_ROWS + 9), (2 * GROUP_ROWS - 1, 1)):
+        part = _cal2_task((7, 1000, 256, start, count))
+        assert np.array_equal(part, whole[start : start + count]), (start, count)
 
 
 def _task_bridges(monkeypatch, args):
@@ -513,18 +529,32 @@ def test_cal2_draws_do_not_depend_on_the_thread_count():
         assert np.array_equal(draws, runs[0][1])
 
 
+def test_cal1_task_reads_its_rows_from_the_group_streams(monkeypatch):
+    # rows 0..999 are the first 2 * 256 draws of each of cal1 streams 0..3,
+    # two a row, in blocks of 4096 rows or of 7
+    u = np.vstack([
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            (1729, stream_id_for(DOMAIN_CAL1, 0, g))))).random((GROUP_ROWS, 2))
+        for g in range(4)
+    ])[:1000]
+    for _ in range(2):
+        assert np.array_equal(_cal1_task((1729, 0, 1000)), _cal1_rows(u))
+        assert np.array_equal(_cal1_task((1729, 300, 700)), _cal1_rows(u[300:]))
+        monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 7 * calibration._CAL1_ROW_ELEMENTS)
+
+
 def test_limit_task_draws_are_pinned():
-    # SHA-256 of the task outputs as every row was drawn when each stream
-    # was seated through numpy's own generator: a change to the stream
-    # layout, the draws or the limit-law arithmetic shows here.
+    # SHA-256 of the task outputs in the layout of 256-row stream groups
+    # (numpy 2.4.6): a change to the stream layout, the draws or the
+    # limit-law arithmetic shows here.
     cal1 = calibration._cal1_task((1729, 0, 5000))
     cal2 = _cal2_task((1729, 1000, 256, 0, 64))
     assert (cal1.shape, cal2.shape) == ((5000,), (64,))
     assert hashlib.sha256(cal1.tobytes()).hexdigest() == (
-        "88652719f8d650e1cf73646693f22b8c7b4db2598ecbc3c5928242ef5a234f86"
+        "f907441305b9d56118a2cd9c6ccc99d510ca8d21f75657faaab5f2c076b86dee"
     )
     assert hashlib.sha256(cal2.tobytes()).hexdigest() == (
-        "05a061436dad59960b5fb4edd707773dfe7e692f7d4ffc9e6ee23597417a85a0"
+        "6fe2315845b53fb94cb1dad164bb9dcc06c9475a1fc289f40d68a384b3b08c30"
     )
 
 

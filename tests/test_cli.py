@@ -4,6 +4,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from sparsemix import calibration, engine, svg_from_power_csv
@@ -112,6 +113,23 @@ def test_size_table_csv_output(tmp_path):
     assert len(lines) == 3 + 2 * 2 * 2 * 2
     cfg = json.loads(lines[1][len("# config "):])
     assert cfg["command"] == "size-table" and cfg["seed"] == 3
+
+
+def test_every_artifact_records_the_numpy_version(pfile, tmp_path, capsys):
+    # the draws rest on numpy's Generator methods, which NEP 19 does not freeze
+    csv_path, json_path = tmp_path / "size.csv", tmp_path / "cal1.json"
+    assert main(["size-table", "--n", "32", "--stat", "hc", "--method", "thresh", "--alpha",
+                 "0.1", "--reps", "100", "--seed", "3", "--out", str(csv_path)]) == 0
+    assert main(["alr-limit", "--variant", "cal1", "--reps", "10000", "--alpha", "0.1",
+                 "--seed", "3", "--out", str(json_path)]) == 0
+    capsys.readouterr()
+    assert main(["stat", "--input", pfile, "--stat", "hc"]) == 0
+    configs = [
+        json.loads(csv_path.read_text().splitlines()[1][len("# config "):]),
+        json.loads(json_path.read_text())["config"],
+        _stdout_json(capsys)["config"],
+    ]
+    assert [c["numpy"] for c in configs] == [np.__version__] * 3
 
 
 def test_power_curve_svg_is_pure_function_of_csv(tmp_path):

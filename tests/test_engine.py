@@ -38,11 +38,14 @@ def _clean_cache():
     engine._null_entry.cache_clear()
 
 
-def _numpy_stream(seed, domain, sub, j, width):
-    """The oracle: the first `width` draws of numpy's own
-    Generator(PCG64(SeedSequence((seed, stream_id))))."""
-    seq = np.random.SeedSequence((seed, stream_id_for(domain, sub, j)))
-    return np.random.Generator(np.random.PCG64(seq)).random(width)
+def _numpy_row(seed, domain, sub, j, width):
+    """The oracle: row j of (domain, sub), `width` wide, which is draws
+    [k * width, (k + 1) * width), k = j % GROUP_ROWS, of numpy's own
+    Generator(PCG64(SeedSequence((seed, stream_id_for(domain, sub,
+    j // GROUP_ROWS)))))."""
+    group, k = divmod(j, rng.GROUP_ROWS)
+    seq = np.random.SeedSequence((seed, stream_id_for(domain, sub, group)))
+    return np.random.Generator(np.random.PCG64(seq)).random((k + 1) * width)[k * width :]
 
 
 def _renyi_low(u, unshifted, m):
@@ -59,10 +62,11 @@ def _scored(low, n):
 
 
 def test_null_batch_matches_scalar_path_bitwise():
-    n, reps, seed = 40, 25, 314
+    # more rows than a group: rows 256.. come from the second group's stream
+    n, reps, seed = 40, rng.GROUP_ROWS + 9, 314
     got = null_statistics(n, reps, seed, threads=1)
     for j in range(reps):
-        s = _scored(_renyi_low(_numpy_stream(seed, DOMAIN_NULL, 0, j, n // 2), n, n // 2), n)
+        s = _scored(_renyi_low(_numpy_row(seed, DOMAIN_NULL, 0, j, n // 2), n, n // 2), n)
         assert got[StatisticKind.HC][j] == hc_star(s)
         assert got[StatisticKind.BJ][j] == bj_plus(s)
         assert got[StatisticKind.ALR][j] == log_alr(s)
@@ -70,33 +74,35 @@ def test_null_batch_matches_scalar_path_bitwise():
 
 def test_alternative_batch_matches_scalar_path_bitwise():
     # row j from numpy alone: K by the Bin(n, eps) CDF of its first draw, m
-    # spacings, then K shifted uniforms; at eps = 0.6 most rows shift more
-    # than n - m coordinates, so fewer than m unshifted p-values exist
-    reps, seed, sub = 20, 99, 3
+    # spacings, then K shifted uniforms, in a row as wide as the most shifts
+    # a row can have; at eps = 0.6 most rows shift more than n - m
+    # coordinates, so fewer than m unshifted p-values exist.  Rows 250..265
+    # cross from the first group into the second.
+    seed, sub, start, count = 99, 3, 250, 16
     for eps in (0.1, 0.6):
         spec = MixtureSpec(n=30, eps=eps, mu=2.0)
-        got = alternative_statistics(spec, reps, seed, sub=sub, threads=1)
         n, m = spec.n, spec.n // 2
+        got = engine._alt_task((n, eps, spec.mu, seed, sub, _ALL, start, count))
         cdf = sps.binom.cdf(np.arange(n + 1), n, spec.eps)
-        for j in range(reps):
-            g = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-                (seed, stream_id_for(DOMAIN_POWER, sub, j)))))
-            shifts = int(np.searchsorted(cdf, g.random(), side="right"))
-            unshifted = _renyi_low(g.random(m), n - shifts, m)
-            z = special.ndtri(np.fmax(g.random(shifts), U_FLOOR)) + spec.mu
+        for i in range(count):
+            u = _numpy_row(seed, DOMAIN_POWER, sub, start + i, engine._row_width(n, eps))
+            shifts = int(np.searchsorted(cdf, u[0], side="right"))
+            unshifted = _renyi_low(u[1 : 1 + m], n - shifts, m)
+            z = special.ndtri(np.fmax(u[1 + m : 1 + m + shifts], U_FLOOR)) + spec.mu
             shifted = 0.5 * special.erfc(z / math.sqrt(2.0))
             s = _scored(np.sort(np.concatenate([unshifted, shifted]))[:m], n)
-            assert got[StatisticKind.HC][j] == hc_star(s)
-            assert got[StatisticKind.BJ][j] == bj_plus(s)
-            assert got[StatisticKind.ALR][j] == log_alr(s)
+            assert tuple(got[:, i]) == (hc_star(s), bj_plus(s), log_alr(s))
 
 
-# Rows 0..63 split into ragged tasks, one of them a single row.
-_SPLIT = [(0, 5), (5, 1), (6, 30), (36, 28)]
+# Rows 0..599 split into ragged tasks, two of them a single row: tasks that
+# end at a group edge (row 255), start at one (256), start mid-group and
+# cross one (257..556 and 512).
+_SPLIT = [(0, 5), (5, 1), (6, 250), (256, 1), (257, 300), (557, 43)]
+_SPLIT_ROWS = 600
 
 
 def test_batch_size_does_not_change_results():
-    n, reps, seed = 24, 64, 7
+    n, reps, seed = 24, _SPLIT_ROWS, 7
     whole = null_statistics(n, reps, seed, threads=1)
     kinds = tuple(whole)
     split = np.concatenate(
@@ -107,7 +113,7 @@ def test_batch_size_does_not_change_results():
 
 
 def test_thread_count_does_not_change_results():
-    n, reps, seed = 24, 48, 8
+    n, reps, seed = 24, _SPLIT_ROWS, 8
     runs = []
     for threads in (1, 2, 5, 0):  # 5 workers: 5 tasks, more than the cores
         engine._null_entry.cache_clear()
@@ -119,8 +125,8 @@ def test_thread_count_does_not_change_results():
 
 def test_alternative_threads_and_batching_invariance():
     spec = MixtureSpec(n=16, eps=0.2, mu=1.5)
-    base = alternative_statistics(spec, 64, 5, sub=1, threads=1)
-    redone = alternative_statistics(spec, 64, 5, sub=1, threads=5)
+    base = alternative_statistics(spec, _SPLIT_ROWS, 5, sub=1, threads=1)
+    redone = alternative_statistics(spec, _SPLIT_ROWS, 5, sub=1, threads=5)
     kinds = tuple(base)
     split = np.concatenate(
         [engine._alt_task((spec.n, spec.eps, spec.mu, 5, 1, kinds, s, c)) for s, c in _SPLIT],
@@ -267,14 +273,15 @@ def test_null_and_power_domains_do_not_collide():
 _ALL = (StatisticKind.HC, StatisticKind.BJ, StatisticKind.ALR)
 _ALT = mixture_from(9, 0.6)
 
-# (task, its arguments for rows 3..25, the width its blocks are sized by): an
-# odd n, and 23 rows, which 7-row blocks leave ragged.
+# (task, its arguments for rows 245..267, the width its blocks are sized by):
+# an odd n, and 23 rows across the edge between the first two groups of
+# rng.GROUP_ROWS = 256 rows, which 7-row blocks leave ragged.
 _TASKS = [
-    pytest.param(engine._null_task, (9, 5, _ALL, 3, 23), 9, id="null"),
+    pytest.param(engine._null_task, (9, 5, _ALL, 245, 23), 9, id="null"),
     pytest.param(
-        engine._alt_task, (9, _ALT.eps, _ALT.mu, 5, 2, _ALL, 3, 23), 9, id="alt"
+        engine._alt_task, (9, _ALT.eps, _ALT.mu, 5, 2, _ALL, 245, 23), 9, id="alt"
     ),
-    pytest.param(calibration._cal2_task, (5, 100, 256, 3, 23), 258, id="cal2"),
+    pytest.param(calibration._cal2_task, (5, 100, 256, 245, 23), 258, id="cal2"),
 ]
 
 
@@ -289,20 +296,29 @@ def test_tasks_do_not_depend_on_the_block_size(monkeypatch, task, args, width):
         assert np.array_equal(runs[0], other)
 
 
-@pytest.mark.parametrize("task,args,width", _TASKS)
-def test_a_task_derives_its_stream_states_once(monkeypatch, task, args, width):
-    sizes = []
-    derive = rng._pcg64_states
+@pytest.mark.parametrize(
+    "task,args,width,groups",
+    [
+        # 7-row blocks of rows 245..267: 252..258 cross into group 1, and
+        # each block of uniforms seats the groups it touches
+        pytest.param(*_TASKS[0].values, [0, 0, 1, 1, 1], id="null"),
+        pytest.param(*_TASKS[1].values, [0, 0, 1, 1, 1], id="alt"),
+        # cal2 rows are drawn in order, one seat a group for the whole task
+        pytest.param(*_TASKS[2].values, [0, 1], id="cal2"),
+    ],
+)
+def test_a_task_seats_each_group_once_a_block(monkeypatch, task, args, width, groups):
+    seated = []
+    generator = rng.RandomStream.generator
 
-    def counted(master_seed, stream_ids):
-        sizes.append(stream_ids.size)
-        return derive(master_seed, stream_ids)
+    def counted(self):
+        seated.append(self.stream_id & 0xFFFFFFFF)  # the group index
+        return generator(self)
 
-    monkeypatch.setattr(rng, "_pcg64_states", counted)
+    monkeypatch.setattr(rng.RandomStream, "generator", counted)
     monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 7 * width)
-    rng._chunk_limbs.cache_clear()  # states cached by an earlier test
-    task((*args[:-2], 0, rng.POSITION_CHUNK))
-    assert sizes == [rng.POSITION_CHUNK]
+    task(args)
+    assert seated == groups
 
 
 _BIG_ALT = mixture_from(10_000, 0.6)
@@ -331,6 +347,18 @@ def test_task_memory_is_bounded_by_its_blocks(task, args):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+def test_cal1_task_memory_is_bounded_by_its_blocks():
+    # 1e5 rows in blocks of about 4096: the result vector (0.8 MiB) and one
+    # block's temporaries; drawn and transformed at once, they peak at 12 MiB
+    tracemalloc.start()
+    try:
+        calibration._cal1_task((5, 0, 100_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 # Four tasks of one shape in a fresh interpreter: the first allocates its block

@@ -204,10 +204,10 @@ def test_alternative_pvalues_sparse_kernel(eps, monkeypatch):
     if eps == 0.0:
         assert calls == [] and widths == [m]
         return
-    u = uniform_rows(23, DOMAIN_POWER, 0, 0, rows, 1 + m + n)
-    shifts = np.searchsorted(sps.binom.cdf(np.arange(n + 1), n, eps), u[:, 0], side="right")
     # one draw per block, wide enough for the most shifts a row can draw
     assert widths == [m + engine._shift_cdf(n, eps).size]
+    u = uniform_rows(23, DOMAIN_POWER, 0, 0, rows, widths[0])
+    shifts = np.searchsorted(sps.binom.cdf(np.arange(n + 1), n, eps), u[:, 0], side="right")
     assert len(calls) == 1
     assert np.array_equal(calls[0], np.concatenate(
         [row[1 + m : 1 + m + k] for row, k in zip(u, shifts)]))
@@ -241,7 +241,7 @@ def test_sample_alternative_shift_count_is_binomial():
     # white box: each row's first draw gives its shift count K ~ Bin(n, eps)
     n, beta = 10_000, 0.75
     spec = mixture_from(n, beta)
-    u = uniform_rows(17, DOMAIN_POWER, 0, 0, 1000, 1)[:, 0]
+    u = uniform_rows(17, DOMAIN_POWER, 0, 0, 1000, engine._row_width(n, spec.eps))[:, 0]
     counts = np.searchsorted(engine._shift_cdf(n, spec.eps), u, side="right")
     assert abs(counts.mean() - 10.0) <= 1.0
     # and the sampler consumes exactly those uniforms: spiked samples have

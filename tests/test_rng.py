@@ -3,7 +3,6 @@
 import math
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +17,9 @@ from sparsemix.rng import (
     DOMAIN_CAL2,
     DOMAIN_NULL,
     DOMAIN_POWER,
-    POSITION_CHUNK,
+    GROUP_ROWS,
     RandomStream,
     U_FLOOR,
-    VECTOR_WIDTH,
     exponentials_from_uniforms,
     normals_from_uniforms,
     uniform_rows,
@@ -36,9 +34,16 @@ def _numpy_stream(seed: int, stream_id: int, width: int) -> np.ndarray:
     return np.random.Generator(np.random.PCG64(seq)).random(width)
 
 
+def _numpy_row(seed: int, domain: int, sub: int, j: int, width: int) -> np.ndarray:
+    """Row j of (domain, sub), `width` wide: draws [k * width, (k + 1) * width)
+    of the oracle stream (domain, sub, j // GROUP_ROWS), k = j % GROUP_ROWS."""
+    group, k = divmod(j, GROUP_ROWS)
+    return _numpy_stream(seed, stream_id_for(domain, sub, group), (k + 1) * width)[k * width :]
+
+
 def _assert_rows_match_numpy(seed, domain, sub, start, rows):
     for j, row in enumerate(rows):
-        expected = _numpy_stream(seed, stream_id_for(domain, sub, start + j), row.size)
+        expected = _numpy_row(seed, domain, sub, start + j, row.size)
         assert np.array_equal(row, expected), (seed, domain, sub, start + j)
 
 
@@ -101,19 +106,20 @@ def test_distinct_streams_differ():
 @pytest.mark.parametrize("domain", DOMAINS)
 @pytest.mark.parametrize("sub", [0, 2**16 - 1])
 def test_uniform_rows_equal_numpy_seedsequence_streams(seed, domain, sub):
-    # VECTOR_WIDTH and one more: the widest vectorised and narrowest seated rows
-    for width in (1, 2, VECTOR_WIDTH, VECTOR_WIDTH + 1, 4098):
-        for start, count in ((0, 2), (2**32 - 1, 1)):  # indices 0, 1 and 2^32 - 1
+    for width in (1, 2, 7, 4098):
+        # the first rows; the last row of the first group and the first of the
+        # next; the last row of all, at the end of its group
+        for start, count in ((0, 2), (GROUP_ROWS - 1, 2), (2**32 - 1, 1)):
             rows = uniform_rows(seed, domain, sub, start, count, width)
             assert rows.shape == (count, width)
             _assert_rows_match_numpy(seed, domain, sub, start, rows)
 
 
-def test_uniform_rows_past_one_position_chunk():
-    for count in (POSITION_CHUNK + 1, 2 * POSITION_CHUNK + 3):
-        rows = uniform_rows(2**32, DOMAIN_POWER, 7, 11, count, 2)
+def test_uniform_rows_across_groups():
+    for start, count in ((11, GROUP_ROWS + 1), (0, 2 * GROUP_ROWS), (3, 2 * GROUP_ROWS + 3)):
+        rows = uniform_rows(2**32, DOMAIN_POWER, 7, start, count, 2)
         assert rows.shape == (count, 2)
-        _assert_rows_match_numpy(2**32, DOMAIN_POWER, 7, 11, rows)
+        _assert_rows_match_numpy(2**32, DOMAIN_POWER, 7, start, rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,8 +127,8 @@ def test_uniform_rows_past_one_position_chunk():
     seed=st.integers(0, 2**64 - 1),
     domain=st.integers(0, 2**16 - 1),
     sub=st.integers(0, 2**16 - 1),
-    start=st.integers(0, 2**32 - 3),
-    count=st.integers(1, 3),
+    start=st.integers(0, 2**32 - 2 * GROUP_ROWS),
+    count=st.integers(1, 2 * GROUP_ROWS),
     width=st.integers(1, 40),
 )
 def test_uniform_rows_property(seed, domain, sub, start, count, width):
@@ -130,7 +136,8 @@ def test_uniform_rows_property(seed, domain, sub, start, count, width):
     _assert_rows_match_numpy(seed, domain, sub, start, rows)
 
 
-def test_uniform_rows_seat_each_row_through_its_stream(monkeypatch):
+def _recorded_seats(monkeypatch) -> list:
+    """The streams that RandomStream.generator() is called on, from now on."""
     seated = []
     generator = RandomStream.generator
 
@@ -139,55 +146,77 @@ def test_uniform_rows_seat_each_row_through_its_stream(monkeypatch):
         return generator(self)
 
     monkeypatch.setattr(RandomStream, "generator", counted)
-    uniform_rows(3, DOMAIN_CAL1, 2, 8, 5, VECTOR_WIDTH + 1)  # a seated width
-    assert seated == [RandomStream(3, stream_id_for(DOMAIN_CAL1, 2, 8 + j)) for j in range(5)]
+    return seated
+
+
+def test_uniform_rows_seat_each_group_once(monkeypatch):
+    seated = _recorded_seats(monkeypatch)
+    uniform_rows(3, DOMAIN_CAL1, 2, GROUP_ROWS - 6, GROUP_ROWS + 9, 3)  # groups 0, 1, 2
+    assert seated == [RandomStream(3, stream_id_for(DOMAIN_CAL1, 2, g)) for g in range(3)]
 
 
 def test_seated_generator_equals_numpy_seedsequence_in_any_order():
     for seed, sid in (
-        (7, 100), (7, 99), (8, 100), (7, 100 + POSITION_CHUNK), (7, 101),
+        (7, 100), (7, 99), (8, 100), (7, 2**32), (7, 101),
         (0, 0), (2**64 - 1, 2**64 - 1), (5, stream_id_for(3, 2, 9)),
     ):
         expected = _numpy_stream(seed, sid, 300)
         generator = RandomStream(seed, sid).generator()
         assert np.array_equal(generator.random(300), expected), (seed, sid)
+    # each call builds a fresh generator at the stream's start
+    stream = RandomStream(7, 100)
+    first = stream.generator()
+    first.random(5)
+    assert np.array_equal(stream.generator().random(300), _numpy_stream(7, 100, 300))
 
 
-def test_seats_across_a_chunk_edge_equal_numpy_in_and_out_of_order():
-    rng._chunk_limbs.cache_clear()
-    edge = 3 * POSITION_CHUNK
+def test_group_edge_starts_equal_numpy_in_and_out_of_order():
+    edge = 3 * GROUP_ROWS
     in_order = list(range(edge - 3, edge + 3))
-    # back and forth over the edge, and through a third chunk that evicts one
-    out_of_order = [edge + 2, edge - 1, edge + POSITION_CHUNK, edge - 3, edge, edge - 2,
-                    edge + 1, edge + POSITION_CHUNK - 1, 0, edge - 1]
-    for sid in in_order + out_of_order:
-        drawn = RandomStream(11, sid).generator().random(VECTOR_WIDTH + 1)
-        assert np.array_equal(drawn, _numpy_stream(11, sid, VECTOR_WIDTH + 1)), sid
-    for first in (edge - 3, edge - 1, edge):
+    # back and forth over the edge, into the next group and back to the first
+    out_of_order = [edge + 2, edge - 1, edge + GROUP_ROWS, edge - 3, edge, edge - 2,
+                    edge + 1, edge + GROUP_ROWS - 1, 0, edge - 1]
+    for j in in_order + out_of_order:
+        rows = uniform_rows(11, DOMAIN_NULL, 0, j, 1, 5)
+        _assert_rows_match_numpy(11, DOMAIN_NULL, 0, j, rows)
+    for first in (edge - 3, edge - 1, edge, edge + 1, edge - GROUP_ROWS):
         rows = uniform_rows(11, DOMAIN_NULL, 0, first, 6, 5)
         _assert_rows_match_numpy(11, DOMAIN_NULL, 0, first, rows)
 
 
-def test_cached_chunk_limbs_are_read_only():
-    limbs = rng._chunk_limbs(5, 1)
-    assert limbs.shape == (4, POSITION_CHUNK) and limbs.dtype == np.uint64
-    with pytest.raises(ValueError):
-        limbs[0, 0] = 0
-    assert rng._chunk_limbs(5, 1) is limbs
+def _draw_varying(generator):
+    """A row of a varying number of draws: one uniform picks 1 to 4 more."""
+    return [generator.random(1 + int(4 * generator.random()))]
 
 
-def test_seating_a_whole_chunk_builds_no_per_chunk_ints():
-    # a whole chunk's (state, inc) as Python ints would take ~1.5 MiB
-    streams = [RandomStream(5, j) for j in range(POSITION_CHUNK)]
-    streams[0].generator()  # derives the chunk's limbs and builds the generator
-    tracemalloc.start()
-    try:
-        for stream in streams:
-            stream.generator()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**10
+def test_row_generators_start_mid_group_as_if_from_its_start():
+    # rows 250..520 of groups 0, 1 and 2, each drawn as _draw_varying draws
+    # it, equal the same rows drawn from the start of group 0
+    def drawn(start, count):
+        gens = rng.row_generators(13, DOMAIN_CAL2, 1, start, count, _draw_varying)
+        return [_draw_varying(g)[0] for g in gens]
+
+    whole = drawn(0, 521)
+    for start, count in ((250, 271), (255, 2), (256, 1), (257, 264), (3, 1)):
+        part = drawn(start, count)
+        assert len(part) == count
+        for a, b in zip(part, whole[start : start + count]):
+            assert np.array_equal(a, b), start
+    # and row j is drawn from its group's own numpy stream
+    g = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        (13, stream_id_for(DOMAIN_CAL2, 1, 2)))))
+    assert np.array_equal(_draw_varying(g)[0], whole[2 * GROUP_ROWS])
+
+
+def test_row_generators_seat_each_group_once_and_check_first(monkeypatch):
+    seated = _recorded_seats(monkeypatch)
+    gens = rng.row_generators(13, DOMAIN_CAL2, 1, 250, 271, _draw_varying)
+    assert seated == []  # nothing is seated before the first row is asked for
+    for generator in gens:
+        _draw_varying(generator)
+    assert seated == [RandomStream(13, stream_id_for(DOMAIN_CAL2, 1, g)) for g in range(3)]
+    with pytest.raises(OutOfRange):
+        rng.row_generators(13, DOMAIN_CAL2, 1, 2**32 - 1, 2, _draw_varying)
 
 
 def test_uniform_rows_split_invariance():
@@ -206,11 +235,10 @@ def test_uniform_rows_fill_a_given_buffer():
     assert np.isnan(buf[3:]).all()
     with pytest.raises(OutOfRange):
         uniform_rows(1729, DOMAIN_CAL2, 4, 10, 3, 7, out=buf)
-    # either way of drawing refuses a buffer it could not fill exactly
-    for width in (7, VECTOR_WIDTH + 1):
-        for bad in (np.empty((3, width), np.float32), np.empty((3, width), order="F")):
-            with pytest.raises(OutOfRange):
-                uniform_rows(1729, DOMAIN_CAL2, 4, 10, 3, width, out=bad)
+    # a buffer that one flat draw could not fill exactly is refused
+    for bad in (np.empty((3, 7), np.float32), np.empty((3, 7), order="F")):
+        with pytest.raises(OutOfRange):
+            uniform_rows(1729, DOMAIN_CAL2, 4, 10, 3, 7, out=bad)
 
 
 @pytest.mark.parametrize(
@@ -227,24 +255,31 @@ def test_uniform_rows_fill_a_given_buffer():
     ],
 )
 def test_uniform_rows_range_checks_before_drawing(monkeypatch, args):
-    derived = []
-    rng._chunk_limbs.cache_clear()  # so that any draw derives its states
-    monkeypatch.setattr(rng, "_pcg64_states", lambda *a: derived.append(a))
+    seated = _recorded_seats(monkeypatch)
     with pytest.raises(OutOfRange):
         uniform_rows(*args)
-    assert not derived
+    assert not seated
 
 
-def test_narrow_draws_do_not_load_numpy_random():
-    # a fresh interpreter: the CLI import and a null simulation of vectorised
-    # rows leave numpy.random unloaded (numpy loads it lazily)
+def test_the_main_process_does_not_load_numpy_random(tmp_path):
+    # a fresh interpreter: importing the CLI leaves numpy.random unloaded
+    # (numpy loads it lazily), and commands whose draws all run in pool
+    # workers leave it unloaded in the main process
     script = f"""
 import sys
 sys.path.insert(0, {str(Path(rng.__file__).parents[1])!r})
-import sparsemix.cli
-from sparsemix.engine import null_statistics
-null_statistics(100, 200, 5, threads=1)
-assert "numpy.random" not in sys.modules, "numpy.random was loaded"
+from sparsemix.cli import main
+assert "numpy.random" not in sys.modules, "importing the CLI loaded numpy.random"
+for argv in (
+    ["size-table", "--n", "100,1000", "--stat", "hc,bj", "--method", "thresh,evi",
+     "--alpha", "0.05", "--reps", "2000", "--out", {str(tmp_path / "sizes.csv")!r}],
+    ["alr-limit", "--variant", "cal1", "--reps", "20000", "--alpha", "0.05",
+     "--out", {str(tmp_path / "cal1.json")!r}],
+    ["alr-limit", "--variant", "cal2", "--reps", "10000", "--grid", "256",
+     "--n-for-l", "1000", "--alpha", "0.05", "--out", {str(tmp_path / "cal2.json")!r}],
+):
+    assert main(argv + ["--threads", "2", "--seed", "5"]) == 0, argv
+    assert "numpy.random" not in sys.modules, argv
 """
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120)

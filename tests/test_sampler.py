@@ -24,8 +24,8 @@ BLOCK = 500  # rows per chunk of the dense oracle, to bound its memory
 
 
 def _dense_lower_halves(n, eps, mu, seed, domain, start, count):
-    """(count, n // 2) lower halves of the dense sampler: row j is 2n
-    uniforms of stream (domain, 0, start + j); coordinate k is shifted when
+    """(count, n // 2) lower halves of the dense sampler: row j is the
+    2n-uniform row start + j of (domain, 0); coordinate k is shifted when
     its first uniform is below eps, and its p-value is 1 - u of its second
     uniform, or Phi-bar(Phi^-1(u) + mu) when shifted."""
     u = uniform_rows(seed, domain, 0, start, count, 2 * n)
@@ -117,7 +117,8 @@ def test_shift_cdf_matches_scipy(n):
 
 @pytest.mark.parametrize("n,eps", [(1000, 0.3), (10_000, 10_000**-0.75)])
 def test_shift_count_is_binomial(n, eps):
-    # K is draw 0 of each row, inverted through the Bin(n, eps) CDF
+    # K is draw 0 of each row, inverted through the Bin(n, eps) CDF; rows of
+    # one draw give as many uniforms to invert
     rows = 100_000
     u = uniform_rows(47, DOMAIN_POWER, 0, 0, rows, 1)[:, 0]
     k = np.searchsorted(engine._shift_cdf(n, eps), u, side="right")
@@ -127,8 +128,9 @@ def test_shift_count_is_binomial(n, eps):
 
 
 def test_nearly_all_shifted_leaves_fewer_than_m_unshifted():
-    # eps = 1 - 1e-9: K > n - m in every row, so fewer than m unshifted order
-    # statistics exist and the shifted p-values fill the rest of the row
+    # eps = 1 - 1e-9: the Bin(n, eps) CDF inverts every one of 2000 uniforms
+    # to K > n - m, so fewer than m unshifted order statistics exist and the
+    # shifted p-values fill the rest of the row
     spec = MixtureSpec(n=1000, eps=1.0 - 1e-9, mu=1.5)
     n, m, rows = spec.n, spec.n // 2, 2000
     u = uniform_rows(48, DOMAIN_POWER, 0, 0, rows, 1)[:, 0]
