@@ -58,6 +58,7 @@ from .rng import (
     DOMAIN_CAL2,
     DOMAIN_NULL,
     DOMAIN_POWER,
+    DOMAIN_SHIFT,
     stream_id_for,
 )
 from .stats import (
@@ -81,6 +82,7 @@ __all__ = [
     "DOMAIN_CAL2",
     "DOMAIN_NULL",
     "DOMAIN_POWER",
+    "DOMAIN_SHIFT",
     "EmptyOrSingleton",
     "IncompatibleMethod",
     "InsufficientReplicates",

@@ -33,15 +33,7 @@ from .errors import (
     OutOfRange,
     UnsupportedStatistic,
 )
-from .rng import (
-    DOMAIN_CAL1,
-    DOMAIN_CAL2,
-    U_FLOOR,
-    exponentials_from_uniforms,
-    normals_from_uniforms,
-    row_generators,
-    uniform_rows,
-)
+from .rng import DOMAIN_CAL1, DOMAIN_CAL2, U_FLOOR, Rows, exponentials_from_uniforms
 from .stats import StatisticKind
 
 _LOG_4PI = math.log(4.0 * math.pi)
@@ -256,10 +248,9 @@ class CriticalValueTable:
 # cumulative sum of standard normals, and the integrand's exponent is
 # B+(t)^2 / (2t(1-t)) = Y+(t)^2 (1-t) / (2t).
 #
-# A cal1 draw inverts 2 uniforms of its row.  A cal2 draw takes its row's
-# first uniform for E and the next grid + 1 standard normals, drawn by numpy's
-# ziggurat sampler (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000), for the
-# bridge.  The `rng` docstring gives where a row's draws sit in its stream.
+# A limit-law draw takes E from one uniform of its row, and Z (cal1) or the
+# grid + 1 increments of the bridge (cal2) from standard normals drawn by
+# numpy's ziggurat sampler; the `rng` docstring gives their streams.
 
 
 def _exp_factor(e: np.ndarray) -> np.ndarray:
@@ -268,13 +259,11 @@ def _exp_factor(e: np.ndarray) -> np.ndarray:
     return np.where(e < 1.0, val, 1.0)
 
 
-def _cal1_rows(u: np.ndarray) -> np.ndarray:
-    """cal1 limit draws from a (batch, 2) uniform matrix.  Z+ is 0 wherever
-    the second uniform is at most 1/2, so only the others are inverted."""
-    e = exponentials_from_uniforms(np.fmax(u[:, 0], U_FLOOR))
-    upper = u[:, 1] > 0.5
-    zp = np.zeros(len(u))
-    zp[upper] = normals_from_uniforms(u[upper, 1])
+def _cal1_rows(u: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """cal1 limit draws from uniforms u, which drive E, and standard normals
+    z, elementwise."""
+    e = exponentials_from_uniforms(np.fmax(u, U_FLOOR))
+    zp = np.fmax(z, 0.0)
     return 0.5 * _exp_factor(e) + 0.5 * np.exp(0.5 * zp * zp)
 
 
@@ -325,13 +314,12 @@ def _ln_rows(
     return np.sum(y, axis=1) / math.log(n)
 
 
-def _cal2_rows(n: int, grid_size: int, draws: np.ndarray) -> np.ndarray:
-    """cal2 limit draws from a (batch, grid_size + 2) matrix: a uniform that
-    drives E, then grid_size + 1 standard normals that drive the bridge,
+def _cal2_rows(n: int, grid_size: int, u: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """cal2 limit draws from uniforms u, which drive E, and a (batch,
+    grid_size + 1) matrix z of standard normals, which drive the bridge and
     whose integrand is formed in their place."""
-    e = exponentials_from_uniforms(np.fmax(draws[:, 0], U_FLOOR))
-    ln = _ln_rows(n, grid_size, draws[:, 1:], out=draws[:, 1:])
-    return 0.5 * _exp_factor(e) + 0.5 * ln
+    e = exponentials_from_uniforms(np.fmax(u, U_FLOOR))
+    return 0.5 * _exp_factor(e) + 0.5 * _ln_rows(n, grid_size, z, out=z)
 
 
 # Doubles of temporaries a cal1 row makes, which sizes its blocks at 4096 rows.
@@ -339,41 +327,36 @@ _CAL1_ROW_ELEMENTS = 32
 
 
 def _cal1_task(args) -> np.ndarray:
-    """cal1 draws start..start+count-1, in blocks of about 4096 rows with one
-    uniform buffer for the whole task, so its temporaries stay small."""
+    """cal1 draws start..start+count-1, in blocks of about 4096 rows with a
+    reader and a buffer each for E and Z for the whole task, so its
+    temporaries stay small."""
     master_seed, start, count = args
-    buf = np.empty((engine.block_rows(count, _CAL1_ROW_ELEMENTS), 2))
+    uniforms = Rows(master_seed, DOMAIN_CAL1, 0, start, count, 1)
+    normals = Rows(master_seed, DOMAIN_CAL1, 1, start, count, 1, normal=True)
+    u, z = np.empty((2, engine.block_rows(count, _CAL1_ROW_ELEMENTS), 1))
 
-    def block(s: int, c: int) -> np.ndarray:
-        return _cal1_rows(uniform_rows(master_seed, DOMAIN_CAL1, 0, s, c, 2, out=buf[:c]))
+    def block(c: int) -> np.ndarray:
+        return _cal1_rows(uniforms.read(u[:c])[:, 0], normals.read(z[:c])[:, 0])
 
-    return engine.in_blocks(block, (count,), start, _CAL1_ROW_ELEMENTS)
-
-
-def _cal2_draw(generator, row: np.ndarray) -> None:
-    """Draw one cal2 row: a random() that drives E, then the
-    row.size - 1 standard_normal() that drive the bridge."""
-    row[0] = generator.random()
-    generator.standard_normal(out=row[1:])
+    return engine.in_blocks(block, (count,), _CAL1_ROW_ELEMENTS)
 
 
 def _cal2_task(args) -> np.ndarray:
     """cal2 draws start..start+count-1, in blocks of about
-    engine.BLOCK_ELEMENTS draws with one buffer for the whole task; the last,
-    shorter block uses its leading rows.  The rows come from
-    `row_generators` in order, so the blocks run in order too."""
+    engine.BLOCK_ELEMENTS normals with a reader and a buffer each for E and
+    the bridge for the whole task; the last, shorter block uses their
+    leading rows."""
     master_seed, n, grid_size, start, count = args
-    width = grid_size + 2
-    buf = np.empty((engine.block_rows(count, width), width))
-    generators = row_generators(master_seed, DOMAIN_CAL2, 0, start, count,
-                                lambda generator: _cal2_draw(generator, buf[0]))
+    width = grid_size + 1
+    uniforms = Rows(master_seed, DOMAIN_CAL2, 0, start, count, 1)
+    normals = Rows(master_seed, DOMAIN_CAL2, 1, start, count, width, normal=True)
+    rows = engine.block_rows(count, width)
+    u, z = np.empty((rows, 1)), np.empty((rows, width))
 
-    def block(s: int, c: int) -> np.ndarray:
-        for row, generator in zip(buf[:c], generators):
-            _cal2_draw(generator, row)
-        return _cal2_rows(n, grid_size, buf[:c])
+    def block(c: int) -> np.ndarray:
+        return _cal2_rows(n, grid_size, uniforms.read(u[:c])[:, 0], normals.read(z[:c]))
 
-    return engine.in_blocks(block, (count,), start, width)
+    return engine.in_blocks(block, (count,), width)
 
 
 def check_limit_request(

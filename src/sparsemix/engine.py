@@ -11,12 +11,12 @@ elements of the bridge, so a block's temporaries stay in a core's L2 cache
 and a task's memory does not grow with its size; a null or alternative task
 allocates its block buffers once and every block writes into them.
 
-A block draws its uniforms with one `rng.uniform_rows` call, which seats one
-generator for each group of rng.GROUP_ROWS replicates that the block
-touches.  `_lower_rows`, the one sampler of null and alternative rows, draws
-only the m = n // 2 smallest p-values of a replicate that the statistics
-read: m spacings and, under the alternative, a shift count and the shifted
-values, so it neither draws nor sorts the upper half.
+A task reads its draws through one `rng.Rows` reader per family of draws,
+which seats each group of rng.GROUP_ROWS replicates once and keeps it across
+the task's blocks.  `_lower_rows`, the one sampler of null and alternative
+rows, draws only the m = n // 2 smallest p-values of a replicate that the
+statistics read: m spacings and, under the alternative, a shift count and
+the shifted normals, so it neither draws nor sorts the upper half.
 
 Replicate j of a run is a pure function of master_seed and its coordinates
 (domain, sub, j), whatever task or block draws it, and every reduction runs
@@ -37,12 +37,13 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import ConfigError, InsufficientReplicates, SampleTooSmall, WorkerLost
-from .mixture import MixtureSpec, alternative_pvalues
-from .rng import DOMAIN_NULL, DOMAIN_POWER, uniform_rows
+from .mixture import MixtureSpec, pvalue
+from .rng import DOMAIN_NULL, DOMAIN_POWER, DOMAIN_SHIFT, Rows
 from .stats import P_MAX, P_MIN, StatisticKind, _row_stats, supported_kinds
 
 # Elements per block inside a task (1 MiB of doubles), sized to stay in L2.
@@ -140,32 +141,33 @@ def block_rows(count: int, width: int) -> int:
     return max(1, min(count, BLOCK_ELEMENTS // width))
 
 
-def in_blocks(block, shape: tuple, start: int, width: int) -> np.ndarray:
-    """Rows start..start+shape[-1]-1 of a task, `width` elements each, run in
-    blocks of block_rows(shape[-1], width) rows.
+def in_blocks(block, shape: tuple, width: int) -> np.ndarray:
+    """The shape[-1] rows of a task, `width` elements each, run in blocks of
+    block_rows(shape[-1], width) rows, in order.
 
-    block(s, c) returns the results of rows s..s+c-1 along its last axis; they
-    are written into one preallocated array of the given shape.
+    block(c) returns the results of the task's next c rows along its last
+    axis; they are written into one preallocated array of the given shape.
     """
     out = np.empty(shape)
     count = shape[-1]
     rows = block_rows(count, width)
     for lo in range(0, count, rows):
         c = min(rows, count - lo)
-        out[..., lo : lo + c] = block(start + lo, c)
+        out[..., lo : lo + c] = block(c)
     return out
 
 
-def _task_buffers(rows: int, width: int, n: int) -> tuple[np.ndarray, tuple]:
-    """A task's block buffers: a flat draw buffer of rows * width elements and
-    the `_row_stats` scratch at sample size n.  The draws and the two float
-    scratch matrices are one allocation: once glibc has unmapped one chunk of
-    that size it keeps the next on its heap when freed, so a later task of
-    the same shape faults none of it in again."""
+def _task_buffers(rows: int, widths: tuple, n: int) -> tuple[list[np.ndarray], tuple]:
+    """A task's block buffers: a flat buffer of rows * w elements for each
+    width w in `widths`, and the `_row_stats` scratch at sample size n.  All
+    of them are one allocation: once glibc has unmapped one chunk of that
+    size it keeps the next on its heap when freed, so a later task of the
+    same shape faults none of it in again."""
     m = n // 2
-    flat = np.empty(rows * (width + 2 * m))
-    a, b = flat[rows * width :].reshape(2, rows, m)
-    return flat[: rows * width], (a, b, np.empty((rows, m), dtype=bool))
+    flat = np.empty(rows * (sum(widths) + 2 * m))
+    *bufs, scratch = np.split(flat, [rows * w for w in accumulate(widths)])
+    a, b = scratch.reshape(2, rows, m)
+    return bufs, (a, b, np.empty((rows, m), dtype=bool))
 
 
 @lru_cache(maxsize=8)
@@ -201,56 +203,79 @@ def _shift_cdf(n: int, eps: float) -> np.ndarray:
     return cdf
 
 
-def _row_width(n: int, eps: float) -> int:
-    """Draws per row of `_lower_rows`: the m = n // 2 spacings, and with
-    eps > 0 the shift count and room for the most shifts a row can have."""
-    return n // 2 + (_shift_cdf(n, eps).size if eps > 0.0 else 0)
+def _alt_readers(
+    n: int, eps: float, master_seed: int, sub: int, start: int, count: int
+) -> tuple[Rows, Rows | None]:
+    """The readers of alternative replicates start..start+count-1 on stream
+    sub-range `sub`, in the layout the `rng` docstring gives: 1 + m uniforms
+    of (DOMAIN_POWER, sub) a row, and as many normals of (DOMAIN_SHIFT, sub)
+    as the most shifts a row can have, one less than the size of its
+    Bin(n, eps) CDF table.  At eps = 0, a null row's m uniforms and no
+    normals."""
+    m = n // 2
+    if eps == 0.0:
+        return Rows(master_seed, DOMAIN_POWER, sub, start, count, m), None
+    shifts = _shift_cdf(n, eps).size - 1
+    return (
+        Rows(master_seed, DOMAIN_POWER, sub, start, count, 1 + m),
+        Rows(master_seed, DOMAIN_SHIFT, sub, start, count, shifts, normal=True),
+    )
+
+
+def _buffer_widths(n: int, uniforms: Rows, normals: Rows | None) -> tuple[int, ...]:
+    """Widths of the row buffers of `_lower_rows`: the uniforms, and with
+    normals the normals and the row that merges them, m + their width."""
+    if normals is None:
+        return (uniforms.width,)
+    return (uniforms.width, normals.width, n // 2 + normals.width)
 
 
 def _lower_rows(
     n: int,
     eps: float,
     mu: float,
-    master_seed: int,
-    domain: int,
-    sub: int,
-    start: int,
+    uniforms: Rows,
+    normals: Rows | None,
     count: int,
-    buf: np.ndarray | None = None,
+    bufs: list[np.ndarray] | None = None,
     tmp: np.ndarray | None = None,
 ) -> np.ndarray:
     """(count, m) sorted lower halves p_(1..m), m = n // 2, clamped to
-    [P_MIN, P_MAX], of replicates start..start+count-1 of the mixture with a
-    fraction eps shifted by mu; row j is replicate start + j of (domain,
-    sub), drawn by `uniform_rows` in the layout the `rng` docstring gives.
-    The null is eps = 0.
+    [P_MIN, P_MAX], of the next `count` replicates of the mixture with a
+    fraction eps shifted by mu, read from `uniforms` and `normals` in the
+    layout the `rng` docstring gives.  The null is eps = 0 and no normals.
 
     K ~ Bin(n, eps) coordinates are shifted (none when eps = 0).  The m
     smallest of the N = n - K unshifted p-values come from the Renyi
     representation (Renyi 1953; Devroye 1986, ch. V),
     p_(i) = -expm1(-sum_{k<=i} E_k / (N - k + 1)) with E_k = -log(1 - u_k)
     (1 - u is exact on the 2^-53 grid), of which the first min(m, N)
-    exist.  The K shifted p-values are mixture.alternative_pvalues of their
-    uniforms, one call per block, merged into the row by a stable sort of
+    exist.  The K shifted p-values are pvalue(Z + mu) of a row's first K
+    normals Z, one call per block, merged into the row by a stable sort of
     its first m + max K columns.
 
-    The rows are formed in `buf`, a flat float64 buffer of at least
-    count * _row_width(n, eps) elements, and the divisors N - k + 1, when
-    some row shifts, in `tmp`, a float64 array of at least (count, m); each
-    is new by default.  The result is a view of `buf`.
+    The rows are formed in `bufs`, flat float64 buffers of at least
+    count * w elements for each width w of `_buffer_widths`, and the
+    divisors N - k + 1, when some row shifts, in `tmp`, a float64 array of
+    at least (count, m); each is new by default.  Without normals the rows
+    are formed in place of the uniforms.  The result is a view of `bufs`.
     """
-    m, width = n // 2, _row_width(n, eps)
-    lead = shifts = 0
-    if buf is None:
-        buf = np.empty(count * width)
-    u = buf[: count * width].reshape(count, width)
-    uniform_rows(master_seed, domain, sub, start, count, width, out=u)
-    if eps > 0.0:
+    m = n // 2
+    widths = _buffer_widths(n, uniforms, normals)
+    bufs = bufs or [np.empty(count * w) for w in widths]
+    u, *rest = (buf[: count * w].reshape(count, w) for buf, w in zip(bufs, widths))
+    uniforms.read(u)
+    shifts = 0
+    if normals is None:
+        row = u
+    else:
+        z, row = rest
+        normals.read(z)
         k = np.searchsorted(_shift_cdf(n, eps), u[:, 0], side="right")
-        lead, shifts = 1, int(k.max(initial=0))
-    x = u[:, lead : lead + m]
+        shifts = int(k.max(initial=0))
+    x = row[:, :m]
     # -E_k / (N - k + 1), summed along the row
-    np.subtract(1.0, x, out=x)
+    np.subtract(1.0, u[:, -m:], out=x)
     np.log(x, out=x)
     den = _renyi_denominators(n)
     short = shifts > n - m  # some row has fewer than m unshifted p-values
@@ -266,66 +291,68 @@ def _lower_rows(
     if shifts:
         if short:
             x[np.arange(m) >= (n - k)[:, None]] = np.inf
-        tail = u[:, lead + m : lead + m + shifts]
+        tail = row[:, m : m + shifts]
         used = np.arange(shifts) < k[:, None]
-        tail[used] = alternative_pvalues(tail[used], mu)
+        tail[used] = pvalue(z[:, :shifts][used] + mu)
         tail[~used] = np.inf
-        u[:, lead : lead + m + shifts].sort(axis=1, kind="stable")
+        row[:, : m + shifts].sort(axis=1, kind="stable")
     return np.clip(x, P_MIN, P_MAX, out=x)
 
 
-def _null_rows(n: int, master_seed: int, start: int, count: int, *, buf=None) -> np.ndarray:
-    """(count, n // 2) sorted, clamped lower halves of null replicates
-    start..start+count-1: `_lower_rows` at eps = 0, formed in `buf`."""
-    return _lower_rows(n, 0.0, 0.0, master_seed, DOMAIN_NULL, 0, start, count, buf)
+def _null_rows(n: int, uniforms: Rows, count: int, *, bufs=None) -> np.ndarray:
+    """(count, n // 2) sorted, clamped lower halves of the next `count` null
+    replicates of `uniforms`: `_lower_rows` at eps = 0, formed in `bufs`."""
+    return _lower_rows(n, 0.0, 0.0, uniforms, None, count, bufs)
 
 
 def _alt_rows(
     n: int,
     eps: float,
     mu: float,
-    master_seed: int,
-    sub: int,
-    start: int,
+    uniforms: Rows,
+    normals: Rows | None,
     count: int,
     *,
-    buf=None,
+    bufs=None,
     tmp=None,
 ) -> np.ndarray:
-    """(count, n // 2) sorted, clamped lower halves of alternative
-    replicates start..start+count-1 on stream sub-range `sub`: `_lower_rows`
-    of the mixture, formed in `buf` with `tmp` as scratch."""
-    return _lower_rows(n, eps, mu, master_seed, DOMAIN_POWER, sub, start, count, buf, tmp)
+    """(count, n // 2) sorted, clamped lower halves of the next `count`
+    alternative replicates of the readers from `_alt_readers`: `_lower_rows`
+    of the mixture, formed in `bufs` with `tmp` as scratch."""
+    return _lower_rows(n, eps, mu, uniforms, normals, count, bufs, tmp)
 
 
 def _null_task(args) -> np.ndarray:
     """(len(kinds), count) statistics of null replicates start..start+count-1,
-    computed in blocks of BLOCK_ELEMENTS // n rows with one set of block
-    buffers for the whole task; the last, shorter block uses their leading
-    rows."""
+    computed in blocks of BLOCK_ELEMENTS // n rows with one reader and one
+    set of block buffers for the whole task; the last, shorter block uses
+    their leading rows."""
     n, master_seed, kinds, start, count = args
-    buf, scratch = _task_buffers(block_rows(count, n), n // 2, n)
+    uniforms = Rows(master_seed, DOMAIN_NULL, 0, start, count, n // 2)
+    bufs, scratch = _task_buffers(block_rows(count, n), (n // 2,), n)
 
-    def block(s: int, c: int) -> list[np.ndarray]:
-        stats = _row_stats(_null_rows(n, master_seed, s, c, buf=buf), n, kinds, scratch)
+    def block(c: int) -> list[np.ndarray]:
+        stats = _row_stats(_null_rows(n, uniforms, c, bufs=bufs), n, kinds, scratch)
         return [stats[k] for k in kinds]
 
-    return in_blocks(block, (len(kinds), count), start, n)
+    return in_blocks(block, (len(kinds), count), n)
 
 
 def _alt_task(args) -> np.ndarray:
     """(len(kinds), count) statistics of alternative replicates, in blocks of
-    the null's row count, with a draw buffer wide enough for a row that
-    shifts the most coordinates a row can."""
+    the null's row count, with buffers wide enough for a row that shifts
+    the most coordinates a row can."""
     n, eps, mu, master_seed, sub, kinds, start, count = args
-    buf, scratch = _task_buffers(block_rows(count, n), _row_width(n, eps), n)
+    uniforms, normals = _alt_readers(n, eps, master_seed, sub, start, count)
+    widths = _buffer_widths(n, uniforms, normals)
+    bufs, scratch = _task_buffers(block_rows(count, n), widths, n)
 
-    def block(s: int, c: int) -> list[np.ndarray]:
-        p = _alt_rows(n, eps, mu, master_seed, sub, s, c, buf=buf, tmp=scratch[0])
+    def block(c: int) -> list[np.ndarray]:
+        p = _alt_rows(n, eps, mu, uniforms, normals, c, bufs=bufs, tmp=scratch[0])
         stats = _row_stats(p, n, kinds, scratch)
         return [stats[k] for k in kinds]
 
-    return in_blocks(block, (len(kinds), count), start, n)
+    return in_blocks(block, (len(kinds), count), n)
 
 
 def _check_request(n: int, reps: int, kinds) -> tuple[StatisticKind, ...]:

@@ -14,7 +14,6 @@ import numpy as np
 
 from .cephes import erfc
 from .errors import DomainError, NonFinite, OutOfRange, SampleTooSmall
-from .rng import normals_from_uniforms
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -82,8 +81,3 @@ def pvalue(x):
     p = 0.5 * erfc(a / _SQRT2)
     return float(p) if np.isscalar(x) or a.ndim == 0 else p
 
-
-def alternative_pvalues(u: np.ndarray, mu: float) -> np.ndarray:
-    """P-values Phi-bar(Phi^-1(u) + mu) of shifted coordinates, from their
-    uniforms u (any shape)."""
-    return pvalue(normals_from_uniforms(u) + mu)

@@ -9,67 +9,62 @@ Stream ids partition the id space by purpose:
 
     stream_id = domain << 48 | sub << 32 | index
 
-where `domain` separates null simulation, power simulation, and the two
-ALR limit-law samplers, and `sub` separates e.g. grid points within a power
-study.  A stream is numpy's Generator(PCG64(SeedSequence((master_seed,
-stream_id)))), which `RandomStream.generator()` builds afresh.
+where `domain` separates null simulation, power simulation (its uniforms and
+its shifted normals), and the two ALR limit-law samplers, and `sub`
+separates e.g. grid points within a power study or the two draws of a
+limit-law row.  A stream is numpy's Generator(PCG64(SeedSequence(
+(master_seed, stream_id)))), which `RandomStream.generator()` builds afresh.
 
 Replicates share streams in groups of GROUP_ROWS, as substreams of one
 stream (L'Ecuyer, Munger, Oreshkin & Simard, Math. Comput. Simul. 135,
-2017): replicate j of (domain, sub) draws from stream (domain, sub,
-j // GROUP_ROWS), after the group's earlier rows.  A row is drawn one of
-two ways:
-
-* `uniform_rows`, a fixed `width` of Generator.random() draws: row j is
-  draws [(j % GROUP_ROWS) * width, (j % GROUP_ROWS + 1) * width) of its
-  group's stream.  A call seats one generator for each group it touches,
-  advances it past the group's rows before the call's first (PCG64's advance
-  costs O(log distance); O'Neill, PCG, 2014), and fills all of the group's
-  rows with one random() call.  Seating costs ~10 us, which GROUP_ROWS rows
-  share.
-* `row_generators`, rows that take a varying number of draws: a group's rows
-  are drawn in order from its generator, so a task that starts mid-group
-  first draws and discards the group's earlier rows.
-
-numpy.random is loaded on the first seat, not when the package is imported.
+2017): row j of (domain, sub), `width` draws wide, is draws
+[(j % GROUP_ROWS) * width, (j % GROUP_ROWS + 1) * width) of stream
+(domain, sub, j // GROUP_ROWS), either Generator.random() uniforms in [0, 1)
+or Generator.standard_normal() normals (numpy's ziggurat; Marsaglia & Tsang,
+J. Stat. Softw. 5(8), 2000).  A task reads its rows through one `Rows`
+reader per family of draws, which seats each group's generator once and
+keeps it across the task's blocks.  Seating costs ~10 us, which GROUP_ROWS
+rows share.  numpy.random is loaded on the first seat, not when the package
+is imported.
 
 Row layouts, m = n // 2 (engine._lower_rows turns the first two into
 sorted lower halves of p-values):
 
-* Null (DOMAIN_NULL): m uniforms, the spacings of the m smallest of n
-  uniform p-values.
-* Alternative (DOMAIN_POWER), eps > 0: draw 0 gives the shift count K by
-  inverting the Bin(n, eps) CDF, draws 1..m the spacings of the n - K
-  unshifted p-values, and draws m+1..m+K the K shifted ones.  Rows are
-  drawn wide enough for the most shifts any row can have; the draws past
-  m + K are not read.  At eps = 0 a row is the null's m spacings.
-* cal1 (DOMAIN_CAL1): 2 uniforms.
-* cal2 (DOMAIN_CAL2), through `row_generators`: one Generator.random() and
-  then grid + 1 Generator.standard_normal() draws (numpy's ziggurat).
+* Null (DOMAIN_NULL, sub 0): m uniforms, the spacings of the m smallest of
+  n uniform p-values.
+* Alternative at grid point k, eps > 0: 1 + m uniforms of (DOMAIN_POWER,
+  k), draw 0 giving the shift count K by inverting the Bin(n, eps) CDF and
+  draws 1..m the spacings of the n - K unshifted p-values; and W normals of
+  (DOMAIN_SHIFT, k), W the most shifts a row can have, of which the first K
+  are the shifted coordinates less their mean.  At eps = 0 a row is the
+  null's m spacings, on (DOMAIN_POWER, k).
+* cal1: one uniform of (DOMAIN_CAL1, 0) for E, one normal of (DOMAIN_CAL1,
+  1) for Z.
+* cal2: one uniform of (DOMAIN_CAL2, 0) for E, grid + 1 normals of
+  (DOMAIN_CAL2, 1) for the bridge.
 
 NEP 19 freezes the bit streams of numpy's bit generators and SeedSequence,
 but not the Generator methods that transform them, so every row is tied to
-the numpy version, the cal2 rows through the ziggurat too.
-tests/test_rng.py holds numpy's own SeedSequence as the oracle.
+the numpy version.  tests/test_rng.py holds numpy's own SeedSequence as the
+oracle.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cephes import ndtri
 from .errors import OutOfRange
 
 DOMAIN_NULL = 0
 DOMAIN_POWER = 1
 DOMAIN_CAL1 = 2
 DOMAIN_CAL2 = 3
+DOMAIN_SHIFT = 4
 
-# Uniforms from Generator.random() live in [0, 1); guard the left edge before
-# inverting so ndtri never sees an exact 0 (and Exp(1) draws stay positive).
+# Uniforms from Generator.random() live in [0, 1); guard the left edge so
+# that Exp(1) draws -log1p(-u) stay positive.
 U_FLOOR = 2.0**-54
 
 # Replicates that share one stream.
@@ -106,91 +101,76 @@ class RandomStream:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-def _spans(
-    master_seed: int, domain: int, sub: int, start: int, count: int
-) -> list[tuple[RandomStream, int, int]]:
-    """(stream, first, rows) for each group that rows start..start+count-1 of
-    (domain, sub) touch, in order: the group's stream, the position in the
-    group of the first of those rows, and how many of them it holds.  Raises
-    OutOfRange if a row's coordinates do not fit."""
-    if count < 0:
-        raise OutOfRange(f"count {count} must be >= 0")
-    RandomStream(master_seed, stream_id_for(domain, sub, start))
-    stream_id_for(domain, sub, start + max(count, 1) - 1)  # the last row's index fits
-    spans, j, end = [], start, start + count
-    while j < end:
-        group, first = divmod(j, GROUP_ROWS)
-        rows = min(GROUP_ROWS - first, end - j)
-        stream = RandomStream(master_seed, stream_id_for(domain, sub, group))
-        spans.append((stream, first, rows))
-        j += rows
-    return spans
+class Rows:
+    """Reader of rows start..start+count-1 of (domain, sub) under
+    master_seed, `width` draws a row: uniforms, or standard normals if
+    `normal`.  Each `read` fills the next rows, so a task builds one reader
+    per family of draws and reads its blocks in order.  Each group's
+    generator is seated once per reader and kept until the reader moves on
+    to the next group.  At the task's first row, mid-group, a uniform reader
+    advances past the group's earlier rows (PCG64's advance costs O(log
+    distance); O'Neill, PCG, 2014); a normal reader, whose draws take a
+    varying number of bits, draws them and discards them into `out`.
+    Raises OutOfRange if a row's coordinates do not fit."""
 
+    def __init__(
+        self,
+        master_seed: int,
+        domain: int,
+        sub: int,
+        start: int,
+        count: int,
+        width: int,
+        normal: bool = False,
+    ) -> None:
+        if count < 0:
+            raise OutOfRange(f"count {count} must be >= 0")
+        if width < 0:
+            raise OutOfRange(f"width {width} must be >= 0")
+        RandomStream(master_seed, stream_id_for(domain, sub, start))
+        stream_id_for(domain, sub, start + max(count, 1) - 1)  # the last row's index fits
+        self.master_seed, self.domain, self.sub = master_seed, domain, sub
+        self.width, self.normal = width, normal
+        self._next, self._end = start, start + count
+        self._group, self._draw = -1, None
 
-def uniform_rows(
-    master_seed: int,
-    domain: int,
-    sub: int,
-    start: int,
-    count: int,
-    width: int,
-    *,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """(count, width) uniforms in [0, 1) of rows start..start+count-1 of
-    (domain, sub) under master_seed: row j is draws [(j % GROUP_ROWS) * width,
-    (j % GROUP_ROWS + 1) * width) of stream (domain, sub, j // GROUP_ROWS).
-    `out`, a C-contiguous float64 (count, width) array, receives the draws;
-    by default a new one does.  Raises OutOfRange, before anything is drawn,
-    if a row's coordinates or `out` do not fit."""
-    if width < 0:
-        raise OutOfRange(f"width {width} must be >= 0")
-    spans = _spans(master_seed, domain, sub, start, count)
-    if out is None:
-        out = np.empty((count, width))
-    elif out.shape != (count, width):
-        raise OutOfRange(f"out has shape {out.shape}, need {(count, width)}")
-    elif out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise OutOfRange(f"out must be C-contiguous float64, got {out.dtype}")
-    flat, done = out.reshape(-1), 0
-    for stream, first, rows in spans:
+    def read(self, out: np.ndarray) -> np.ndarray:
+        """Fill `out`, a C-contiguous float64 (rows, width) array, with the
+        reader's next `rows` rows and return it.  Raises OutOfRange, before
+        anything is drawn, if `out` does not fit or holds more rows than
+        are left."""
+        if out.ndim != 2 or out.shape[1] != self.width:
+            raise OutOfRange(f"out has shape {out.shape}, need (rows, {self.width})")
+        if out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise OutOfRange(f"out must be C-contiguous float64, got {out.dtype}")
+        rows, width = out.shape
+        if rows > self._end - self._next:
+            raise OutOfRange(f"{rows} rows asked for, {self._end - self._next} left")
+        flat, done = out.reshape(-1), 0
+        while done < rows:
+            group, first = divmod(self._next, GROUP_ROWS)
+            if group != self._group:
+                self._group, self._draw = group, self._seat(group, first, flat)
+            take = min(GROUP_ROWS - first, rows - done)
+            self._draw(out=flat[done * width : (done + take) * width])
+            done += take
+            self._next += take
+        return out
+
+    def _seat(self, group: int, first: int, flat: np.ndarray):
+        """The draw method of `group`'s generator, past the group's first
+        `first` rows; a normal reader discards them through `flat`."""
+        stream = RandomStream(self.master_seed, stream_id_for(self.domain, self.sub, group))
         generator = stream.generator()
-        generator.bit_generator.advance(first * width)
-        generator.random(out=flat[done * width : (done + rows) * width])
-        done += rows
-    return out
-
-
-def row_generators(
-    master_seed: int,
-    domain: int,
-    sub: int,
-    start: int,
-    count: int,
-    draw: Callable[[np.random.Generator], object],
-) -> Iterator[np.random.Generator]:
-    """The generator of each of rows start..start+count-1 of (domain, sub),
-    in order: its group's, past the group's earlier rows, each of which
-    takes the draws that draw(generator) takes.  The caller draws each row
-    before it asks for the next; a group's rows before `start` are drawn
-    here by `draw` and discarded.  Raises OutOfRange, before anything is
-    drawn, if a row's coordinates do not fit."""
-    spans = _spans(master_seed, domain, sub, start, count)
-
-    def each_row() -> Iterator[np.random.Generator]:
-        for stream, first, rows in spans:
-            generator = stream.generator()
-            for _ in range(first):
-                draw(generator)
-            for _ in range(rows):
-                yield generator
-
-    return each_row()
-
-
-def normals_from_uniforms(u: np.ndarray) -> np.ndarray:
-    """Standard normals by CDF inversion of uniforms in [0, 1)."""
-    return ndtri(np.fmax(u, U_FLOOR))
+        if not self.normal:
+            generator.bit_generator.advance(first * self.width)
+            return generator.random
+        left = first * self.width
+        while left:
+            k = min(left, flat.size)
+            generator.standard_normal(out=flat[:k])
+            left -= k
+        return generator.standard_normal
 
 
 def exponentials_from_uniforms(u: np.ndarray) -> np.ndarray:

@@ -47,11 +47,15 @@ from table_json import table_cv, table_from_json
 REL = 1e-12
 
 
-def _cal2_generator(seed, idx):
-    """numpy's own Generator(PCG64(SeedSequence((seed, id)))) of cal2 stream
-    idx, which holds cal2 rows idx * GROUP_ROWS onward."""
-    seq = np.random.SeedSequence((seed, stream_id_for(DOMAIN_CAL2, 0, idx)))
+def _generator(seed, domain, sub, idx):
+    """numpy's own Generator(PCG64(SeedSequence((seed, id)))) of stream idx
+    of (domain, sub), which holds rows idx * GROUP_ROWS onward."""
+    seq = np.random.SeedSequence((seed, stream_id_for(domain, sub, idx)))
     return np.random.Generator(np.random.PCG64(seq))
+
+
+def _cal2_generator(seed, idx):
+    return _generator(seed, DOMAIN_CAL2, 0, idx)
 
 
 def _cal2_uniforms(seed, idx, shape):
@@ -302,11 +306,10 @@ def test_table_from_json_rejects_garbage():
 
 def test_cal1_crafted_uniforms():
     # E = 0.5, Z = 1: 0.5 * e^{-0.5}/0.5 + 0.5 * e^{0.5}
-    u = np.array([[-math.expm1(-0.5), float(special.ndtr(1.0))]])
-    assert _cal1_rows(u)[0] == pytest.approx(1.4308912950626975, rel=REL)
+    u, z = np.array([-math.expm1(-0.5), -math.expm1(-2.0)]), np.array([1.0, -1.0])
+    assert _cal1_rows(u, z)[0] == pytest.approx(1.4308912950626975, rel=REL)
     # E = 2 >= 1 kills the first factor; Z < 0 truncates to zero
-    u = np.array([[-math.expm1(-2.0), float(special.ndtr(-1.0))]])
-    assert _cal1_rows(u)[0] == pytest.approx(1.0, rel=REL)
+    assert _cal1_rows(u, z)[1] == pytest.approx(1.0, rel=REL)
 
 
 def test_cal1_draws_at_least_one():
@@ -453,16 +456,16 @@ def test_alr_limit_cv_cal2_runs_small():
 
 def test_cal2_draw_composition():
     # one draw = exponential factor plus half the bridge functional, from
-    # numpy alone: row j is read from stream j // GROUP_ROWS after the
-    # group's earlier rows, each a uniform and then m + 1 normals
+    # numpy alone: row j is uniform k = j % GROUP_ROWS of stream
+    # j // GROUP_ROWS of (DOMAIN_CAL2, 0), and normals [k (m + 1),
+    # (k + 1) (m + 1)) of that stream of (DOMAIN_CAL2, 1)
     n, m, seed = 1024, 256, 13
     for j in (0, 4, GROUP_ROWS + 4):
         direct = _cal2_task((seed, n, m, j, 1))[0]
         group, k = divmod(j, GROUP_ROWS)
-        g = _cal2_generator(seed, group)
-        for _ in range(k):
-            g.random(), g.standard_normal(m + 1)
-        u0, z = g.random(), g.standard_normal(m + 1)
+        u0 = _generator(seed, DOMAIN_CAL2, 0, group).random(k + 1)[k]
+        z = _generator(seed, DOMAIN_CAL2, 1, group).standard_normal((k + 1) * (m + 1))
+        z = z[k * (m + 1) :]
         e = -math.log1p(-max(u0, U_FLOOR))
         factor = math.exp(e - 1.0) / e if e < 1.0 else 1.0
         ln = _ln_rows(n, m, z[None, :])[0]
@@ -530,31 +533,32 @@ def test_cal2_draws_do_not_depend_on_the_thread_count():
 
 
 def test_cal1_task_reads_its_rows_from_the_group_streams(monkeypatch):
-    # rows 0..999 are the first 2 * 256 draws of each of cal1 streams 0..3,
-    # two a row, in blocks of 4096 rows or of 7
-    u = np.vstack([
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-            (1729, stream_id_for(DOMAIN_CAL1, 0, g))))).random((GROUP_ROWS, 2))
-        for g in range(4)
-    ])[:1000]
+    # rows 0..999 take E from the first 256 uniforms of each of streams 0..3
+    # of (DOMAIN_CAL1, 0), and Z from the first 256 normals of those of
+    # (DOMAIN_CAL1, 1), in blocks of 4096 rows or of 7
+    u = np.concatenate(
+        [_generator(1729, DOMAIN_CAL1, 0, g).random(GROUP_ROWS) for g in range(4)])[:1000]
+    z = np.concatenate(
+        [_generator(1729, DOMAIN_CAL1, 1, g).standard_normal(GROUP_ROWS) for g in range(4)])[:1000]
     for _ in range(2):
-        assert np.array_equal(_cal1_task((1729, 0, 1000)), _cal1_rows(u))
-        assert np.array_equal(_cal1_task((1729, 300, 700)), _cal1_rows(u[300:]))
+        assert np.array_equal(_cal1_task((1729, 0, 1000)), _cal1_rows(u, z))
+        assert np.array_equal(_cal1_task((1729, 300, 700)), _cal1_rows(u[300:], z[300:]))
         monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 7 * calibration._CAL1_ROW_ELEMENTS)
 
 
 def test_limit_task_draws_are_pinned():
-    # SHA-256 of the task outputs in the layout of 256-row stream groups
-    # (numpy 2.4.6): a change to the stream layout, the draws or the
-    # limit-law arithmetic shows here.
+    # SHA-256 of the task outputs in the layout of 256-row stream groups,
+    # with E and the ziggurat normals on streams of their own (numpy 2.4.6):
+    # a change to the stream layout, the draws or the limit-law arithmetic
+    # shows here.
     cal1 = calibration._cal1_task((1729, 0, 5000))
     cal2 = _cal2_task((1729, 1000, 256, 0, 64))
     assert (cal1.shape, cal2.shape) == ((5000,), (64,))
     assert hashlib.sha256(cal1.tobytes()).hexdigest() == (
-        "f907441305b9d56118a2cd9c6ccc99d510ca8d21f75657faaab5f2c076b86dee"
+        "c80cd038e0ade8c70d211e22bb2b33a9e999a5c485784a39b9db54f866cbc998"
     )
     assert hashlib.sha256(cal2.tobytes()).hexdigest() == (
-        "6fe2315845b53fb94cb1dad164bb9dcc06c9475a1fc289f40d68a384b3b08c30"
+        "ac6cd8b75ff3bb2a9643ce9634699013ceb772d3bd021105fc7a706b1ed94745"
     )
 
 

@@ -1,5 +1,6 @@
-"""sparsemix.cephes against scipy.special, the oracle: bitwise equality on
-seeded draws, on every branch edge and at the ends of the double range."""
+"""sparsemix.cephes.erfc against scipy.special's, the oracle: bitwise
+equality on seeded draws, on every branch edge and at the ends of the double
+range."""
 
 import math
 import subprocess
@@ -11,8 +12,7 @@ import numpy as np
 from scipy import special
 
 import sparsemix
-from sparsemix.cephes import MAXLOG, erfc, ndtri
-from sparsemix.rng import U_FLOOR
+from sparsemix.cephes import MAXLOG, erfc
 
 
 def _neighbours(v):
@@ -29,35 +29,6 @@ def _assert_bitwise(fn, oracle, x):
     assert got.shape == want.shape
     same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
     assert same.all(), (x[~same][:5], got[~same][:5], want[~same][:5])
-
-
-def test_ndtri_seeded_uniforms():
-    u = np.random.default_rng(20260).random(1_000_000)
-    _assert_bitwise(ndtri, special.ndtri, u)
-
-
-def test_ndtri_edges():
-    powers = np.ldexp(1.0, -np.arange(1, 1075))  # 2^-k, k = 1..1074
-    e2 = math.exp(-2.0)
-    x = np.concatenate([
-        powers,
-        1.0 - powers,  # 1 once k > 53
-        [U_FLOOR, 0.5, 1.0 - 2.0**-53, 0.0],
-        _neighbours([e2, 1.0 - e2]),
-        # the x = 8 switch between the tail tables: y near exp(-32)
-        _neighbours(math.exp(-32.0)),
-        np.linspace(0.5, 2.0, 20001) * math.exp(-32.0),
-    ])
-    _assert_bitwise(ndtri, special.ndtri, x)
-
-
-def test_ndtri_domain_and_shape():
-    assert ndtri(0.0) == -np.inf and ndtri(1.0) == np.inf
-    assert np.isnan(ndtri(np.array([-0.5, 1.5, np.nan]))).all()
-    assert ndtri(0.5) == 0.0 and ndtri(np.float64(0.25)).shape == ()
-    u = np.random.default_rng(3).random((3, 4, 5))
-    assert np.array_equal(ndtri(u), special.ndtri(u))
-    assert ndtri(np.empty((0, 3))).shape == (0, 3)
 
 
 def test_erfc_seeded_normals():

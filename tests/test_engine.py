@@ -28,7 +28,13 @@ from sparsemix import (
 import sparsemix
 from sparsemix import calibration, engine, rng
 from sparsemix.mixture import mixture_from
-from sparsemix.rng import DOMAIN_NULL, DOMAIN_POWER, U_FLOOR
+from sparsemix.rng import (
+    DOMAIN_CAL1,
+    DOMAIN_CAL2,
+    DOMAIN_NULL,
+    DOMAIN_POWER,
+    DOMAIN_SHIFT,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -38,14 +44,16 @@ def _clean_cache():
     engine._null_entry.cache_clear()
 
 
-def _numpy_row(seed, domain, sub, j, width):
-    """The oracle: row j of (domain, sub), `width` wide, which is draws
-    [k * width, (k + 1) * width), k = j % GROUP_ROWS, of numpy's own
-    Generator(PCG64(SeedSequence((seed, stream_id_for(domain, sub,
-    j // GROUP_ROWS)))))."""
+def _numpy_row(seed, domain, sub, j, width, normal=False):
+    """The oracle: row j of (domain, sub), `width` wide, which is uniforms (or
+    standard normals) [k * width, (k + 1) * width), k = j % GROUP_ROWS, of
+    numpy's own Generator(PCG64(SeedSequence((seed, stream_id_for(domain,
+    sub, j // GROUP_ROWS)))))."""
     group, k = divmod(j, rng.GROUP_ROWS)
     seq = np.random.SeedSequence((seed, stream_id_for(domain, sub, group)))
-    return np.random.Generator(np.random.PCG64(seq)).random((k + 1) * width)[k * width :]
+    generator = np.random.Generator(np.random.PCG64(seq))
+    draw = generator.standard_normal if normal else generator.random
+    return draw((k + 1) * width)[k * width :]
 
 
 def _renyi_low(u, unshifted, m):
@@ -73,9 +81,9 @@ def test_null_batch_matches_scalar_path_bitwise():
 
 
 def test_alternative_batch_matches_scalar_path_bitwise():
-    # row j from numpy alone: K by the Bin(n, eps) CDF of its first draw, m
-    # spacings, then K shifted uniforms, in a row as wide as the most shifts
-    # a row can have; at eps = 0.6 most rows shift more than n - m
+    # row j from numpy alone: K by the Bin(n, eps) CDF of its first uniform,
+    # m spacings, and the first K of its normals, a row as many as the most
+    # shifts a row can have; at eps = 0.6 most rows shift more than n - m
     # coordinates, so fewer than m unshifted p-values exist.  Rows 250..265
     # cross from the first group into the second.
     seed, sub, start, count = 99, 3, 250, 16
@@ -84,12 +92,13 @@ def test_alternative_batch_matches_scalar_path_bitwise():
         n, m = spec.n, spec.n // 2
         got = engine._alt_task((n, eps, spec.mu, seed, sub, _ALL, start, count))
         cdf = sps.binom.cdf(np.arange(n + 1), n, spec.eps)
+        width = engine._shift_cdf(n, eps).size - 1
         for i in range(count):
-            u = _numpy_row(seed, DOMAIN_POWER, sub, start + i, engine._row_width(n, eps))
+            u = _numpy_row(seed, DOMAIN_POWER, sub, start + i, 1 + m)
+            z = _numpy_row(seed, DOMAIN_SHIFT, sub, start + i, width, normal=True)
             shifts = int(np.searchsorted(cdf, u[0], side="right"))
-            unshifted = _renyi_low(u[1 : 1 + m], n - shifts, m)
-            z = special.ndtri(np.fmax(u[1 + m : 1 + m + shifts], U_FLOOR)) + spec.mu
-            shifted = 0.5 * special.erfc(z / math.sqrt(2.0))
+            unshifted = _renyi_low(u[1:], n - shifts, m)
+            shifted = 0.5 * special.erfc((z[:shifts] + spec.mu) / math.sqrt(2.0))
             s = _scored(np.sort(np.concatenate([unshifted, shifted]))[:m], n)
             assert tuple(got[:, i]) == (hc_star(s), bj_plus(s), log_alr(s))
 
@@ -273,20 +282,29 @@ def test_null_and_power_domains_do_not_collide():
 _ALL = (StatisticKind.HC, StatisticKind.BJ, StatisticKind.ALR)
 _ALT = mixture_from(9, 0.6)
 
-# (task, its arguments for rows 245..267, the width its blocks are sized by):
-# an odd n, and 23 rows across the edge between the first two groups of
-# rng.GROUP_ROWS = 256 rows, which 7-row blocks leave ragged.
+# (task, its arguments for rows 245..267, the width its blocks are sized by,
+# the (domain, sub) of each of its readers): an odd n, and 23 rows across the
+# edge between the first two groups of rng.GROUP_ROWS = 256 rows, which
+# 7-row blocks leave ragged.
 _TASKS = [
-    pytest.param(engine._null_task, (9, 5, _ALL, 245, 23), 9, id="null"),
+    pytest.param(engine._null_task, (9, 5, _ALL, 245, 23), 9, [(DOMAIN_NULL, 0)], id="null"),
     pytest.param(
-        engine._alt_task, (9, _ALT.eps, _ALT.mu, 5, 2, _ALL, 245, 23), 9, id="alt"
+        engine._alt_task, (9, _ALT.eps, _ALT.mu, 5, 2, _ALL, 245, 23), 9,
+        [(DOMAIN_POWER, 2), (DOMAIN_SHIFT, 2)], id="alt",
     ),
-    pytest.param(calibration._cal2_task, (5, 100, 256, 245, 23), 258, id="cal2"),
+    pytest.param(
+        calibration._cal1_task, (5, 245, 23), calibration._CAL1_ROW_ELEMENTS,
+        [(DOMAIN_CAL1, 0), (DOMAIN_CAL1, 1)], id="cal1",
+    ),
+    pytest.param(
+        calibration._cal2_task, (5, 100, 256, 245, 23), 257,
+        [(DOMAIN_CAL2, 0), (DOMAIN_CAL2, 1)], id="cal2",
+    ),
 ]
 
 
-@pytest.mark.parametrize("task,args,width", _TASKS)
-def test_tasks_do_not_depend_on_the_block_size(monkeypatch, task, args, width):
+@pytest.mark.parametrize("task,args,width,readers", _TASKS)
+def test_tasks_do_not_depend_on_the_block_size(monkeypatch, task, args, width, readers):
     runs = []
     for rows in (1, 7, 23):  # 23 rows: the whole task in one block
         monkeypatch.setattr(engine, "BLOCK_ELEMENTS", rows * width)
@@ -296,29 +314,22 @@ def test_tasks_do_not_depend_on_the_block_size(monkeypatch, task, args, width):
         assert np.array_equal(runs[0], other)
 
 
-@pytest.mark.parametrize(
-    "task,args,width,groups",
-    [
-        # 7-row blocks of rows 245..267: 252..258 cross into group 1, and
-        # each block of uniforms seats the groups it touches
-        pytest.param(*_TASKS[0].values, [0, 0, 1, 1, 1], id="null"),
-        pytest.param(*_TASKS[1].values, [0, 0, 1, 1, 1], id="alt"),
-        # cal2 rows are drawn in order, one seat a group for the whole task
-        pytest.param(*_TASKS[2].values, [0, 1], id="cal2"),
-    ],
-)
-def test_a_task_seats_each_group_once_a_block(monkeypatch, task, args, width, groups):
+@pytest.mark.parametrize("task,args,width,readers", _TASKS)
+def test_a_task_seats_each_group_once_a_reader(monkeypatch, task, args, width, readers):
+    # each reader of a task keeps a group's generator across the 7-row
+    # blocks that touch it: groups 0 and 1, once each
     seated = []
     generator = rng.RandomStream.generator
 
     def counted(self):
-        seated.append(self.stream_id & 0xFFFFFFFF)  # the group index
+        seated.append(self.stream_id)
         return generator(self)
 
     monkeypatch.setattr(rng.RandomStream, "generator", counted)
     monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 7 * width)
     task(args)
-    assert seated == groups
+    groups = [stream_id_for(d, s, g) for d, s in readers for g in (0, 1)]
+    assert sorted(seated) == sorted(groups)
 
 
 _BIG_ALT = mixture_from(10_000, 0.6)
@@ -414,4 +425,4 @@ def test_cal2_blocks_reuse_their_buffer_without_page_faults():
     # A cal2 block that allocates its uniforms and bridge faults about 450
     # pages back in.
     args = "(5, 100_000, 4096, 0, 976)"
-    assert _faults_per_block("calibration._cal2_task", args, 4098) <= 16
+    assert _faults_per_block("calibration._cal2_task", args, 4097) <= 16

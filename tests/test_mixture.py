@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
 from scipy import stats as sps
 
 from sparsemix import (
@@ -19,9 +18,7 @@ from sparsemix import (
     rho_star,
 )
 from sparsemix import engine, mixture
-from sparsemix.engine import _alt_rows, _null_rows
-from sparsemix.mixture import alternative_pvalues
-from sparsemix.rng import DOMAIN_POWER, U_FLOOR, uniform_rows
+from sparsemix.rng import DOMAIN_NULL, DOMAIN_POWER, DOMAIN_SHIFT, Rows
 
 REL = 1e-12
 
@@ -135,12 +132,21 @@ def test_pvalue_shapes_and_validation():
 # ---------------------------------------------------------------------------
 # null sampler: the engine's sorted, clamped lower halves, one replicate each
 
+def _null_rows(n, seed, start, count):
+    return engine._null_rows(n, Rows(seed, DOMAIN_NULL, 0, start, count, n // 2), count)
+
+
+def _alt_rows(n, eps, mu, seed, start, count):
+    readers = engine._alt_readers(n, eps, seed, 0, start, count)
+    return engine._alt_rows(n, eps, mu, *readers, count)
+
+
 def _null(n, seed, idx):
     return _null_rows(n, seed, idx, 1)[0]
 
 
 def _alt(spec, seed, idx):
-    return _alt_rows(spec.n, spec.eps, spec.mu, seed, 0, idx, 1)[0]
+    return _alt_rows(spec.n, spec.eps, spec.mu, seed, idx, 1)[0]
 
 
 def test_sample_null_deterministic():
@@ -175,48 +181,39 @@ def test_sample_null_mean_large_sample():
 
 @pytest.mark.parametrize("eps", [0.0, 0.004, 0.3, 1.0 - 1e-9])
 def test_alternative_pvalues_sparse_kernel(eps, monkeypatch):
-    # white box: a block calls alternative_pvalues once, on draws m+1..m+K of
-    # each row, and not at all when no row shifts; at eps = 0 a row is m
-    # spacing draws and erfc is never called
+    # white box: a block calls pvalue once, on the first K normals of each
+    # row shifted by mu; at eps = 0 a row is m uniforms, no normals are read
+    # and erfc is never called
     n, mu, rows = 400, 2.5, 6
     m = n // 2
-    calls, widths = [], []
-    shifted, draw = engine.alternative_pvalues, engine.uniform_rows
+    calls = []
 
-    def recorded(u, mu):
-        calls.append(u.copy())
-        return shifted(u, mu)
-
-    def counted(*args, **kwargs):
-        widths.append(args[5])
-        return draw(*args, **kwargs)
+    def recorded(x):
+        calls.append(x.copy())
+        return pvalue(x)
 
     def no_erfc(x):
         raise AssertionError("erfc called with nothing shifted")
 
-    monkeypatch.setattr(engine, "alternative_pvalues", recorded)
-    monkeypatch.setattr(engine, "uniform_rows", counted)
+    monkeypatch.setattr(engine, "pvalue", recorded)
     if eps == 0.0:
         monkeypatch.setattr(mixture, "erfc", no_erfc)
-    low = _alt_rows(n, eps, mu, 23, 0, 0, rows)
+    uniforms, normals = engine._alt_readers(n, eps, 23, 0, 0, rows)
+    low = engine._alt_rows(n, eps, mu, uniforms, normals, rows)
     monkeypatch.undo()
     assert low.shape == (rows, m)
     if eps == 0.0:
-        assert calls == [] and widths == [m]
+        assert calls == [] and normals is None and uniforms.width == m
         return
-    # one draw per block, wide enough for the most shifts a row can draw
-    assert widths == [m + engine._shift_cdf(n, eps).size]
-    u = uniform_rows(23, DOMAIN_POWER, 0, 0, rows, widths[0])
+    # as many normals a row as the most shifts a row can draw
+    width = engine._shift_cdf(n, eps).size - 1
+    assert (uniforms.width, normals.width) == (1 + m, width)
+    u = Rows(23, DOMAIN_POWER, 0, 0, rows, 1 + m).read(np.empty((rows, 1 + m)))
+    z = Rows(23, DOMAIN_SHIFT, 0, 0, rows, width, normal=True).read(np.empty((rows, width)))
     shifts = np.searchsorted(sps.binom.cdf(np.arange(n + 1), n, eps), u[:, 0], side="right")
     assert len(calls) == 1
     assert np.array_equal(calls[0], np.concatenate(
-        [row[1 + m : 1 + m + k] for row, k in zip(u, shifts)]))
-    # the transform equals the scipy oracle bitwise, edge uniforms included
-    v = np.concatenate([calls[0], [0.0, U_FLOOR / 2, 0.5, 1.0 - 2.0**-53]])
-    full = 0.5 * special.erfc(
-        (special.ndtri(np.fmax(v, U_FLOOR)) + mu) / math.sqrt(2.0)
-    )
-    assert np.array_equal(alternative_pvalues(v, mu), full)
+        [row[:k] for row, k in zip(z, shifts)]) + mu)
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +238,14 @@ def test_sample_alternative_shift_count_is_binomial():
     # white box: each row's first draw gives its shift count K ~ Bin(n, eps)
     n, beta = 10_000, 0.75
     spec = mixture_from(n, beta)
-    u = uniform_rows(17, DOMAIN_POWER, 0, 0, 1000, engine._row_width(n, spec.eps))[:, 0]
+    u = Rows(17, DOMAIN_POWER, 0, 0, 1000, 1 + n // 2).read(np.empty((1000, 1 + n // 2)))[:, 0]
     counts = np.searchsorted(engine._shift_cdf(n, spec.eps), u, side="right")
     assert abs(counts.mean() - 10.0) <= 1.0
     # and the sampler consumes exactly those uniforms: spiked samples have
     # more small p-values than matched nulls (about 115 against 100 a row at
     # beta = 0.6, so one row against one loses about one time in seven)
     spec = mixture_from(n, 0.6)
-    alt = _alt_rows(n, spec.eps, spec.mu, 17, 0, 0, 20)
+    alt = _alt_rows(n, spec.eps, spec.mu, 17, 0, 20)
     nul = _null_rows(n, 17, 0, 20)
     assert (alt < 0.01).sum() > (nul < 0.01).sum()
 

@@ -1,4 +1,4 @@
-"""Stream addressing, determinism, and inversion helpers."""
+"""Stream addressing, determinism, the row reader, and inversion helpers."""
 
 import math
 import subprocess
@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import special
 
 from sparsemix import OutOfRange, stream_id_for
 from sparsemix import rng
@@ -17,38 +16,53 @@ from sparsemix.rng import (
     DOMAIN_CAL2,
     DOMAIN_NULL,
     DOMAIN_POWER,
+    DOMAIN_SHIFT,
     GROUP_ROWS,
     RandomStream,
-    U_FLOOR,
+    Rows,
     exponentials_from_uniforms,
-    normals_from_uniforms,
-    uniform_rows,
 )
 
-DOMAINS = (DOMAIN_NULL, DOMAIN_POWER, DOMAIN_CAL1, DOMAIN_CAL2)
+DOMAINS = (DOMAIN_NULL, DOMAIN_POWER, DOMAIN_CAL1, DOMAIN_CAL2, DOMAIN_SHIFT)
 
 
-def _numpy_stream(seed: int, stream_id: int, width: int) -> np.ndarray:
-    """The oracle: numpy's own SeedSequence -> PCG64 -> Generator."""
+def _numpy_stream(seed: int, stream_id: int, width: int, normal: bool = False) -> np.ndarray:
+    """The oracle: `width` uniforms (or standard normals) of numpy's own
+    SeedSequence -> PCG64 -> Generator."""
     seq = np.random.SeedSequence((seed, stream_id))
-    return np.random.Generator(np.random.PCG64(seq)).random(width)
+    generator = np.random.Generator(np.random.PCG64(seq))
+    return generator.standard_normal(width) if normal else generator.random(width)
 
 
-def _numpy_row(seed: int, domain: int, sub: int, j: int, width: int) -> np.ndarray:
+def _numpy_row(seed, domain, sub, j, width, normal=False) -> np.ndarray:
     """Row j of (domain, sub), `width` wide: draws [k * width, (k + 1) * width)
     of the oracle stream (domain, sub, j // GROUP_ROWS), k = j % GROUP_ROWS."""
     group, k = divmod(j, GROUP_ROWS)
-    return _numpy_stream(seed, stream_id_for(domain, sub, group), (k + 1) * width)[k * width :]
+    stream = _numpy_stream(seed, stream_id_for(domain, sub, group), (k + 1) * width, normal)
+    return stream[k * width :]
 
 
-def _assert_rows_match_numpy(seed, domain, sub, start, rows):
+def _assert_rows_match_numpy(seed, domain, sub, start, rows, normal=False):
     for j, row in enumerate(rows):
-        expected = _numpy_row(seed, domain, sub, start + j, row.size)
+        expected = _numpy_row(seed, domain, sub, start + j, row.size, normal)
         assert np.array_equal(row, expected), (seed, domain, sub, start + j)
 
 
+def _read(seed, domain, sub, start, count, width, normal=False, blocks=None):
+    """Rows start..start+count-1 through one reader, in reads of `blocks`
+    rows each (one read of all by default)."""
+    reader = Rows(seed, domain, sub, start, count, width, normal)
+    out = np.empty((count, width))
+    lo = 0
+    for c in blocks or [count]:
+        reader.read(out[lo : lo + c])
+        lo += c
+    assert lo == count
+    return out
+
+
 def test_domains_are_distinct():
-    assert len({DOMAIN_NULL, DOMAIN_POWER, DOMAIN_CAL1, DOMAIN_CAL2}) == 4
+    assert len(set(DOMAINS)) == 5
 
 
 def test_stream_id_composition():
@@ -86,20 +100,20 @@ def test_random_stream_validation():
 
 
 def test_same_stream_reproduces_bitwise():
-    a = uniform_rows(123, 0, 0, 5, 1, 100)
-    b = uniform_rows(123, 0, 0, 5, 1, 100)
+    a = _read(123, 0, 0, 5, 1, 100)
+    b = _read(123, 0, 0, 5, 1, 100)
     assert np.array_equal(a, b)
 
 
 def test_distinct_streams_differ():
-    base = uniform_rows(123, 0, 0, 5, 1, 100)
+    base = _read(123, 0, 0, 5, 1, 100)
     for seed, domain, sub, index in [
         (124, 0, 0, 5),
         (123, 0, 0, 6),
         (123, 0, 1, 5),
         (123, 1, 0, 5),
     ]:
-        assert not np.array_equal(base, uniform_rows(seed, domain, sub, index, 1, 100))
+        assert not np.array_equal(base, _read(seed, domain, sub, index, 1, 100))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
@@ -110,15 +124,14 @@ def test_uniform_rows_equal_numpy_seedsequence_streams(seed, domain, sub):
         # the first rows; the last row of the first group and the first of the
         # next; the last row of all, at the end of its group
         for start, count in ((0, 2), (GROUP_ROWS - 1, 2), (2**32 - 1, 1)):
-            rows = uniform_rows(seed, domain, sub, start, count, width)
-            assert rows.shape == (count, width)
+            rows = _read(seed, domain, sub, start, count, width)
             _assert_rows_match_numpy(seed, domain, sub, start, rows)
 
 
 def test_uniform_rows_across_groups():
     for start, count in ((11, GROUP_ROWS + 1), (0, 2 * GROUP_ROWS), (3, 2 * GROUP_ROWS + 3)):
-        rows = uniform_rows(2**32, DOMAIN_POWER, 7, start, count, 2)
-        assert rows.shape == (count, 2)
+        blocks = [count // 3, count - count // 3]
+        rows = _read(2**32, DOMAIN_POWER, 7, start, count, 2, blocks=blocks)
         _assert_rows_match_numpy(2**32, DOMAIN_POWER, 7, start, rows)
 
 
@@ -130,9 +143,12 @@ def test_uniform_rows_across_groups():
     start=st.integers(0, 2**32 - 2 * GROUP_ROWS),
     count=st.integers(1, 2 * GROUP_ROWS),
     width=st.integers(1, 40),
+    cut=st.integers(0, 2 * GROUP_ROWS),
 )
-def test_uniform_rows_property(seed, domain, sub, start, count, width):
-    rows = uniform_rows(seed, domain, sub, start, count, width)
+def test_uniform_rows_property(seed, domain, sub, start, count, width, cut):
+    # one reader, in two reads of uneven size
+    cut = min(cut, count)
+    rows = _read(seed, domain, sub, start, count, width, blocks=[cut, count - cut])
     _assert_rows_match_numpy(seed, domain, sub, start, rows)
 
 
@@ -150,8 +166,14 @@ def _recorded_seats(monkeypatch) -> list:
 
 
 def test_uniform_rows_seat_each_group_once(monkeypatch):
+    # rows 250..514 touch groups 0, 1 and 2; reads of 7 rows cross group
+    # edges, and each group is seated once for all of them
     seated = _recorded_seats(monkeypatch)
-    uniform_rows(3, DOMAIN_CAL1, 2, GROUP_ROWS - 6, GROUP_ROWS + 9, 3)  # groups 0, 1, 2
+    reader = Rows(3, DOMAIN_CAL1, 2, GROUP_ROWS - 6, GROUP_ROWS + 9, 3)
+    assert seated == []  # nothing is seated before the first read
+    out = np.empty((7, 3))
+    for lo in range(0, GROUP_ROWS + 9, 7):
+        reader.read(out[: min(7, GROUP_ROWS + 9 - lo)])
     assert seated == [RandomStream(3, stream_id_for(DOMAIN_CAL1, 2, g)) for g in range(3)]
 
 
@@ -177,68 +199,70 @@ def test_group_edge_starts_equal_numpy_in_and_out_of_order():
     out_of_order = [edge + 2, edge - 1, edge + GROUP_ROWS, edge - 3, edge, edge - 2,
                     edge + 1, edge + GROUP_ROWS - 1, 0, edge - 1]
     for j in in_order + out_of_order:
-        rows = uniform_rows(11, DOMAIN_NULL, 0, j, 1, 5)
+        rows = _read(11, DOMAIN_NULL, 0, j, 1, 5)
         _assert_rows_match_numpy(11, DOMAIN_NULL, 0, j, rows)
     for first in (edge - 3, edge - 1, edge, edge + 1, edge - GROUP_ROWS):
-        rows = uniform_rows(11, DOMAIN_NULL, 0, first, 6, 5)
+        rows = _read(11, DOMAIN_NULL, 0, first, 6, 5)
         _assert_rows_match_numpy(11, DOMAIN_NULL, 0, first, rows)
 
 
-def _draw_varying(generator):
-    """A row of a varying number of draws: one uniform picks 1 to 4 more."""
-    return [generator.random(1 + int(4 * generator.random()))]
+@pytest.mark.parametrize("width", [1, 5, 257])
+def test_normal_rows_equal_numpy_streams(width):
+    # a group's start, a mid-group start and the 255/256 edge, each read by
+    # one reader in blocks of uneven size
+    for start, blocks in (
+        (0, [3, 1, 7]),
+        (2 * GROUP_ROWS, [1, 2]),
+        (100, [5, 1, 4]),
+        (GROUP_ROWS - 6, [2, 7, 1, 3]),
+        (GROUP_ROWS - 1, [1, 1]),
+    ):
+        rows = _read(13, DOMAIN_SHIFT, 9, start, sum(blocks), width, True, blocks)
+        _assert_rows_match_numpy(13, DOMAIN_SHIFT, 9, start, rows, normal=True)
 
 
-def test_row_generators_start_mid_group_as_if_from_its_start():
-    # rows 250..520 of groups 0, 1 and 2, each drawn as _draw_varying draws
-    # it, equal the same rows drawn from the start of group 0
-    def drawn(start, count):
-        gens = rng.row_generators(13, DOMAIN_CAL2, 1, start, count, _draw_varying)
-        return [_draw_varying(g)[0] for g in gens]
-
-    whole = drawn(0, 521)
-    for start, count in ((250, 271), (255, 2), (256, 1), (257, 264), (3, 1)):
-        part = drawn(start, count)
-        assert len(part) == count
-        for a, b in zip(part, whole[start : start + count]):
-            assert np.array_equal(a, b), start
-    # and row j is drawn from its group's own numpy stream
-    g = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        (13, stream_id_for(DOMAIN_CAL2, 1, 2)))))
-    assert np.array_equal(_draw_varying(g)[0], whole[2 * GROUP_ROWS])
-
-
-def test_row_generators_seat_each_group_once_and_check_first(monkeypatch):
+def test_normal_rows_seat_each_group_once_and_check_first(monkeypatch):
     seated = _recorded_seats(monkeypatch)
-    gens = rng.row_generators(13, DOMAIN_CAL2, 1, 250, 271, _draw_varying)
-    assert seated == []  # nothing is seated before the first row is asked for
-    for generator in gens:
-        _draw_varying(generator)
+    rows = _read(13, DOMAIN_CAL2, 1, 250, 271, 4, True, [1, 9, 100, 161])
     assert seated == [RandomStream(13, stream_id_for(DOMAIN_CAL2, 1, g)) for g in range(3)]
+    assert np.array_equal(rows, _read(13, DOMAIN_CAL2, 1, 0, 521, 4, True)[250:])
     with pytest.raises(OutOfRange):
-        rng.row_generators(13, DOMAIN_CAL2, 1, 2**32 - 1, 2, _draw_varying)
+        Rows(13, DOMAIN_CAL2, 1, 2**32 - 1, 2, 4, normal=True)
 
 
 def test_uniform_rows_split_invariance():
-    whole = uniform_rows(1729, DOMAIN_CAL2, 4, 10, 100, 7)
+    whole = _read(1729, DOMAIN_CAL2, 4, 10, 100, 7)
     splits = ((10, 37), (47, 1), (48, 62))
-    parts = [uniform_rows(1729, DOMAIN_CAL2, 4, s, c, 7) for s, c in splits]
+    parts = [_read(1729, DOMAIN_CAL2, 4, s, c, 7) for s, c in splits]
     assert np.array_equal(whole, np.vstack(parts))
-    assert uniform_rows(1729, DOMAIN_CAL2, 4, 10, 0, 7).shape == (0, 7)
+    assert np.array_equal(whole, _read(1729, DOMAIN_CAL2, 4, 10, 100, 7, blocks=[37, 1, 0, 62]))
+    assert _read(1729, DOMAIN_CAL2, 4, 10, 0, 7).shape == (0, 7)
 
 
 def test_uniform_rows_fill_a_given_buffer():
     buf = np.full((5, 7), np.nan)
-    got = uniform_rows(1729, DOMAIN_CAL2, 4, 10, 3, 7, out=buf[:3])
+    got = Rows(1729, DOMAIN_CAL2, 4, 10, 3, 7).read(buf[:3])
     assert got.base is buf
-    assert np.array_equal(got, uniform_rows(1729, DOMAIN_CAL2, 4, 10, 3, 7))
+    assert np.array_equal(got, _read(1729, DOMAIN_CAL2, 4, 10, 3, 7))
     assert np.isnan(buf[3:]).all()
-    with pytest.raises(OutOfRange):
-        uniform_rows(1729, DOMAIN_CAL2, 4, 10, 3, 7, out=buf)
-    # a buffer that one flat draw could not fill exactly is refused
-    for bad in (np.empty((3, 7), np.float32), np.empty((3, 7), order="F")):
+
+
+@pytest.mark.parametrize("normal", [False, True], ids=["uniform", "normal"])
+def test_a_bad_read_raises_before_any_draw(monkeypatch, normal):
+    # a wrong width, dtype or layout, or more rows than are left, is refused
+    # before anything is seated or drawn, and leaves the reader where it was
+    expected = _read(1729, DOMAIN_CAL2, 4, 10, 3, 7, normal)
+    seated = _recorded_seats(monkeypatch)
+    reader = Rows(1729, DOMAIN_CAL2, 4, 10, 3, 7, normal)
+    for bad in (np.empty((3, 6)), np.empty(21), np.empty((3, 7), np.float32),
+                np.empty((3, 7), order="F"), np.empty((4, 7))):
         with pytest.raises(OutOfRange):
-            uniform_rows(1729, DOMAIN_CAL2, 4, 10, 3, 7, out=bad)
+            reader.read(bad)
+    assert seated == []
+    assert np.array_equal(reader.read(np.empty((3, 7))), expected)
+    with pytest.raises(OutOfRange):
+        reader.read(np.empty((1, 7)))  # past count
+    assert len(seated) == 1
 
 
 @pytest.mark.parametrize(
@@ -256,8 +280,9 @@ def test_uniform_rows_fill_a_given_buffer():
 )
 def test_uniform_rows_range_checks_before_drawing(monkeypatch, args):
     seated = _recorded_seats(monkeypatch)
-    with pytest.raises(OutOfRange):
-        uniform_rows(*args)
+    for normal in (False, True):
+        with pytest.raises(OutOfRange):
+            Rows(*args, normal)
     assert not seated
 
 
@@ -277,6 +302,9 @@ for argv in (
      "--out", {str(tmp_path / "cal1.json")!r}],
     ["alr-limit", "--variant", "cal2", "--reps", "10000", "--grid", "256",
      "--n-for-l", "1000", "--alpha", "0.05", "--out", {str(tmp_path / "cal2.json")!r}],
+    ["power-curve", "--n", "1000", "--beta-grid", "0.6,0.9", "--cal-reps", "2000",
+     "--pow-reps", "400", "--out", {str(tmp_path / "power.csv")!r},
+     "--svg", {str(tmp_path / "power.svg")!r}],
 ):
     assert main(argv + ["--threads", "2", "--seed", "5"]) == 0, argv
     assert "numpy.random" not in sys.modules, argv
@@ -284,21 +312,6 @@ for argv in (
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-
-
-def test_normal_inversion_handles_zero():
-    z = normals_from_uniforms(np.array([0.0]))
-    assert math.isfinite(z[0])
-    assert z[0] == special.ndtri(U_FLOOR)
-    assert z[0] < -8.0
-
-
-def test_normal_inversion_round_trips():
-    u = np.linspace(0.01, 0.99, 25)
-    z = normals_from_uniforms(u)
-    np.testing.assert_allclose(special.ndtr(z), u, rtol=1e-12)
-    # median and symmetry
-    assert normals_from_uniforms(np.array([0.5]))[0] == 0.0
 
 
 def test_exponential_inversion():

@@ -16,7 +16,7 @@ from scipy import stats as sps
 
 from sparsemix import StatisticKind, engine
 from sparsemix.mixture import MixtureSpec, mixture_from
-from sparsemix.rng import DOMAIN_NULL, DOMAIN_POWER, U_FLOOR, uniform_rows
+from sparsemix.rng import DOMAIN_NULL, DOMAIN_POWER, U_FLOOR, Rows
 from sparsemix.stats import P_MAX, P_MIN, _row_stats
 
 KINDS = tuple(StatisticKind)
@@ -24,11 +24,13 @@ BLOCK = 500  # rows per chunk of the dense oracle, to bound its memory
 
 
 def _dense_lower_halves(n, eps, mu, seed, domain, start, count):
-    """(count, n // 2) lower halves of the dense sampler: row j is the
-    2n-uniform row start + j of (domain, 0); coordinate k is shifted when
-    its first uniform is below eps, and its p-value is 1 - u of its second
-    uniform, or Phi-bar(Phi^-1(u) + mu) when shifted."""
-    u = uniform_rows(seed, domain, 0, start, count, 2 * n)
+    """(count, n // 2) lower halves of the dense sampler: each row is 2n
+    uniforms of numpy's own generator seeded with (seed, domain, start);
+    coordinate k is shifted when its first uniform is below eps, and its
+    p-value is 1 - u of its second uniform, or Phi-bar(Phi^-1(u) + mu) when
+    shifted."""
+    seq = np.random.SeedSequence((seed, domain, start))
+    u = np.random.Generator(np.random.PCG64(seq)).random((count, 2 * n))
     pick, v = u[:, :n], u[:, n:]
     p = 1.0 - v
     shifted = pick < eps
@@ -48,14 +50,26 @@ def _dense_stats(n, eps, mu, seed, domain, count):
     return _stats(lambda s, c: _dense_lower_halves(n, eps, mu, seed, domain, s, c), n, count)
 
 
+def _null_rows(n, seed, count):
+    return engine._null_rows(n, Rows(seed, DOMAIN_NULL, 0, 0, count, n // 2), count)
+
+
+def _alt_rows(spec, seed, count):
+    readers = engine._alt_readers(spec.n, spec.eps, seed, 0, 0, count)
+    return engine._alt_rows(spec.n, spec.eps, spec.mu, *readers, count)
+
+
 def _alt_stats(spec, seed, count):
+    # one pair of readers for every chunk, as a task reads its blocks
+    readers = engine._alt_readers(spec.n, spec.eps, seed, 0, 0, count)
     return _stats(
-        lambda s, c: engine._alt_rows(spec.n, spec.eps, spec.mu, seed, 0, s, c), spec.n, count
+        lambda s, c: engine._alt_rows(spec.n, spec.eps, spec.mu, *readers, c), spec.n, count
     )
 
 
 def _null_stats(n, seed, count):
-    return _stats(lambda s, c: engine._null_rows(n, seed, s, c), n, count)
+    reader = Rows(seed, DOMAIN_NULL, 0, 0, count, n // 2)
+    return _stats(lambda s, c: engine._null_rows(n, reader, c), n, count)
 
 
 def _assert_same_law(a, b):
@@ -95,9 +109,9 @@ def test_order_statistics_are_beta(n, eps):
     rows = 40_000
     m = n // 2
     if eps == 0.0:
-        low = engine._null_rows(n, 11, 0, rows)
+        low = _null_rows(n, 11, rows)
     else:
-        low = engine._alt_rows(n, eps, 0.0, 11, 0, 0, rows)
+        low = _alt_rows(MixtureSpec(n=n, eps=eps, mu=0.0), 11, rows)
     for i in sorted({1, 2, m // 2, m}):
         assert sps.kstest(low[:, i - 1], sps.beta(i, n - i + 1).cdf).pvalue > 1e-3, i
 
@@ -117,10 +131,9 @@ def test_shift_cdf_matches_scipy(n):
 
 @pytest.mark.parametrize("n,eps", [(1000, 0.3), (10_000, 10_000**-0.75)])
 def test_shift_count_is_binomial(n, eps):
-    # K is draw 0 of each row, inverted through the Bin(n, eps) CDF; rows of
-    # one draw give as many uniforms to invert
+    # K is a row's first uniform, inverted through the Bin(n, eps) CDF
     rows = 100_000
-    u = uniform_rows(47, DOMAIN_POWER, 0, 0, rows, 1)[:, 0]
+    u = np.random.Generator(np.random.PCG64(47)).random(rows)
     k = np.searchsorted(engine._shift_cdf(n, eps), u, side="right")
     mean, var = n * eps, n * eps * (1.0 - eps)
     assert abs(k.mean() - mean) < 4.0 * math.sqrt(var / rows)
@@ -133,9 +146,9 @@ def test_nearly_all_shifted_leaves_fewer_than_m_unshifted():
     # shifted p-values fill the rest of the row
     spec = MixtureSpec(n=1000, eps=1.0 - 1e-9, mu=1.5)
     n, m, rows = spec.n, spec.n // 2, 2000
-    u = uniform_rows(48, DOMAIN_POWER, 0, 0, rows, 1)[:, 0]
+    u = Rows(48, DOMAIN_POWER, 0, 0, rows, 1 + m).read(np.empty((rows, 1 + m)))[:, 0]
     assert np.all(np.searchsorted(engine._shift_cdf(n, spec.eps), u, side="right") > n - m)
-    low = engine._alt_rows(n, spec.eps, spec.mu, 48, 0, 0, rows)
+    low = _alt_rows(spec, 48, rows)
     assert low.shape == (rows, m)
     assert np.all(np.diff(low, axis=1) >= 0.0)
     assert np.all((low >= P_MIN) & (low <= P_MAX))
