@@ -76,15 +76,22 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def _write_text(path: str, text: str) -> None:
-    target = Path(path)
-    tmp = target.with_name(f"{target.name}.tmp{os.getpid()}")
+def _write_outputs(*outputs: tuple[str, str]) -> None:
+    """Write each (path, text) to a temporary file beside its path, then
+    rename them all into place.  A failed write or rename removes every file
+    this call made, renamed ones too, so no partial output is left."""
+    targets = [Path(path) for path, _ in outputs]
+    tmps = [t.with_name(f"{t.name}.tmp{os.getpid()}") for t in targets]
+    renamed = 0
     try:
-        tmp.write_text(text)
-        os.replace(tmp, target)
+        for tmp, (_, text) in zip(tmps, outputs):
+            tmp.write_text(text)
+        for tmp, target in zip(tmps, targets):
+            os.replace(tmp, target)
+            renamed += 1
     except BaseException:
-        # a failed write or rename leaves no temporary file behind
-        tmp.unlink(missing_ok=True)
+        for path in tmps + targets[:renamed]:
+            path.unlink(missing_ok=True)
         raise
 
 
@@ -159,7 +166,7 @@ def _cmd_calibrate(args: argparse.Namespace, config: dict) -> int:
         master_seed=args.seed,
     )
     payload = {"version": __version__, "config": config, **json.loads(table.to_json())}
-    _write_text(args.out, _json_text(payload))
+    _write_outputs((args.out, _json_text(payload)))
     return 0
 
 
@@ -177,7 +184,7 @@ def _cmd_size_table(args: argparse.Namespace, config: dict) -> int:
         limit_n_for_l=args.n_for_l,
         limit_grid=args.grid,
     )
-    _write_text(args.out, _csv_text(config, size_table_csv(rows)))
+    _write_outputs((args.out, _csv_text(config, size_table_csv(rows))))
     return 0
 
 
@@ -198,11 +205,8 @@ def _cmd_power_curve(args: argparse.Namespace, config: dict) -> int:
         threads=args.threads,
     )
     csv_text = _csv_text(config, power_curve_csv(points))
-    # render before writing, so a figure that fails leaves no CSV behind
-    svg_text = None if args.svg is None else svg_from_power_csv(csv_text)
-    _write_text(args.out, csv_text)
-    if svg_text is not None:
-        _write_text(args.svg, svg_text)
+    svg = [] if args.svg is None else [(args.svg, svg_from_power_csv(csv_text))]
+    _write_outputs((args.out, csv_text), *svg)
     return 0
 
 
@@ -239,7 +243,7 @@ def _cmd_alr_limit(args: argparse.Namespace, config: dict) -> int:
     }
     text = _json_text(payload)
     if args.out is not None:
-        _write_text(args.out, text)
+        _write_outputs((args.out, text))
     else:
         sys.stdout.write(text)
     return 0

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import erfc
 
 import numpy as np
 
-from .cephes import erfc
 from .errors import DomainError, NonFinite, OutOfRange, SampleTooSmall
 
 _SQRT2 = math.sqrt(2.0)
@@ -71,13 +71,13 @@ def mixture_from(n: int, beta: float, r: float | None = None) -> MixtureSpec:
 
 
 def pvalue(x):
-    """Upper-tail standard normal p-value, 0.5 erfc(x / sqrt 2).
-
-    Accepts a scalar or array; returns the same shape.
-    """
+    """Upper-tail standard normal p-value, 0.5 erfc(x / sqrt 2), with the C
+    library's `erfc` (through `math`) on each element.  Accepts a scalar or
+    array; returns the same shape."""
     a = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(a)):
         raise NonFinite("observations must be finite")
-    p = 0.5 * erfc(a / _SQRT2)
+    q = a / _SQRT2
+    p = 0.5 * np.fromiter(map(erfc, q.ravel().tolist()), float, q.size).reshape(q.shape)
     return float(p) if np.isscalar(x) or a.ndim == 0 else p
 

@@ -3,12 +3,18 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
+import sparsemix
 from sparsemix import calibration, engine, svg_from_power_csv
 from sparsemix.cli import main
+from sparsemix.stats import bj_plus, hc_star, log_alr, prepare
 from table_json import table_cv, table_from_json
 
 ORACLE = {
@@ -62,6 +68,10 @@ def test_stat_observations_kind(tmp_path, capsys):
     payload = _stdout_json(capsys)
     assert payload["n"] == 4
     assert payload["hc"] > 0.0  # large z-scores give small p-values
+    z = np.array([1.5, -0.3, 2.8, 0.0])
+    sample = prepare(0.5 * special.erfc(z / math.sqrt(2.0)))
+    for key, stat in (("hc", hc_star), ("bj", bj_plus), ("log_alr", log_alr)):
+        assert payload[key] == pytest.approx(stat(sample), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +379,30 @@ def test_failed_rename_leaves_no_partial_output(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.glob("*.tmp*")) == []
 
 
+@pytest.mark.parametrize("failure", ["svg-dir-missing", "svg-rename-refused"])
+def test_power_curve_failed_svg_leaves_no_output(tmp_path, monkeypatch, capsys, failure):
+    # the SVG's write fails before any rename; its rename fails after the
+    # CSV's has put p.csv in place
+    svg = tmp_path / "p.svg"
+    if failure == "svg-dir-missing":
+        svg = tmp_path / "missing" / "p.svg"
+    else:
+        rename = os.replace
+
+        def refuse_second(src, dst):
+            if Path(dst) == svg:
+                assert (tmp_path / "p.csv").exists()
+                raise OSError("rename refused")
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse_second)
+    argv = ["power-curve", *_LIST_BASE["power-curve"], "--out", str(tmp_path / "p.csv"),
+            "--svg", str(svg)]
+    assert main(argv) == 3
+    assert "IoError" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_usage_errors(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
@@ -378,3 +412,31 @@ def test_exit_usage_errors(capsys):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "sparsemix" in capsys.readouterr().out
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # a fresh interpreter: importing the CLI and running every simulating
+    # command loads no scipy module
+    script = f"""
+import sys
+sys.path.insert(0, {str(Path(sparsemix.__file__).parents[1])!r})
+from sparsemix import cli
+out = {str(tmp_path)!r}
+commands = [
+    ["calibrate", "--stat", "hc", "--n", "100", "--reps", "2000", "--out", out + "/c.json"],
+    ["size-table", "--n", "100", "--stat", "hc,bj", "--method", "thresh,empirical",
+     "--reps", "2000", "--out", out + "/s.csv"],
+    ["power-curve", "--n", "200", "--beta-grid", "0.6,0.9", "--cal-reps", "2000",
+     "--pow-reps", "200", "--out", out + "/p.csv", "--svg", out + "/p.svg"],
+    ["alr-limit", "--variant", "cal1", "--reps", "10000", "--out", out + "/l1.json"],
+    ["alr-limit", "--variant", "cal2", "--reps", "10000", "--grid", "256",
+     "--n-for-l", "1000", "--out", out + "/l2.json"],
+]
+for argv in commands:
+    assert cli.main(argv + ["--seed", "3", "--threads", "1"]) == 0, argv
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not loaded, loaded
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import special
 from scipy import stats as sps
 
 from sparsemix import (
@@ -83,7 +82,8 @@ def test_null_batch_matches_scalar_path_bitwise():
 def test_alternative_batch_matches_scalar_path_bitwise():
     # row j from numpy alone: K by the Bin(n, eps) CDF of its first uniform,
     # m spacings, and the first K of its normals, a row as many as the most
-    # shifts a row can have; at eps = 0.6 most rows shift more than n - m
+    # shifts a row can have, shifted by mu and through the C library's erfc
+    # one at a time; at eps = 0.6 most rows shift more than n - m
     # coordinates, so fewer than m unshifted p-values exist.  Rows 250..265
     # cross from the first group into the second.
     seed, sub, start, count = 99, 3, 250, 16
@@ -98,7 +98,8 @@ def test_alternative_batch_matches_scalar_path_bitwise():
             z = _numpy_row(seed, DOMAIN_SHIFT, sub, start + i, width, normal=True)
             shifts = int(np.searchsorted(cdf, u[0], side="right"))
             unshifted = _renyi_low(u[1:], n - shifts, m)
-            shifted = 0.5 * special.erfc((z[:shifts] + spec.mu) / math.sqrt(2.0))
+            shifted = np.array([0.5 * math.erfc(v / math.sqrt(2.0))
+                                for v in z[:shifts] + spec.mu])
             s = _scored(np.sort(np.concatenate([unshifted, shifted]))[:m], n)
             assert tuple(got[:, i]) == (hc_star(s), bj_plus(s), log_alr(s))
 

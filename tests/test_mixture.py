@@ -2,8 +2,10 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import special
 from scipy import stats as sps
 
 from sparsemix import (
@@ -19,6 +21,7 @@ from sparsemix import (
 )
 from sparsemix import engine, mixture
 from sparsemix.rng import DOMAIN_NULL, DOMAIN_POWER, DOMAIN_SHIFT, Rows
+from sparsemix.stats import P_MIN
 
 REL = 1e-12
 
@@ -119,10 +122,36 @@ def test_pvalue_symmetry_and_monotonicity():
     assert np.all(np.diff(p) < 0.0)
 
 
+def test_pvalue_against_mpmath():
+    # the C library's erfc against 40 digits on the argument pvalue hands it,
+    # x / sqrt 2 rounded to a double: that rounding alone moves p by up to
+    # x^2 ulp, in any implementation of the formula
+    x = np.random.default_rng(19).uniform(-8.0, 37.0, 3000)
+    q = x / math.sqrt(2.0)
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.erfc(mpmath.mpf(v)) / 2) for v in q.tolist()])
+    assert want.min() >= P_MIN
+    np.testing.assert_allclose(pvalue(x), want, rtol=1e-15, atol=0)
+
+
+def test_pvalue_agrees_with_scipy():
+    # scipy ships Cephes' erfc, off by up to 5.7e-14 itself; below P_MIN,
+    # where every sample is clamped, Cephes underflows to 0 sooner than libm
+    z = np.random.default_rng(20261).standard_normal(1_000_000)
+    x = np.concatenate([3.0 * z, 15.0 * z, np.linspace(-40.0, 40.0, 80001)])
+    want = 0.5 * special.erfc(x / math.sqrt(2.0))
+    np.testing.assert_allclose(np.fmax(pvalue(x), P_MIN), np.fmax(want, P_MIN),
+                               rtol=1e-13, atol=0)
+
+
 def test_pvalue_shapes_and_validation():
-    assert isinstance(pvalue(1.0), float)
-    arr = pvalue(np.zeros((3, 2)))
-    assert arr.shape == (3, 2)
+    for x in (1.0, np.float64(1.0), np.array(1.0)):
+        assert isinstance(pvalue(x), float)
+    x = np.random.default_rng(4).standard_normal((2, 3, 7)) * 4.0
+    arr = pvalue(x)
+    assert arr.shape == (2, 3, 7)
+    assert np.array_equal(arr.ravel(), [pvalue(v) for v in x.ravel()])
+    assert pvalue(np.empty((4, 0))).shape == (4, 0)
     with pytest.raises(NonFinite):
         pvalue(float("inf"))
     with pytest.raises(NonFinite):
