@@ -30,6 +30,7 @@ from .errors import (
     IoError,
     NegativeQ,
     NonFinite,
+    OutOfMemory,
     OutOfRange,
     SampleTooSmall,
     SparsemixError,
@@ -91,6 +92,7 @@ __all__ = [
     "NegativeQ",
     "NonFinite",
     "NullSample",
+    "OutOfMemory",
     "OutOfRange",
     "PowerCurvePoint",
     "SampleTooSmall",

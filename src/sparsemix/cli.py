@@ -28,7 +28,7 @@ from .calibration import (
     quantile_index,
     simulate_null_distribution,
 )
-from .errors import ConfigError, IoError, SparsemixError
+from .errors import ConfigError, IoError, OutOfMemory, SparsemixError
 from .experiments import (
     beta_grid_default,
     power_curve,
@@ -341,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: IoError: {exc}", file=sys.stderr)
         return IoError.exit_code
+    except MemoryError as exc:  # numpy's too, raised here or in a worker
+        print(f"error: OutOfMemory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return OutOfMemory.exit_code
 
 
 def entry() -> None:

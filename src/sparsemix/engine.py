@@ -158,16 +158,17 @@ def in_blocks(block, shape: tuple, width: int) -> np.ndarray:
 
 
 def _task_buffers(rows: int, widths: tuple, n: int) -> tuple[list[np.ndarray], tuple]:
-    """A task's block buffers: a flat buffer of rows * w elements for each
-    width w in `widths`, and the `_row_stats` scratch at sample size n.  All
-    of them are one allocation: once glibc has unmapped one chunk of that
-    size it keeps the next on its heap when freed, so a later task of the
-    same shape faults none of it in again."""
+    """A task's block buffers: a (rows, w) float buffer for each width w in
+    `widths`, and the `_row_stats` scratch at sample size n, a (rows, n // 2)
+    float and a (rows, n // 2) bool buffer.  The float buffers are one
+    allocation: once glibc has unmapped one chunk of that size it keeps the
+    next on its heap when freed, so a later task of the same shape faults
+    none of it in again."""
     m = n // 2
-    flat = np.empty(rows * (sum(widths) + 2 * m))
-    *bufs, scratch = np.split(flat, [rows * w for w in accumulate(widths)])
-    a, b = scratch.reshape(2, rows, m)
-    return bufs, (a, b, np.empty((rows, m), dtype=bool))
+    flat = np.empty(rows * (sum(widths) + m))
+    *bufs, ell = np.split(flat, [rows * w for w in accumulate(widths)])
+    bufs = [buf.reshape(rows, w) for buf, w in zip(bufs, widths)]
+    return bufs, (ell.reshape(rows, m), np.empty((rows, m), dtype=bool))
 
 
 @lru_cache(maxsize=8)
@@ -223,11 +224,13 @@ def _alt_readers(
 
 
 def _buffer_widths(n: int, uniforms: Rows, normals: Rows | None) -> tuple[int, ...]:
-    """Widths of the row buffers of `_lower_rows`: the uniforms, and with
-    normals the normals and the row that merges them, m + their width."""
+    """Widths of the row buffers of `_lower_rows`: the uniforms, with normals
+    the normals and the row that merges them, m + their width, and last the
+    p-values, m = n // 2."""
+    m = n // 2
     if normals is None:
-        return (uniforms.width,)
-    return (uniforms.width, normals.width, n // 2 + normals.width)
+        return (uniforms.width, m)
+    return (uniforms.width, normals.width, m + normals.width, m)
 
 
 def _lower_rows(
@@ -247,56 +250,60 @@ def _lower_rows(
 
     K ~ Bin(n, eps) coordinates are shifted (none when eps = 0).  The m
     smallest of the N = n - K unshifted p-values come from the Renyi
-    representation (Renyi 1953; Devroye 1986, ch. V),
-    p_(i) = -expm1(-sum_{k<=i} E_k / (N - k + 1)) with E_k = -log(1 - u_k)
-    (1 - u is exact on the 2^-53 grid), of which the first min(m, N)
-    exist.  The K shifted p-values are pvalue(Z + mu) of a row's first K
-    normals Z, one call per block, merged into the row by a stable sort of
-    its first m + max K columns.
+    representation (Renyi 1953; Devroye 1986, ch. V): their
+    L_i = log(1 - p_(i)) = sum_{k<=i} log(1 - u_k) / (N - k + 1) (1 - u is
+    exact on the 2^-53 grid), of which the first min(m, N) exist, and
+    p_(i) = -expm1(L_i).  The K shifted p-values are pvalue(Z + mu) of a
+    row's first K normals Z, one call per block.  A block where some row
+    shifts merges them in the domain S = -log(1 - p), which sorts as p
+    does: S = -log1p(-pvalue(Z + mu)) joins the row of S = -L, and a stable
+    sort of its first m + max K columns orders it; L = -S and p follow.
 
-    The rows are formed in `bufs`, flat float64 buffers of at least
-    count * w elements for each width w of `_buffer_widths`, and the
-    divisors N - k + 1, when some row shifts, in `tmp`, a float64 array of
-    at least (count, m); each is new by default.  Without normals the rows
-    are formed in place of the uniforms.  The result is a view of `bufs`.
+    The rows are formed in `bufs`, (at least count, w) float64 buffers for
+    each width w of `_buffer_widths`, and the divisors, when some row
+    shifts, in `tmp`, a float64 array of at least (count, m); each is new by
+    default.  The result is a view of the last of `bufs`, and L is left in
+    the last m columns of the first, the uniforms', for `_row_stats`.
     """
     m = n // 2
     widths = _buffer_widths(n, uniforms, normals)
-    bufs = bufs or [np.empty(count * w) for w in widths]
-    u, *rest = (buf[: count * w].reshape(count, w) for buf, w in zip(bufs, widths))
+    bufs = bufs or [np.empty((count, w)) for w in widths]
+    u, *rest, p = (buf[:count] for buf in bufs)
     uniforms.read(u)
     shifts = 0
-    if normals is None:
-        row = u
-    else:
+    if normals is not None:
         z, row = rest
         normals.read(z)
         k = np.searchsorted(_shift_cdf(n, eps), u[:, 0], side="right")
         shifts = int(k.max(initial=0))
-    x = row[:, :m]
-    # -E_k / (N - k + 1), summed along the row
-    np.subtract(1.0, u[:, -m:], out=x)
+    log1m = u[:, -m:]
+    # log(1 - u_k) / (N - k + 1), summed along the row: L, or S = -L, formed
+    # with negated divisors, where the shifted values are merged
+    x = row[:, :m] if shifts else log1m
+    np.subtract(1.0, log1m, out=x)
     np.log(x, out=x)
     den = _renyi_denominators(n)
-    short = shifts > n - m  # some row has fewer than m unshifted p-values
     if shifts:
         tmp = np.empty((count, m)) if tmp is None else tmp[:count]
-        den = np.subtract(den, k[:, None].astype(float), out=tmp)
+        den = np.subtract(k[:, None].astype(float), den, out=tmp)
+        short = shifts > n - m  # some row has fewer than m unshifted p-values
         if short:
-            np.fmax(den, 1.0, out=den)
+            np.fmin(den, -1.0, out=den)
     x /= den
     np.cumsum(x, axis=1, out=x)
-    np.expm1(x, out=x)
-    np.negative(x, out=x)
     if shifts:
         if short:
             x[np.arange(m) >= (n - k)[:, None]] = np.inf
         tail = row[:, m : m + shifts]
         used = np.arange(shifts) < k[:, None]
-        tail[used] = pvalue(z[:, :shifts][used] + mu)
+        with np.errstate(divide="ignore"):  # p = 1 gives S = inf
+            tail[used] = -np.log1p(-pvalue(z[:, :shifts][used] + mu))
         tail[~used] = np.inf
         row[:, : m + shifts].sort(axis=1, kind="stable")
-    return np.clip(x, P_MIN, P_MAX, out=x)
+        np.negative(x, out=log1m)
+    np.expm1(log1m, out=p)
+    np.negative(p, out=p)
+    return np.clip(p, P_MIN, P_MAX, out=p)
 
 
 def _null_rows(n: int, uniforms: Rows, count: int, *, bufs=None) -> np.ndarray:
@@ -328,11 +335,14 @@ def _null_task(args) -> np.ndarray:
     set of block buffers for the whole task; the last, shorter block uses
     their leading rows."""
     n, master_seed, kinds, start, count = args
-    uniforms = Rows(master_seed, DOMAIN_NULL, 0, start, count, n // 2)
-    bufs, scratch = _task_buffers(block_rows(count, n), (n // 2,), n)
+    m = n // 2
+    uniforms = Rows(master_seed, DOMAIN_NULL, 0, start, count, m)
+    widths = _buffer_widths(n, uniforms, None)
+    bufs, scratch = _task_buffers(block_rows(count, n), widths, n)
 
     def block(c: int) -> list[np.ndarray]:
-        stats = _row_stats(_null_rows(n, uniforms, c, bufs=bufs), n, kinds, scratch)
+        p = _null_rows(n, uniforms, c, bufs=bufs)
+        stats = _row_stats(p, n, kinds, scratch, bufs[0][:c, -m:])
         return [stats[k] for k in kinds]
 
     return in_blocks(block, (len(kinds), count), n)
@@ -343,13 +353,14 @@ def _alt_task(args) -> np.ndarray:
     the null's row count, with buffers wide enough for a row that shifts
     the most coordinates a row can."""
     n, eps, mu, master_seed, sub, kinds, start, count = args
+    m = n // 2
     uniforms, normals = _alt_readers(n, eps, master_seed, sub, start, count)
     widths = _buffer_widths(n, uniforms, normals)
     bufs, scratch = _task_buffers(block_rows(count, n), widths, n)
 
     def block(c: int) -> list[np.ndarray]:
         p = _alt_rows(n, eps, mu, uniforms, normals, c, bufs=bufs, tmp=scratch[0])
-        stats = _row_stats(p, n, kinds, scratch)
+        stats = _row_stats(p, n, kinds, scratch, bufs[0][:c, -m:])
         return [stats[k] for k in kinds]
 
     return in_blocks(block, (len(kinds), count), n)

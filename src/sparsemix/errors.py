@@ -85,3 +85,10 @@ class WorkerLost(SparsemixError):
     """A worker process died (killed by a signal, say) before its task ended."""
 
     exit_code = 14
+
+
+class OutOfMemory(SparsemixError):
+    """An allocation failed: the request needs more memory than the process
+    may use, in this process or in a worker."""
+
+    exit_code = 15

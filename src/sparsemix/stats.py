@@ -6,8 +6,12 @@ domain).  All three scan the lower half of the order statistics
 p_(1) <= ... <= p_(m), m = floor(n/2).
 
 The scalar operations are one-row wrappers over the batched kernels used by
-the Monte Carlo engine, so a scalar evaluation and the corresponding row of a
-batch are bitwise identical.
+the Monte Carlo engine.  HC of a scalar evaluation and of the corresponding
+row of a batch are bitwise identical.  BJ and ALR read log(1 - p_(i)): a
+simulated row hands the kernels the value its sampler formed before p_(i)
+(`engine._lower_rows`), a one-sample call forms it with log1p, so the two
+agree to the rounding of that one value and are bitwise identical given the
+same log(1 - p_(i)).
 """
 
 from __future__ import annotations
@@ -99,11 +103,11 @@ def prepare(raw) -> SortedPValues:
 @lru_cache(maxsize=8)
 def _columns(n: int) -> tuple[np.ndarray, ...]:
     """The kernels' per-index columns at sample size n, i = 1..n // 2, built
-    once per n and read-only: t = i/n, i (formed as t * n), log1p(-t) and
-    n - i."""
+    once per n and read-only: t = i/n, i (formed as t * n), log(t),
+    log1p(-t) and n - i."""
     t = np.arange(1, n // 2 + 1, dtype=float) / n
     i = t * n
-    cols = (t, i, np.log1p(-t), n - i)
+    cols = (t, i, np.log(t), np.log1p(-t), n - i)
     for c in cols:
         c.flags.writeable = False
     return cols
@@ -135,22 +139,25 @@ def _hc_rows(pm: np.ndarray, n: int, a=None, b=None) -> np.ndarray:
     return a.max(axis=1)
 
 
-def _log_lr_rows(pm: np.ndarray, n: int, ell=None, tail=None, mask=None) -> np.ndarray:
+def _log_lr_rows(pm: np.ndarray, n: int, log1m=None, ell=None, mask=None) -> np.ndarray:
     """log LR_{n,i} for each row of sorted p-values pm at t = i/n, i = 1..m:
-    [i log(i/(n p)) + (n-i) log((1 - i/n)/(1 - p))] 1{p < i/n}, floored at zero.
+    [i (log t - log p) + (n-i) (log1p(-t) - log(1 - p))] 1{p < i/n}, floored
+    at zero.
 
-    The result is formed in the float buffer ell, with tail and the bool mask
-    as scratch; each is allocated when not given."""
-    t, i, log1p_t, n_minus_i = _columns(n)
-    ell = np.multiply(n, pm, out=ell)
-    np.divide(i, ell, out=ell)
-    np.log(ell, out=ell)
+    log1m holds log(1 - p) of pm, as a sampler formed it, and is overwritten;
+    without it the kernel forms it as log1p(-pm).  The result is formed in
+    the float buffer ell, with the bool mask as scratch; each is allocated
+    when not given."""
+    t, i, log_t, log1p_t, n_minus_i = _columns(n)
+    ell = np.log(pm, out=ell)
+    np.subtract(log_t, ell, out=ell)
     ell *= i
-    tail = np.negative(pm, out=tail)
-    np.log1p(tail, out=tail)
-    np.subtract(log1p_t, tail, out=tail)
-    tail *= n_minus_i
-    ell += tail
+    if log1m is None:
+        log1m = np.negative(pm)
+        np.log1p(log1m, out=log1m)
+    np.subtract(log1p_t, log1m, out=log1m)
+    log1m *= n_minus_i
+    ell += log1m
     mask = np.greater_equal(pm, t, out=mask)
     np.copyto(ell, 0.0, where=mask)
     np.fmax(ell, 0.0, out=ell)
@@ -169,31 +176,36 @@ def _log_alr_rows(ell: np.ndarray, n: int, x=None) -> np.ndarray:
 
 
 def _row_stats(
-    p: np.ndarray, n: int, kinds: tuple[StatisticKind, ...], scratch=None
+    p: np.ndarray, n: int, kinds: tuple[StatisticKind, ...], scratch=None, log1m=None
 ) -> dict[StatisticKind, np.ndarray]:
     """Requested statistics for every row of p, whose first n // 2 columns
     are the sorted lower half of a sample of n p-values, and the only
     columns read: the engine passes the (batch, n // 2) lower halves it
     samples, a one-sample call the whole (1, n) sorted sample.
 
-    `scratch` holds the buffers the kernels write into: two float arrays and
-    one bool array, each (rows, n // 2) with rows >= batch, of which the first
-    `batch` rows are used.  Without it each kernel allocates its own.
+    `log1m`, (batch, n // 2), holds log(1 - p) of those columns as the
+    sampler formed it.  The log LR kernel reads it, and the kernels then
+    write over it as scratch; without it that kernel forms log1p(-p).
+    `scratch` holds a float and a bool array, each (rows, n // 2) with
+    rows >= batch, of which the first `batch` rows are used.  Without them
+    each kernel allocates its own.  BJ and ALR run before HC, so HC can
+    reuse both float buffers.
     """
     m = n // 2
     pm = p[:, :m]
-    a = b = mask = None
+    ell = mask = None
     if scratch is not None:
-        a, b, mask = (buf[: len(p)] for buf in scratch)
-    out: dict[StatisticKind, np.ndarray] = {}
-    if StatisticKind.HC in kinds:
-        out[StatisticKind.HC] = _hc_rows(pm, n, a, b)
+        ell, mask = (buf[: len(p)] for buf in scratch)
+    # keyed in HC, BJ, ALR order, whatever order the kernels run in
+    out = dict.fromkeys(k for k in StatisticKind if k in kinds)
     if StatisticKind.BJ in kinds or StatisticKind.ALR in kinds:
-        ell = _log_lr_rows(pm, n, a, b, mask)
+        ell = _log_lr_rows(pm, n, log1m, ell, mask)
         if StatisticKind.BJ in kinds:
             out[StatisticKind.BJ] = ell.max(axis=1)
         if StatisticKind.ALR in kinds:
-            out[StatisticKind.ALR] = _log_alr_rows(ell, n, b)
+            out[StatisticKind.ALR] = _log_alr_rows(ell, n, log1m)
+    if StatisticKind.HC in kinds:
+        out[StatisticKind.HC] = _hc_rows(pm, n, ell, log1m)
     return out
 
 

@@ -403,6 +403,34 @@ def test_power_curve_failed_svg_leaves_no_output(tmp_path, monkeypatch, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+_OUT_OF_MEMORY = """
+import resource, sys
+sys.path.insert(0, {src!r})
+# the address space of this process alone: the 2.2 GiB a row that n = 2e8
+# asks for fails at once, before any page is touched
+resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+from sparsemix.cli import main
+sys.exit(main({argv!r}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_exit_out_of_memory_leaves_no_output(tmp_path, threads):
+    # numpy's MemoryError, raised in this process or re-raised from a worker,
+    # ends in one typed line and exit 15
+    out = tmp_path / "cv.json"
+    argv = ["calibrate", "--stat", "bj", "--n", "200000000", "--reps", "200",
+            "--alpha", "0.05", "--seed", "1", "--threads", threads, "--out", str(out)]
+    src = str(Path(sparsemix.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", _OUT_OF_MEMORY.format(src=src, argv=argv)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 15, done.stderr
+    assert done.stderr.startswith("error: OutOfMemory: ")
+    assert done.stderr.count("\n") == 1 and done.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_usage_errors(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2

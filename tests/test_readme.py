@@ -41,10 +41,17 @@ def test_readme_snippets_rebuild_the_rows(n, j, seed, grid, eps, mu):
     ns = {"np": np, "n": n, "j": j, "seed": seed, "grid": grid, "eps": eps, "mu": mu, "b": b}
     for code in _convention_snippets():
         exec(code, ns)
-    null = engine._null_rows(n, Rows(seed, DOMAIN_NULL, 0, j, 1, m), 1)[0]
+    # the samplers leave L = log(1 - p) in the last m columns of the
+    # uniforms' buffer, the first of their buffers
+    uniforms = Rows(seed, DOMAIN_NULL, 0, j, 1, m)
+    bufs = [np.empty((1, w)) for w in engine._buffer_widths(n, uniforms, None)]
+    null = engine._null_rows(n, uniforms, 1, bufs=bufs)[0]
     assert np.array_equal(np.clip(ns["low"], P_MIN, P_MAX), null)
+    assert np.array_equal(ns["log1m"], bufs[0][0, -m:])
     readers = engine._alt_readers(n, eps, seed, b, j, 1)
-    alt = engine._alt_rows(n, eps, mu, *readers, 1)[0]
+    bufs = [np.empty((1, w)) for w in engine._buffer_widths(n, *readers)]
+    alt = engine._alt_rows(n, eps, mu, *readers, 1, bufs=bufs)[0]
     assert np.array_equal(np.clip(ns["low_alt"], P_MIN, P_MAX), alt)
+    assert np.array_equal(ns["log1m_alt"], bufs[0][0, -m:])
     assert np.array_equal(ns["cal1"], calibration._cal1_task((seed, j, 1)))
     assert np.array_equal(ns["cal2"], calibration._cal2_task((seed, n, grid, j, 1)))

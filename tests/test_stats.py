@@ -105,9 +105,10 @@ def _hc_out_of_place(pm, n, t):
     return (math.sqrt(n) * (t - pm) / np.sqrt(pm * (1.0 - pm))).max(axis=1)
 
 
-def _log_lr_out_of_place(pm, n, t):
+def _log_lr_out_of_place(pm, n, t, log1m=None):
     i = t * n
-    ell = i * np.log(i / (n * pm)) + (n - i) * (np.log1p(-t) - np.log1p(-pm))
+    log1m = np.log1p(-pm) if log1m is None else log1m
+    ell = i * (np.log(t) - np.log(pm)) + (n - i) * (np.log1p(-t) - log1m)
     return np.fmax(np.where(pm >= t, 0.0, ell), 0.0)
 
 
@@ -143,28 +144,45 @@ def test_kernels_equal_their_out_of_place_expressions(n):
     alr = _log_alr_out_of_place(ell, n)
     assert np.all(np.isfinite(hc)) and np.all(np.isfinite(alr))
     assert not ell[3].any()
+    # log(1 - p) as a sampler hands it over: log1p(-p) itself, which must
+    # give the L-free call bitwise, and the same moved by an ulp, which the
+    # kernel must read instead of forming its own
+    log1m = np.log1p(-pm)
+    nudged = np.nextafter(log1m, -np.inf)
+    assert np.array_equal(_log_lr_out_of_place(pm, n, t, log1m), ell)
 
     assert np.array_equal(_hc_rows(pm, n), hc)
     assert np.array_equal(_log_lr_rows(pm, n), ell)
+    assert np.array_equal(_log_lr_rows(pm, n, log1m.copy()), ell)
+    assert np.array_equal(_log_lr_rows(pm, n, nudged.copy()),
+                          _log_lr_out_of_place(pm, n, t, nudged))
     assert np.array_equal(_log_alr_rows(ell, n), alr)
     a, b, mask = _stale(len(p), m)
     assert np.array_equal(_hc_rows(pm, n, a, b), hc)
-    got = _log_lr_rows(pm, n, a, b, mask)
-    assert got is a and np.array_equal(got, ell)
-    assert np.array_equal(_log_alr_rows(got, n, b), alr)
+    for given in (None, log1m.copy()):
+        a, b, mask = _stale(len(p), m)
+        got = _log_lr_rows(pm, n, given, a, mask)
+        assert got is a and np.array_equal(got, ell)
+        assert np.array_equal(_log_alr_rows(got, n, b), alr)
 
     kinds = supported_kinds(n)
     want = {StatisticKind.HC: hc, StatisticKind.BJ: ell.max(axis=1), StatisticKind.ALR: alr}
     # buffers of more rows than the block, as a task's last block sees them
-    for scratch in (None, _stale(len(p) + 3, m)):
-        got = _row_stats(p, n, kinds, scratch)
-        assert list(got) == list(kinds)
+    for scratch in (None, _stale(len(p) + 3, m)[1:]):
+        for given in (None, log1m):
+            got = _row_stats(p, n, kinds, scratch, None if given is None else given.copy())
+            assert list(got) == list(kinds)
+            for kind in kinds:
+                assert np.array_equal(got[kind], want[kind])
+            # a ragged block: the leading rows of the same buffers
+            tail = _row_stats(p[:2], n, kinds, scratch,
+                              None if given is None else given[:2].copy())
+            for kind in kinds:
+                assert np.array_equal(tail[kind], want[kind][:2])
+        # one kind alone, in the given log(1 - p) as scratch
         for kind in kinds:
-            assert np.array_equal(got[kind], want[kind])
-        # a ragged block: the leading rows of the same buffers
-        tail = _row_stats(p[:2], n, kinds, scratch)
-        for kind in kinds:
-            assert np.array_equal(tail[kind], want[kind][:2])
+            one = _row_stats(p, n, (kind,), scratch, log1m.copy())
+            assert list(one) == [kind] and np.array_equal(one[kind], want[kind])
 
 
 # ---------------------------------------------------------------------------
@@ -376,3 +394,49 @@ def test_kernel_columns_are_cached_and_read_only():
     assert np.array_equal(cols[0], t) and np.array_equal(cols[1], t * n)
     with pytest.raises(ValueError):
         cols[0][0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# the log LR kernel against arbitrary precision
+
+def _lr_rows_at(n):
+    """(5, m) rows at sample size n: p one ulp below t = i/n, p 1e-15
+    relative below t, P_MIN, t * 1e-8, and sorted uniforms."""
+    m = n // 2
+    t = np.arange(1, m + 1) / n
+    u = np.sort(np.random.default_rng(n).random(m))
+    return np.stack([np.nextafter(t, 0.0), t * (1.0 - 1e-15), np.full(m, P_MIN), t * 1e-8,
+                     np.clip(u, P_MIN, P_MAX)])
+
+
+def _sampled(n, p):
+    """(p, log(1 - p)) as the Renyi sampler forms them: L first, then
+    p = -expm1(L), clamped.  The first four rows take L as log1p(-p) moved
+    one ulp towards zero, so L is not log1p of the p the kernel reads; the
+    last row is a sampled null row, L the cumsum of its spacings."""
+    m = n // 2
+    log1m = np.nextafter(np.log1p(-p), 0.0)
+    u = np.random.default_rng(n + 1).random(m)
+    log1m[-1] = np.cumsum(np.log(1.0 - u) / (n + 1 - np.arange(1, m + 1)))
+    return np.clip(-np.expm1(log1m), P_MIN, P_MAX), log1m
+
+
+@pytest.mark.parametrize("sampler", [False, True], ids=["log1p", "sampler"])
+@pytest.mark.parametrize("n", [4, 5, 9, 100, 1001, 10_000])
+def test_log_lr_rows_against_mpmath(n, sampler):
+    # |ell - exact| <= n 2^-52 max(1, exact), exact at 50 digits on the
+    # doubles p the kernel reads, with t = i/n exact
+    mp = pytest.importorskip("mpmath")
+    p = _lr_rows_at(n)
+    log1m = None
+    if sampler:
+        p, log1m = _sampled(n, p)
+    got = _log_lr_rows(p, n, log1m)
+    exact = np.empty_like(got)
+    with mp.workdps(50):
+        for (r, c), pv in np.ndenumerate(p):
+            i, x = c + 1, mp.mpf(float(pv))
+            t = mp.mpf(i) / n
+            ell = i * mp.log(t / x) + (n - i) * (mp.log1p(-t) - mp.log1p(-x)) if x < t else 0
+            exact[r, c] = float(max(ell, 0))
+    assert np.all(np.abs(got - exact) <= n * 2.0**-52 * np.fmax(1.0, exact))
