@@ -9,8 +9,6 @@ __version__ = "0.1.0"
 
 from .calibration import (
     CalibrationMethod,
-    CriticalValueTable,
-    NullSample,
     alr_limit_cv,
     empirical_cv,
     evi_cv,
@@ -77,7 +75,6 @@ __all__ = [
     "AlphaOutOfRange",
     "CalibrationMethod",
     "ConfigError",
-    "CriticalValueTable",
     "DomainError",
     "DOMAIN_CAL1",
     "DOMAIN_CAL2",
@@ -91,7 +88,6 @@ __all__ = [
     "MixtureSpec",
     "NegativeQ",
     "NonFinite",
-    "NullSample",
     "OutOfMemory",
     "OutOfRange",
     "PowerCurvePoint",

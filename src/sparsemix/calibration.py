@@ -2,7 +2,7 @@
 
 Four routes to a critical value:
 
-* empirical_cv      -- upper-alpha order statistic of a simulated null sample
+* empirical_cv      -- upper-alpha order statistic of null replicates, any order
 * thresh_cv         -- slowly-growing threshold sqrt(2 loglog n) / loglog n
 * evi_cv / evii_cv  -- two extreme-value refinements for HC and BJ
 * alr_limit_cv      -- quantile of a sampled ALR limit law (variants cal1/cal2)
@@ -13,9 +13,7 @@ ALR critical values are kept in the log domain throughout, matching log_alr.
 from __future__ import annotations
 
 import enum
-import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -58,29 +56,6 @@ class CalibrationMethod(str, enum.Enum):
             ) from None
 
 
-@dataclass(frozen=True)
-class NullSample:
-    """Sorted null replicates of one statistic at one sample size."""
-
-    kind: StatisticKind
-    n: int
-    replicates: np.ndarray
-    master_seed: int
-
-    def __post_init__(self) -> None:
-        r = self.replicates
-        if r.ndim != 1 or r.size < 1:
-            raise OutOfRange("replicates must be a nonempty vector")
-        if not np.all(np.isfinite(r)):
-            raise NonFinite("replicates must be finite")
-        if np.any(np.diff(r) < 0.0):
-            raise OutOfRange("replicates must be sorted ascending")
-
-    @property
-    def reps(self) -> int:
-        return int(self.replicates.size)
-
-
 def simulate_null_distribution(
     kind: StatisticKind,
     n: int,
@@ -88,14 +63,14 @@ def simulate_null_distribution(
     master_seed: int,
     *,
     threads: int = 0,
-) -> NullSample:
-    """Simulate `reps` null replicates of the statistic and sort them."""
+) -> np.ndarray:
+    """`reps` null replicates of the statistic, sorted and read-only."""
     if reps < 100:
         raise InsufficientReplicates(f"need reps >= 100, got {reps}")
     stats = engine.null_statistics(n, reps, master_seed, (kind,), threads=threads)
-    return NullSample(
-        kind=kind, n=n, replicates=np.sort(stats[kind]), master_seed=master_seed
-    )
+    replicates = np.sort(stats[kind])
+    replicates.flags.writeable = False
+    return replicates
 
 
 def _check_alpha(alpha: float) -> float:
@@ -126,28 +101,38 @@ def check_tail(reps: int, alpha: float) -> None:
         )
 
 
-def empirical_cv(sample: NullSample, alpha: float) -> float:
-    """Upper-alpha critical value from a simulated null sample."""
+def empirical_cv(replicates: np.ndarray, alpha: float) -> float:
+    """Upper-alpha critical value from null replicates in any order: their
+    quantile_index(R, alpha)-th smallest value."""
+    r = np.asarray(replicates, dtype=float)
+    if r.ndim != 1 or r.size < 1:
+        raise OutOfRange("replicates must be a nonempty vector")
+    if not np.all(np.isfinite(r)):
+        raise NonFinite("replicates must be finite")
     alpha = _check_alpha(alpha)
-    reps = sample.reps
-    check_tail(reps, alpha)
-    return float(sample.replicates[quantile_index(reps, alpha) - 1])
+    check_tail(r.size, alpha)
+    k = quantile_index(r.size, alpha) - 1
+    return float(np.partition(r, k)[k])
 
 
-def _check_asymptotic_args(kind: StatisticKind, n: int) -> None:
+def _check_asymptotic_args(kind: StatisticKind, n: int) -> StatisticKind:
+    """kind as a StatisticKind, refused unless it is hc or bj at n >= 16."""
+    try:
+        kind = StatisticKind(kind)
+    except ValueError:
+        raise UnsupportedStatistic(f"unknown statistic kind {kind!r}") from None
     if kind is StatisticKind.ALR:
         raise UnsupportedStatistic(
             "asymptotic thresholds apply to hc and bj only; use cal1/cal2 for alr"
         )
-    if kind not in (StatisticKind.HC, StatisticKind.BJ):
-        raise UnsupportedStatistic(f"unknown statistic kind {kind!r}")
     if n < 16:
         raise DomainError(f"asymptotic formulas need n >= 16 (loglog n > 0), got {n}")
+    return kind
 
 
 def thresh_cv(kind: StatisticKind, n: int) -> float:
     """Slowly-growing threshold: sqrt(2 loglog n) for HC, loglog n for BJ."""
-    _check_asymptotic_args(kind, n)
+    kind = _check_asymptotic_args(kind, n)
     llog = math.log(math.log(n))
     if kind is StatisticKind.HC:
         return math.sqrt(2.0 * llog)
@@ -160,7 +145,7 @@ def evi_cv(kind: StatisticKind, n: int, alpha: float) -> float:
     q = loglog n + (1/2) logloglog n - (1/2) log 4pi - log(-log(1-alpha));
     BJ uses q directly, HC uses sqrt(2q).
     """
-    _check_asymptotic_args(kind, n)
+    kind = _check_asymptotic_args(kind, n)
     alpha = _check_alpha(alpha)
     llog = math.log(math.log(n))
     q = llog + 0.5 * math.log(llog) - 0.5 * _LOG_4PI - math.log(-math.log1p(-alpha))
@@ -177,7 +162,7 @@ def evii_cv(kind: StatisticKind, n: int, alpha: float) -> float:
     With c_n = 2 loglog n + (1/2) logloglog n - (1/2) log 4pi and
     b_n^2 = 2 loglog n, q = c_n^2 / (2 b_n^2) - log(-log(1-alpha)).
     """
-    _check_asymptotic_args(kind, n)
+    kind = _check_asymptotic_args(kind, n)
     alpha = _check_alpha(alpha)
     llog = math.log(math.log(n))
     c = 2.0 * llog + 0.5 * math.log(llog) - 0.5 * _LOG_4PI
@@ -188,52 +173,6 @@ def evii_cv(kind: StatisticKind, n: int, alpha: float) -> float:
     if q <= 0.0:
         raise NegativeQ(f"EVII quantile q = {q:.6g} <= 0 at n={n}, alpha={alpha}")
     return math.sqrt(2.0 * q)
-
-
-@dataclass(frozen=True)
-class CriticalValueTable:
-    """Critical values of one statistic at one n, over a grid of alphas.
-
-    entries is ((alpha, cv), ...) with alphas strictly increasing.  reps and
-    master_seed record Monte Carlo provenance and are None for closed-form
-    methods.
-    """
-
-    kind: StatisticKind
-    n: int
-    method: CalibrationMethod
-    entries: tuple[tuple[float, float], ...]
-    reps: int | None = None
-    master_seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise OutOfRange("table needs at least one (alpha, cv) entry")
-        alphas = [a for a, _ in self.entries]
-        cvs = [c for _, c in self.entries]
-        for a in alphas:
-            _check_alpha(a)
-        if any(b <= a for a, b in zip(alphas, alphas[1:])):
-            raise OutOfRange("alphas must be strictly increasing")
-        if not all(math.isfinite(c) for c in cvs):
-            raise NonFinite("critical values must be finite")
-        if self.method is CalibrationMethod.THRESH:
-            if any(c != cvs[0] for c in cvs):
-                raise OutOfRange("thresh critical values are alpha-independent")
-        # ties can occur in tiny Monte Carlo samples, so only require monotone
-        elif any(b > a for a, b in zip(cvs, cvs[1:])):
-            raise OutOfRange("critical values must be non-increasing in alpha")
-
-    def to_json(self) -> str:
-        payload = {
-            "kind": self.kind.value,
-            "n": self.n,
-            "method": self.method.value,
-            "R": self.reps,
-            "master_seed": self.master_seed,
-            "entries": [{"alpha": a, "cv": c} for a, c in self.entries],
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 # --- ALR limit law -----------------------------------------------------------

@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__, engine
 from .calibration import (
     CalibrationMethod,
-    CriticalValueTable,
     alr_limit_cv,
     check_limit_request,
     check_tail,
@@ -153,19 +152,19 @@ def _cmd_calibrate(args: argparse.Namespace, config: dict) -> int:
     kind = StatisticKind.parse(args.stat)
     alphas = _parse_alphas(args.alpha)
     _precheck_alphas(args.reps, alphas)
-    sample = simulate_null_distribution(
+    replicates = simulate_null_distribution(
         kind, args.n, args.reps, args.seed, threads=args.threads
     )
-    entries = tuple((a, empirical_cv(sample, a)) for a in alphas)
-    table = CriticalValueTable(
-        kind=kind,
-        n=args.n,
-        method=CalibrationMethod.EMPIRICAL,
-        entries=entries,
-        reps=args.reps,
-        master_seed=args.seed,
-    )
-    payload = {"version": __version__, "config": config, **json.loads(table.to_json())}
+    payload = {
+        "version": __version__,
+        "config": config,
+        "kind": kind.value,
+        "n": args.n,
+        "method": CalibrationMethod.EMPIRICAL.value,
+        "R": args.reps,
+        "master_seed": args.seed,
+        "entries": [{"alpha": a, "cv": empirical_cv(replicates, a)} for a in alphas],
+    }
     _write_outputs((args.out, _json_text(payload)))
     return 0
 

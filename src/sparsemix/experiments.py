@@ -9,7 +9,6 @@ import numpy as np
 from . import engine
 from .calibration import (
     CalibrationMethod,
-    NullSample,
     _check_alpha,
     alr_limit_cv,
     check_limit_request,
@@ -95,8 +94,8 @@ def size_table(
     n and (method, alpha) cell is checked, and every closed-form critical
     value computed, before the first null simulation.
     """
-    if not methods or not alphas:
-        raise ConfigError("a size table needs at least one method and one level")
+    if not ns or not methods or not alphas:
+        raise ConfigError("a size table needs at least one n, one method and one level")
     for n in ns:
         engine._check_request(n, reps, kinds)
     for method in methods:
@@ -122,15 +121,11 @@ def size_table(
     rows: list[SizeTableRow] = []
     for n in ns:
         stats = engine.null_statistics(n, reps, master_seed, tuple(kinds), threads=threads)
-        sorted_stats = {k: np.sort(stats[k]) for k in kinds}
         for kind in kinds:
-            sample = NullSample(
-                kind=kind, n=n, replicates=sorted_stats[kind], master_seed=master_seed
-            )
             for method in methods:
                 for alpha in alphas:
                     if method is CalibrationMethod.EMPIRICAL:
-                        cv = empirical_cv(sample, alpha)
+                        cv = empirical_cv(stats[kind], alpha)
                     elif method in _CLOSED_FORMS:
                         cv = closed[n, kind, method, alpha]
                     else:
@@ -182,18 +177,7 @@ def power_curve(
     if reps_pow < 1:
         raise InsufficientReplicates(f"need at least one power replicate, got {reps_pow}")
     null_stats = engine.null_statistics(n, reps_cal, master_seed, tuple(kinds), threads=threads)
-    cvs = {
-        kind: empirical_cv(
-            NullSample(
-                kind=kind,
-                n=n,
-                replicates=np.sort(null_stats[kind]),
-                master_seed=master_seed,
-            ),
-            alpha,
-        )
-        for kind in kinds
-    }
+    cvs = {kind: empirical_cv(null_stats[kind], alpha) for kind in kinds}
     # grid point k runs on stream sub-range k
     alts = engine.alternative_grid(
         specs, reps_pow, master_seed, kinds=tuple(kinds), threads=threads

@@ -457,7 +457,7 @@ def test_criterion_7_structural_invariants():
         engine._null_entry.cache_clear()
         runs.append(simulate_null_distribution(BJ, 50, 2000, SEED + 1, threads=threads))
     engine._null_entry.cache_clear()
-    if not all(np.array_equal(runs[0].replicates, r.replicates) for r in runs[1:]):
+    if not all(np.array_equal(runs[0], r) for r in runs[1:]):
         errs.append("null sample depends on the thread count")
 
     ok = not errs

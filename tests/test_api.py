@@ -1,11 +1,14 @@
 """The public API: every exported name resolves, and the removed scalar
 duplicates of the batched kernels, with the one-sample samplers and their
-stream object, stay removed."""
+stream object, and the wrappers around a null sample and a critical value
+table, stay removed."""
 
 import sparsemix
 
 REMOVED = (
     "BridgePath",
+    "CriticalValueTable",
+    "NullSample",
     "RandomStream",
     "SparsityParams",
     "StatisticResult",

@@ -1,7 +1,6 @@
 """Critical values: quantile rule, asymptotic formulas, ALR limit law."""
 
 import hashlib
-import json
 import math
 
 import numpy as np
@@ -12,13 +11,11 @@ from sparsemix import (
     AlphaOutOfRange,
     CalibrationMethod,
     ConfigError,
-    CriticalValueTable,
     DomainError,
     IncompatibleMethod,
     InsufficientReplicates,
     NegativeQ,
     NonFinite,
-    NullSample,
     OutOfRange,
     StatisticKind,
     UnsupportedStatistic,
@@ -42,7 +39,7 @@ from sparsemix.calibration import (
     _ln_rows,
 )
 from sparsemix.rng import DOMAIN_CAL1, DOMAIN_CAL2, GROUP_ROWS, U_FLOOR
-from table_json import table_cv, table_from_json
+from table_json import table_from_json
 
 REL = 1e-12
 
@@ -115,10 +112,9 @@ def test_quantile_index_validation():
 # ---------------------------------------------------------------------------
 # empirical calibration
 
-def _null_sample(values, kind=StatisticKind.HC, n=100, seed=0):
-    return NullSample(
-        kind=kind, n=n, replicates=np.asarray(values, dtype=float), master_seed=seed
-    )
+def _null_sample(values, seed=0):
+    """values as a float vector in shuffled order: empirical_cv takes any."""
+    return np.random.default_rng(seed).permutation(np.asarray(values, dtype=float))
 
 
 def test_empirical_cv_picks_exact_order_statistic():
@@ -129,45 +125,45 @@ def test_empirical_cv_picks_exact_order_statistic():
 
 
 def test_empirical_cv_non_increasing_in_alpha():
-    sample = _null_sample(np.sort(np.random.default_rng(3).normal(size=500)))
+    sample = _null_sample(np.random.default_rng(3).normal(size=500))
     cvs = [empirical_cv(sample, a) for a in (0.05, 0.1, 0.25, 0.5)]
     assert all(b <= a for a, b in zip(cvs, cvs[1:]))
 
 
 def test_empirical_cv_sparse_tail_gate():
     sample = _null_sample(np.arange(19.0))  # small samples are representable
-    assert sample.reps == 19
+    assert sample.size == 19
     with pytest.raises(InsufficientReplicates):
         empirical_cv(sample, 0.05)
 
 
 def test_null_sample_validation():
     with pytest.raises(OutOfRange):
-        _null_sample(np.array([]))
-    with pytest.raises(OutOfRange):
-        _null_sample(np.array([2.0, 1.0]))
+        empirical_cv(_null_sample([]), 0.05)
     with pytest.raises(NonFinite):
-        _null_sample(np.array([0.0, float("nan")]))
+        empirical_cv(_null_sample([0.0, float("nan")]), 0.05)
     with pytest.raises(OutOfRange):
-        _null_sample(np.zeros((2, 2)))
+        empirical_cv(_null_sample(np.zeros((2, 2))), 0.05)
+    # order is free: a reversed vector gives the sorted vector's value
+    values = np.arange(1.0, 201.0)
+    assert empirical_cv(values[::-1], 0.05) == empirical_cv(values, 0.05) == 191.0
 
 
 def test_simulate_null_distribution():
     with pytest.raises(InsufficientReplicates):
         simulate_null_distribution(StatisticKind.HC, 50, 99, 0)
     s = simulate_null_distribution(StatisticKind.HC, 50, 200, 7, threads=1)
-    assert s.kind is StatisticKind.HC and s.n == 50 and s.master_seed == 7
-    assert s.reps == 200
-    assert np.all(np.diff(s.replicates) >= 0.0)
+    assert s.shape == (200,) and not s.flags.writeable
+    assert np.all(np.diff(s) >= 0.0)
     again = simulate_null_distribution(StatisticKind.HC, 50, 200, 7, threads=1)
-    assert np.array_equal(s.replicates, again.replicates)
+    assert np.array_equal(s, again)
 
 
 def test_self_consistency_on_same_sample_is_exact():
     # without ties, the realized exceedance rate of the fitted cv is (R - k)/R
     s = simulate_null_distribution(StatisticKind.BJ, 40, 2000, 11, threads=1)
     cv = empirical_cv(s, 0.05)
-    realized = float((s.replicates > cv).mean())
+    realized = float((s > cv).mean())
     k = quantile_index(2000, 0.05)
     assert realized == (2000 - k) / 2000
 
@@ -182,6 +178,27 @@ def test_fresh_sample_size_recovery():
     fresh = null_statistics(n, reps, 2025, (StatisticKind.HC,), threads=1)
     realized = float((fresh[StatisticKind.HC] > cv).mean())
     assert abs(realized - 0.05) < 0.0025
+
+
+def _hc_cdf_n2(c):
+    """Exact null CDF of HC at n = 2.  HC reads p_(1) alone, and HC > c
+    exactly when p_(1) < b(c), the smaller root of
+    (2 + c^2) p^2 - (2 + c^2) p + 1/2 = 0; so F(c) = (1 - b(c))^2."""
+    b = 0.5 * (1.0 - c / math.sqrt(2.0 + c * c))
+    return (1.0 - b) ** 2
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.1])
+@pytest.mark.parametrize("seed", [1, 5, 1729])
+def test_empirical_cv_exact_oracle_at_n2(seed, alpha):
+    # F at the k-th of R order statistics of the null is Beta(k, R + 1 - k);
+    # the cv must lie inside its central 1 - 2e-6 interval
+    reps = 100_000
+    assert _hc_cdf_n2(4.27315) == pytest.approx(0.95, abs=1e-6)
+    k = quantile_index(reps, alpha)
+    cv = empirical_cv(simulate_null_distribution(StatisticKind.HC, 2, reps, seed), alpha)
+    lo, hi = stats.beta.ppf([1e-6, 1.0 - 1e-6], k, reps + 1 - k)
+    assert lo < _hc_cdf_n2(cv) < hi
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +242,24 @@ def test_asymptotic_validation():
         evi_cv(StatisticKind.HC, 1000, 0.0)
 
 
+@pytest.mark.parametrize("kind", [StatisticKind.HC, StatisticKind.BJ])
+@pytest.mark.parametrize(
+    "cv",
+    [
+        lambda kind: thresh_cv(kind, 1000),
+        lambda kind: evi_cv(kind, 1000, 0.05),
+        lambda kind: evii_cv(kind, 1000, 0.05),
+    ],
+    ids=["thresh", "evi", "evii"],
+)
+def test_asymptotic_cvs_read_string_kinds(cv, kind):
+    assert cv(kind.value) == cv(kind)
+    with pytest.raises(UnsupportedStatistic, match="cal1/cal2"):
+        cv("alr")
+    with pytest.raises(UnsupportedStatistic):
+        cv("chi2")
+
+
 def test_evi_hc_guards_negative_quantile():
     with pytest.raises(NegativeQ):
         evi_cv(StatisticKind.HC, 16, 0.9)
@@ -254,43 +289,7 @@ def test_calibration_method_parse():
 
 
 # ---------------------------------------------------------------------------
-# critical value tables
-
-def _table(entries, method=CalibrationMethod.EMPIRICAL, **kw):
-    return CriticalValueTable(
-        kind=StatisticKind.HC,
-        n=100,
-        method=method,
-        entries=tuple(entries),
-        **kw,
-    )
-
-
-def test_table_lookup_and_json_round_trip():
-    t = _table([(0.05, 3.1), (0.1, 2.8)], reps=1000, master_seed=4)
-    assert table_cv(t, 0.05) == 3.1
-    assert table_cv(t, 0.1) == 2.8
-    with pytest.raises(DomainError):
-        table_cv(t, 0.2)
-    payload = json.loads(t.to_json())
-    assert payload["kind"] == "hc" and payload["R"] == 1000
-    assert table_from_json(t.to_json()) == t
-
-
-def test_table_validation():
-    with pytest.raises(OutOfRange):
-        _table([])
-    with pytest.raises(OutOfRange):
-        _table([(0.1, 3.0), (0.05, 3.5)])  # alphas must increase
-    with pytest.raises(OutOfRange):
-        _table([(0.05, 3.0), (0.1, 3.5)])  # cvs must not increase
-    with pytest.raises(NonFinite):
-        _table([(0.05, float("nan"))])
-    _table([(0.05, 3.0), (0.1, 3.0)])  # ties are fine
-    with pytest.raises(OutOfRange):
-        _table([(0.05, 2.0), (0.1, 1.9)], method=CalibrationMethod.THRESH)
-    _table([(0.05, 2.0), (0.1, 2.0)], method=CalibrationMethod.THRESH)
-
+# the calibrate table reader
 
 def test_table_from_json_rejects_garbage():
     with pytest.raises(ConfigError):

@@ -18,6 +18,7 @@ from sparsemix import (
     SizeTableRow,
     StatisticKind,
     beta_grid_default,
+    empirical_cv,
     mixture_from,
     power_curve,
     power_curve_csv,
@@ -78,6 +79,10 @@ THRESH, EVI = CalibrationMethod.THRESH, CalibrationMethod.EVI
         pytest.param(DomainError, size_table,
                      ([1000], [ALR], [CAL2], [0.05], 2000, 1), {"limit_grid": 100},
                      id="cal2-grid"),
+        pytest.param(ConfigError, size_table, ([], [HC], [THRESH], [0.05], 1000, 1), {},
+                     id="no-ns"),
+        pytest.param(ConfigError, size_table, ([100], [], [EMP], [0.05], 2000, 1), {},
+                     id="no-kinds"),
         pytest.param(ConfigError, size_table, ([100], [HC], [], [0.05], 2000, 1), {},
                      id="no-methods"),
         pytest.param(ConfigError, size_table, ([100], [HC], [EMP], [], 2000, 1), {},
@@ -246,12 +251,7 @@ def test_power_curve_null_signal_recovers_alpha():
     # (reps_cal is large so the cv's own noise is a small fraction of the band)
     n, reps_cal, reps_pow, alpha = 100, 100_000, 10_000, 0.05
     null_stats = engine.null_statistics(n, reps_cal, 3, (HC,), threads=1)
-    from sparsemix.calibration import NullSample, empirical_cv
-
-    cv = empirical_cv(
-        NullSample(kind=HC, n=n, replicates=np.sort(null_stats[HC]), master_seed=3),
-        alpha,
-    )
+    cv = empirical_cv(null_stats[HC], alpha)
     alt = engine.alternative_statistics(
         MixtureSpec(n=n, eps=0.0, mu=0.0), reps_pow, 3, sub=0, kinds=(HC,), threads=1
     )
@@ -265,12 +265,7 @@ def test_power_rises_with_signal_strength():
     betas = beta_grid_default()
     se = math.sqrt(0.25 / reps_pow)
     null_stats = engine.null_statistics(n, reps_cal, seed, (BJ,), threads=1)
-    from sparsemix.calibration import NullSample, empirical_cv
-
-    cv = empirical_cv(
-        NullSample(kind=BJ, n=n, replicates=np.sort(null_stats[BJ]), master_seed=seed),
-        0.05,
-    )
+    cv = empirical_cv(null_stats[BJ], 0.05)
     wins = 0
     from sparsemix import r_of_beta
 

@@ -45,9 +45,11 @@ def matrix(scale: float, grid: int) -> list[list[str]]:
     def reps(count: int, floor: int) -> str:
         return str(max(floor, round(count * scale)))
 
+    calibrate = ["calibrate", "--n", "1000", "--alpha", "0.05,0.1", "--reps", reps(20_000, MC)]
     return [
-        ["calibrate", "--stat", "bj", "--n", "1000", "--alpha", "0.05,0.1",
-         "--reps", reps(20_000, MC), "--out", "calibrate.json"],
+        [*calibrate, "--stat", "bj", "--out", "calibrate.json"],
+        [*calibrate, "--stat", "hc", "--out", "calibrate-hc.json"],
+        [*calibrate, "--stat", "alr", "--out", "calibrate-alr.json"],
         ["size-table", "--n", "100,1000", "--stat", "hc,bj",
          "--method", "thresh,evi,evii,empirical", "--alpha", "0.05,0.1",
          "--reps", reps(20_000, MC), "--out", "size-hc-bj.csv"],
