@@ -8,6 +8,10 @@ Four routes to a critical value:
 * alr_limit_cv      -- quantile of a sampled ALR limit law (variants cal1/cal2)
 
 ALR critical values are kept in the log domain throughout, matching log_alr.
+
+A method is a CalibrationMethod, whose constructor also takes its value in any
+case and padding and raises ConfigError otherwise.  _METHOD_KINDS alone states
+which kinds each method calibrates; the closed forms and limit checks read it.
 """
 
 from __future__ import annotations
@@ -46,14 +50,23 @@ class CalibrationMethod(str, enum.Enum):
     CAL2 = "cal2"
 
     @classmethod
-    def parse(cls, token: str) -> "CalibrationMethod":
-        try:
+    def _missing_(cls, token):
+        if isinstance(token, str) and token.strip().lower() in cls._value2member_map_:
             return cls(token.strip().lower())
-        except ValueError:
-            raise ConfigError(
-                f"unknown calibration method {token!r}; expected one of "
-                "empirical, thresh, evi, evii, cal1, cal2"
-            ) from None
+        raise ConfigError(
+            f"unknown calibration method {token!r}; expected one of "
+            "empirical, thresh, evi, evii, cal1, cal2"
+        )
+
+
+_METHOD_KINDS = {
+    CalibrationMethod.EMPIRICAL: frozenset(StatisticKind),
+    CalibrationMethod.THRESH: frozenset({StatisticKind.HC, StatisticKind.BJ}),
+    CalibrationMethod.EVI: frozenset({StatisticKind.HC, StatisticKind.BJ}),
+    CalibrationMethod.EVII: frozenset({StatisticKind.HC, StatisticKind.BJ}),
+    CalibrationMethod.CAL1: frozenset({StatisticKind.ALR}),
+    CalibrationMethod.CAL2: frozenset({StatisticKind.ALR}),
+}
 
 
 def simulate_null_distribution(
@@ -67,8 +80,8 @@ def simulate_null_distribution(
     """`reps` null replicates of the statistic, sorted and read-only."""
     if reps < 100:
         raise InsufficientReplicates(f"need reps >= 100, got {reps}")
-    stats = engine.null_statistics(n, reps, master_seed, (kind,), threads=threads)
-    replicates = np.sort(stats[kind])
+    [stats] = engine.null_statistics(n, reps, master_seed, (kind,), threads=threads).values()
+    replicates = np.sort(stats)
     replicates.flags.writeable = False
     return replicates
 
@@ -115,16 +128,11 @@ def empirical_cv(replicates: np.ndarray, alpha: float) -> float:
     return float(np.partition(r, k)[k])
 
 
-def _check_asymptotic_args(kind: StatisticKind, n: int) -> StatisticKind:
-    """kind as a StatisticKind, refused unless it is hc or bj at n >= 16."""
-    try:
-        kind = StatisticKind(kind)
-    except ValueError:
-        raise UnsupportedStatistic(f"unknown statistic kind {kind!r}") from None
-    if kind is StatisticKind.ALR:
-        raise UnsupportedStatistic(
-            "asymptotic thresholds apply to hc and bj only; use cal1/cal2 for alr"
-        )
+def _check_asymptotic_args(method: CalibrationMethod, kind, n: int) -> StatisticKind:
+    """kind as a StatisticKind, refused unless `method` calibrates it and n >= 16."""
+    kind = StatisticKind(kind)
+    if kind not in _METHOD_KINDS[method]:
+        raise UnsupportedStatistic(f"{method.value} calibrates hc and bj; alr needs cal1/cal2")
     if n < 16:
         raise DomainError(f"asymptotic formulas need n >= 16 (loglog n > 0), got {n}")
     return kind
@@ -132,7 +140,7 @@ def _check_asymptotic_args(kind: StatisticKind, n: int) -> StatisticKind:
 
 def thresh_cv(kind: StatisticKind, n: int) -> float:
     """Slowly-growing threshold: sqrt(2 loglog n) for HC, loglog n for BJ."""
-    kind = _check_asymptotic_args(kind, n)
+    kind = _check_asymptotic_args(CalibrationMethod.THRESH, kind, n)
     llog = math.log(math.log(n))
     if kind is StatisticKind.HC:
         return math.sqrt(2.0 * llog)
@@ -145,7 +153,7 @@ def evi_cv(kind: StatisticKind, n: int, alpha: float) -> float:
     q = loglog n + (1/2) logloglog n - (1/2) log 4pi - log(-log(1-alpha));
     BJ uses q directly, HC uses sqrt(2q).
     """
-    kind = _check_asymptotic_args(kind, n)
+    kind = _check_asymptotic_args(CalibrationMethod.EVI, kind, n)
     alpha = _check_alpha(alpha)
     llog = math.log(math.log(n))
     q = llog + 0.5 * math.log(llog) - 0.5 * _LOG_4PI - math.log(-math.log1p(-alpha))
@@ -162,7 +170,7 @@ def evii_cv(kind: StatisticKind, n: int, alpha: float) -> float:
     With c_n = 2 loglog n + (1/2) logloglog n - (1/2) log 4pi and
     b_n^2 = 2 loglog n, q = c_n^2 / (2 b_n^2) - log(-log(1-alpha)).
     """
-    kind = _check_asymptotic_args(kind, n)
+    kind = _check_asymptotic_args(CalibrationMethod.EVII, kind, n)
     alpha = _check_alpha(alpha)
     llog = math.log(math.log(n))
     c = 2.0 * llog + 0.5 * math.log(llog) - 0.5 * _LOG_4PI
@@ -300,20 +308,19 @@ def _cal2_task(args) -> np.ndarray:
 
 def check_limit_request(
     variant: CalibrationMethod, alpha: float, reps: int, n_for_l: int, grid_size: int
-) -> float:
-    """Refuse a limit-law request that cannot be calibrated, before any draw;
-    returns alpha as a float."""
-    if variant not in (CalibrationMethod.CAL1, CalibrationMethod.CAL2):
-        raise IncompatibleMethod(
-            f"ALR limit calibration supports cal1/cal2, got {variant!r}"
-        )
+) -> tuple[CalibrationMethod, float]:
+    """Refuse, before any draw, what the limit law cannot calibrate; returns
+    (variant, alpha) as a CalibrationMethod and a float."""
+    variant = CalibrationMethod(variant)
+    if _METHOD_KINDS[variant] != {StatisticKind.ALR}:  # cal1 and cal2 calibrate alr alone
+        raise IncompatibleMethod(f"ALR limit calibration is cal1 or cal2, got {variant.value}")
     alpha = _check_alpha(alpha)
     if reps < 10_000:
         raise InsufficientReplicates(f"limit-law calibration needs reps >= 10000, got {reps}")
     check_tail(reps, alpha)
     if variant is CalibrationMethod.CAL2:
         _check_bridge_args(n_for_l, grid_size)
-    return alpha
+    return variant, alpha
 
 
 @lru_cache(maxsize=4)
@@ -363,7 +370,7 @@ def alr_limit_cv(
     threads: int = 0,
 ) -> float:
     """Upper-alpha critical value for log ALR from the sampled limit law."""
-    alpha = check_limit_request(variant, alpha, reps, n_for_l, grid_size)
+    variant, alpha = check_limit_request(variant, alpha, reps, n_for_l, grid_size)
     if variant is CalibrationMethod.CAL1:
         n_for_l = grid_size = 0
     draws = _limit_draws(variant, reps, n_for_l, grid_size, master_seed, threads)

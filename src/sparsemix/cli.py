@@ -149,7 +149,7 @@ def _precheck_alphas(reps: int, alphas: list[float]) -> None:
 
 def _cmd_calibrate(args: argparse.Namespace, config: dict) -> int:
     _check_seed(args.seed)
-    kind = StatisticKind.parse(args.stat)
+    kind = StatisticKind(args.stat)
     alphas = _parse_alphas(args.alpha)
     _precheck_alphas(args.reps, alphas)
     replicates = simulate_null_distribution(
@@ -173,8 +173,8 @@ def _cmd_size_table(args: argparse.Namespace, config: dict) -> int:
     _check_seed(args.seed)
     rows = size_table(
         ns=_parse_list(args.n, "--n", int),
-        kinds=_parse_list(args.stat, "--stat", StatisticKind.parse),
-        methods=_parse_list(args.method, "--method", CalibrationMethod.parse),
+        kinds=_parse_list(args.stat, "--stat", StatisticKind),
+        methods=_parse_list(args.method, "--method", CalibrationMethod),
         alphas=_parse_alphas(args.alpha),
         reps=args.reps,
         master_seed=args.seed,
@@ -189,6 +189,8 @@ def _cmd_size_table(args: argparse.Namespace, config: dict) -> int:
 
 def _cmd_power_curve(args: argparse.Namespace, config: dict) -> int:
     _check_seed(args.seed)
+    if args.svg is not None and Path(args.svg).resolve() == Path(args.out).resolve():
+        raise ConfigError(f"--out and --svg name the same file, {args.out!r}")
     if args.beta_grid.strip() == "default":
         betas = beta_grid_default()
     else:
@@ -196,7 +198,7 @@ def _cmd_power_curve(args: argparse.Namespace, config: dict) -> int:
     points = power_curve(
         n=args.n,
         betas=betas,
-        kinds=_parse_list(args.stat, "--stat", StatisticKind.parse),
+        kinds=_parse_list(args.stat, "--stat", StatisticKind),
         alpha=args.alpha,
         reps_cal=args.cal_reps,
         reps_pow=args.pow_reps,
@@ -211,9 +213,7 @@ def _cmd_power_curve(args: argparse.Namespace, config: dict) -> int:
 
 def _cmd_alr_limit(args: argparse.Namespace, config: dict) -> int:
     _check_seed(args.seed)
-    variant = CalibrationMethod.parse(args.variant)
-    if variant not in (CalibrationMethod.CAL1, CalibrationMethod.CAL2):
-        raise ConfigError(f"--variant must be cal1 or cal2, got {args.variant!r}")
+    variant = CalibrationMethod(args.variant)
     alphas = _parse_alphas(args.alpha)
     for alpha in alphas:  # refuse any level before the first draw
         check_limit_request(variant, alpha, args.reps, args.n_for_l, args.grid)

@@ -374,7 +374,7 @@ def _check_request(n: int, reps: int, kinds) -> tuple[StatisticKind, ...]:
     available = supported_kinds(n)
     if kinds is None:
         return available
-    kinds = tuple(kinds)
+    kinds = tuple(StatisticKind(k) for k in kinds)
     if not kinds:
         raise ConfigError("need at least one statistic kind")
     for k in kinds:

@@ -8,6 +8,7 @@ import numpy as np
 
 from . import engine
 from .calibration import (
+    _METHOD_KINDS,
     CalibrationMethod,
     _check_alpha,
     alr_limit_cv,
@@ -24,15 +25,6 @@ from .stats import StatisticKind
 
 SIZE_HEADER = "n,kind,method,alpha,size,R,seed"
 POWER_HEADER = "beta,kind,power,n,R_cal,R_pow,cv,seed"
-
-_METHOD_KINDS = {
-    CalibrationMethod.EMPIRICAL: frozenset(StatisticKind),
-    CalibrationMethod.THRESH: frozenset({StatisticKind.HC, StatisticKind.BJ}),
-    CalibrationMethod.EVI: frozenset({StatisticKind.HC, StatisticKind.BJ}),
-    CalibrationMethod.EVII: frozenset({StatisticKind.HC, StatisticKind.BJ}),
-    CalibrationMethod.CAL1: frozenset({StatisticKind.ALR}),
-    CalibrationMethod.CAL2: frozenset({StatisticKind.ALR}),
-}
 
 # The calibrations that need no simulation: cv(kind, n, alpha).
 _CLOSED_FORMS = {
@@ -97,13 +89,12 @@ def size_table(
     if not ns or not methods or not alphas:
         raise ConfigError("a size table needs at least one n, one method and one level")
     for n in ns:
-        engine._check_request(n, reps, kinds)
+        kinds = engine._check_request(n, reps, kinds)
+    methods = [CalibrationMethod(method) for method in methods]
     for method in methods:
         for kind in kinds:
             if kind not in _METHOD_KINDS[method]:
-                raise IncompatibleMethod(
-                    f"method {method.value} does not calibrate {kind.value}"
-                )
+                raise IncompatibleMethod(f"{method.value} does not calibrate {kind.value}")
         for alpha in alphas:
             _check_alpha(alpha)
             if method is CalibrationMethod.EMPIRICAL:
@@ -120,7 +111,7 @@ def size_table(
     }
     rows: list[SizeTableRow] = []
     for n in ns:
-        stats = engine.null_statistics(n, reps, master_seed, tuple(kinds), threads=threads)
+        stats = engine.null_statistics(n, reps, master_seed, kinds, threads=threads)
         for kind in kinds:
             for method in methods:
                 for alpha in alphas:
@@ -176,24 +167,24 @@ def power_curve(
     check_tail(reps_cal, _check_alpha(alpha))
     if reps_pow < 1:
         raise InsufficientReplicates(f"need at least one power replicate, got {reps_pow}")
-    null_stats = engine.null_statistics(n, reps_cal, master_seed, tuple(kinds), threads=threads)
-    cvs = {kind: empirical_cv(null_stats[kind], alpha) for kind in kinds}
+    null_stats = engine.null_statistics(n, reps_cal, master_seed, kinds, threads=threads)
+    cvs = {kind: empirical_cv(stat, alpha) for kind, stat in null_stats.items()}
     # grid point k runs on stream sub-range k
     alts = engine.alternative_grid(
-        specs, reps_pow, master_seed, kinds=tuple(kinds), threads=threads
+        specs, reps_pow, master_seed, kinds=tuple(cvs), threads=threads
     )
     points: list[PowerCurvePoint] = []
     for beta, alt in zip(betas, alts):
-        for kind in kinds:
+        for kind, cv in cvs.items():
             points.append(
                 PowerCurvePoint(
                     beta=float(beta),
                     kind=kind,
-                    power=float(np.mean(alt[kind] > cvs[kind])),
+                    power=float(np.mean(alt[kind] > cv)),
                     n=n,
                     reps_cal=reps_cal,
                     reps_pow=reps_pow,
-                    cv_used=cvs[kind],
+                    cv_used=cv,
                     master_seed=master_seed,
                 )
             )

@@ -12,6 +12,9 @@ simulated row hands the kernels the value its sampler formed before p_(i)
 (`engine._lower_rows`), a one-sample call forms it with log1p, so the two
 agree to the rounding of that one value and are bitwise identical given the
 same log(1 - p_(i)).
+
+A kind is a StatisticKind, whose constructor also takes its value in any case
+and padding (" HC ") and raises UnsupportedStatistic for anything else.
 """
 
 from __future__ import annotations
@@ -43,13 +46,10 @@ class StatisticKind(str, enum.Enum):
     ALR = "alr"
 
     @classmethod
-    def parse(cls, token: str) -> "StatisticKind":
-        try:
+    def _missing_(cls, token):
+        if isinstance(token, str) and token.strip().lower() in cls._value2member_map_:
             return cls(token.strip().lower())
-        except ValueError:
-            raise UnsupportedStatistic(
-                f"unknown statistic {token!r}; expected one of hc, bj, alr"
-            ) from None
+        raise UnsupportedStatistic(f"unknown statistic {token!r}; expected one of hc, bj, alr")
 
 
 def supported_kinds(n: int) -> tuple[StatisticKind, ...]:

@@ -16,9 +16,9 @@ def table_from_json(text: str) -> dict:
     try:
         payload = json.loads(text)
         return {
-            "kind": StatisticKind.parse(payload["kind"]),
+            "kind": StatisticKind(payload["kind"]),
             "n": int(payload["n"]),
-            "method": CalibrationMethod.parse(payload["method"]),
+            "method": CalibrationMethod(payload["method"]),
             "R": int(payload["R"]),
             "master_seed": int(payload["master_seed"]),
             "entries": {float(e["alpha"]): float(e["cv"]) for e in payload["entries"]},

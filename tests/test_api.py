@@ -1,9 +1,35 @@
 """The public API: every exported name resolves, and the removed scalar
 duplicates of the batched kernels, with the one-sample samplers and their
 stream object, and the wrappers around a null sample and a critical value
-table, stay removed."""
+table, stay removed.  Every entry that takes a statistic kind or a
+calibration method gives the same result, bitwise, for the enum member and
+for its value in any case and padding."""
+
+import dataclasses
+import enum
+
+import numpy as np
+import pytest
 
 import sparsemix
+from sparsemix import (
+    CalibrationMethod,
+    DomainError,
+    SampleTooSmall,
+    StatisticKind,
+    alr_limit_cv,
+    alternative_statistics,
+    calibration,
+    engine,
+    mixture_from,
+    null_statistics,
+    power_curve,
+    power_curve_csv,
+    simulate_null_distribution,
+    size_table,
+    size_table_csv,
+)
+from sparsemix.calibration import check_limit_request
 
 REMOVED = (
     "BridgePath",
@@ -31,3 +57,84 @@ def test_all_names_resolve_and_removed_names_are_gone():
     for name in REMOVED:
         assert name not in sparsemix.__all__
         assert not hasattr(sparsemix, name)
+
+
+# ---------------------------------------------------------------------------
+# a kind or a method may be passed as its member or as its value, in any case
+
+HC, BJ, ALR = StatisticKind
+EMPIRICAL, THRESH, EVI, EVII, CAL1, CAL2 = CalibrationMethod
+_GRID = [mixture_from(100, 0.6), mixture_from(100, 0.8)]
+
+# each call passes every kind and method through `form`
+STRING_FORM_CASES = {
+    "null_statistics": lambda form: null_statistics(
+        100, 300, 1, (form(ALR), form(HC)), threads=1),
+    "null_statistics-n2-alr": lambda form: null_statistics(2, 300, 1, (form(ALR),)),
+    "alternative_statistics": lambda form: alternative_statistics(
+        _GRID[0], 50, 1, kinds=(form(BJ),), threads=1),
+    "alternative_grid": lambda form: engine.alternative_grid(
+        _GRID, 50, 1, kinds=(form(HC), form(ALR)), threads=1),
+    "simulate_null_distribution": lambda form: simulate_null_distribution(
+        form(BJ), 100, 300, 1, threads=1),
+    "size_table": lambda form: size_table(
+        [100], [form(HC), form(BJ)], [form(EMPIRICAL), form(THRESH), form(EVI), form(EVII)],
+        [0.05], 300, 1, threads=1),
+    "size_table-alr": lambda form: size_table(
+        [100], [form(ALR)], [form(EMPIRICAL), form(CAL1)], [0.05], 300, 1,
+        threads=1, limit_reps=10_000),
+    "size_table_csv": lambda form: size_table_csv(STRING_FORM_CASES["size_table"](form)),
+    "power_curve": lambda form: power_curve(
+        100, [0.6, 0.8], [form(BJ), form(ALR)], 0.05, 300, 50, 1, threads=1),
+    "power_curve_csv": lambda form: power_curve_csv(STRING_FORM_CASES["power_curve"](form)),
+    "alr_limit_cv": lambda form: alr_limit_cv(form(CAL1), 0.05, 10_000, 1, threads=1),
+    "check_limit_request": lambda form: check_limit_request(
+        form(CAL2), 0.05, 10_000, 1000, 256),
+    "check_limit_request-n8": lambda form: check_limit_request(
+        form(CAL2), 0.05, 10_000, 8, 100),
+}
+STRING_FORM_ERRORS = {"null_statistics-n2-alr": SampleTooSmall,
+                      "check_limit_request-n8": DomainError}
+
+
+def _assert_same(got, want):
+    """got equals want bitwise, with every kind and method an enum member."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(got, enum.Enum):
+        assert got is want
+    elif isinstance(got, float):
+        assert got.hex() == want.hex()
+    elif isinstance(got, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    elif isinstance(got, dict):
+        _assert_same(list(got.items()), list(want.items()))
+    elif isinstance(got, (list, tuple)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_same(a, b)
+    elif dataclasses.is_dataclass(got):
+        _assert_same(dataclasses.astuple(got), dataclasses.astuple(want))
+    else:  # ints and CSV text
+        assert got == want
+
+
+def _call_uncached(case, form):
+    """The case's result with empty null and limit-law caches, so that the
+    form reaches every layer."""
+    engine._null_entry.cache_clear()
+    calibration._limit_entry.cache_clear()
+    if case in STRING_FORM_ERRORS:
+        with pytest.raises(STRING_FORM_ERRORS[case]):
+            STRING_FORM_CASES[case](form)
+        return None
+    return STRING_FORM_CASES[case](form)
+
+
+@pytest.mark.parametrize(
+    "form", [lambda m: m.value, lambda m: f"  {m.value.upper()} "],
+    ids=["value", "padded-upper"],
+)
+@pytest.mark.parametrize("case", STRING_FORM_CASES)
+def test_string_forms_give_the_enum_forms_result(case, form):
+    _assert_same(_call_uncached(case, form), _call_uncached(case, lambda m: m))

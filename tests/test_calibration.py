@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import integrate, optimize, special, stats
 
 from sparsemix import (
     AlphaOutOfRange,
@@ -201,6 +201,45 @@ def test_empirical_cv_exact_oracle_at_n2(seed, alpha):
     assert lo < _hc_cdf_n2(cv) < hi
 
 
+def _cal1_tail(x):
+    """Exact P(X > x), x > 1, of the cal1 limit law X = f(E)/2 + W/2 with
+    E ~ Exp(1), f(E) = e^(E-1)/E below 1 and 1 above, W = exp((Z+)^2/2):
+    the integral over E of e^-E G(2x - f(E)), G(w) = P(W > w), which is 1
+    below w = 1 and erfc(sqrt(log w))/2 from there on.  f falls from
+    infinity to 1 on (0, 1), so G jumps to 1/2 at the E0 where
+    f(E0) = 2x - 1; the integral is split there, and the part below E0 is
+    1 - e^-E0."""
+
+    def f(e):
+        return math.exp(e - 1.0) / e
+
+    def g(w):
+        return 0.5 * special.erfc(math.sqrt(math.log(w)))
+
+    e0 = optimize.brentq(lambda e: f(e) - (2.0 * x - 1.0), 1e-12, 1.0)
+    inner, _ = integrate.quad(lambda e: math.exp(-e) * g(2.0 * x - f(e)), e0, 1.0,
+                              epsabs=1e-14, epsrel=1e-12)
+    return -math.expm1(-e0) + inner + math.exp(-1.0) * g(2.0 * x - 1.0)
+
+
+def test_cal1_exact_limit_law_quantiles():
+    # the quantiles of the law itself, to 30 digits by mpmath
+    for alpha, q in ((0.05, 6.0240853660), (0.1, 3.4089125726)):
+        exact = optimize.brentq(lambda x: _cal1_tail(x) - alpha, 2.0, 20.0, xtol=1e-13)
+        assert exact == pytest.approx(q, abs=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.1])
+@pytest.mark.parametrize("seed", [1, 5, 1729])
+def test_alr_limit_cv_cal1_exact_oracle(seed, alpha):
+    # as at n = 2: F at the k-th of R limit-law draws is Beta(k, R + 1 - k)
+    reps = 100_000
+    k = quantile_index(reps, alpha)
+    cv = math.exp(alr_limit_cv(CalibrationMethod.CAL1, alpha, reps, seed, threads=1))
+    lo, hi = stats.beta.ppf([1e-6, 1.0 - 1e-6], k, reps + 1 - k)
+    assert lo < 1.0 - _cal1_tail(cv) < hi
+
+
 # ---------------------------------------------------------------------------
 # asymptotic critical values
 
@@ -282,10 +321,10 @@ def test_asymptotic_cvs_decrease_in_alpha():
 
 
 def test_calibration_method_parse():
-    assert CalibrationMethod.parse(" EVI ") is CalibrationMethod.EVI
-    assert CalibrationMethod.parse("cal2") is CalibrationMethod.CAL2
+    assert CalibrationMethod(" EVI ") is CalibrationMethod.EVI
+    assert CalibrationMethod("cal2") is CalibrationMethod.CAL2
     with pytest.raises(ConfigError):
-        CalibrationMethod.parse("bootstrap")
+        CalibrationMethod("bootstrap")
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,20 @@ def test_alr_limit_out_file(tmp_path):
     assert payload["n_for_l"] == 1000 and payload["grid"] == 256
 
 
+def test_alr_limit_variant_in_any_case_and_padding(tmp_path):
+    bodies = []
+    for variant in ("cal1", " CAL1 "):
+        calibration._limit_entry.cache_clear()
+        out = tmp_path / "limit.json"
+        argv = ["alr-limit", "--variant", variant, "--reps", "10000", "--alpha", "0.05,0.1",
+                "--seed", "5", "--out", str(out)]
+        assert main(argv) == 0
+        payload = json.loads(out.read_text())
+        assert payload.pop("config")["parameters"]["variant"] == variant
+        bodies.append(json.dumps(payload, sort_keys=True))
+    assert bodies[0] == bodies[1]
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -300,6 +314,18 @@ def test_exit_incompatible_method(tmp_path):
     assert main(argv) == 13
 
 
+def test_exit_alr_limit_variant_not_a_limit_law(tmp_path, monkeypatch, capsys):
+    # the limit-law variants are the methods that calibrate alr alone
+    monkeypatch.chdir(tmp_path)
+    argv = ["alr-limit", "--variant", "empirical", "--reps", "10000", "--seed", "0"]
+    assert main(argv) == 13
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: IncompatibleMethod:")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_size_table_alpha_out_of_range(tmp_path):
     # thresh never reads the level, which is still checked before simulating
     argv = ["size-table", "--n", "32", "--stat", "hc", "--method", "thresh",
@@ -322,6 +348,20 @@ def test_exit_size_table_checks_every_n_before_simulating(tmp_path, monkeypatch,
             "--alpha", "0.05", "--reps", "100000", "--seed", "0", "--threads", "2",
             "--out", str(tmp_path / "x.csv")]
     assert main(argv) == 8
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_exit_power_curve_out_and_svg_name_one_file(tmp_path, monkeypatch, capsys):
+    def no_simulation(*args):
+        raise AssertionError("a simulation ran")
+
+    monkeypatch.setattr(engine, "simulate", no_simulation)
+    monkeypatch.chdir(tmp_path)
+    argv = ["power-curve", *_LIST_BASE["power-curve"], "--out", "p.csv",
+            "--svg", str(tmp_path / "p.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError:") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

@@ -269,10 +269,10 @@ def test_log_alr_requires_four_observations():
 
 
 def test_statistic_kind_parse():
-    assert StatisticKind.parse(" HC ") is StatisticKind.HC
-    assert StatisticKind.parse("alr") is StatisticKind.ALR
+    assert StatisticKind(" HC ") is StatisticKind.HC
+    assert StatisticKind("alr") is StatisticKind.ALR
     with pytest.raises(UnsupportedStatistic):
-        StatisticKind.parse("ks")
+        StatisticKind("ks")
 
 
 def test_bj_matches_scalar_term_maximum():
