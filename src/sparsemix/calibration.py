@@ -1,17 +1,20 @@
 """Critical values: Monte Carlo, closed-form asymptotics, and the ALR limit law.
 
-Four routes to a critical value:
+This module alone turns a method into a critical value, by four routes:
 
-* empirical_cv      -- upper-alpha order statistic of null replicates, any order
+* empirical_cv      -- upper-alpha order statistic of replicates, any order
 * thresh_cv         -- slowly-growing threshold sqrt(2 loglog n) / loglog n
 * evi_cv / evii_cv  -- two extreme-value refinements for HC and BJ
-* alr_limit_cv      -- quantile of a sampled ALR limit law (variants cal1/cal2)
+* alr_limit_cv      -- empirical_cv of a sampled ALR limit law (cal1/cal2)
 
-ALR critical values are kept in the log domain throughout, matching log_alr.
+The three closed forms share one body, `_closed_form_cv`: a quantile q that
+BJ takes as its cv and HC as sqrt(2q).  ALR critical values are kept in the
+log domain throughout, matching log_alr.
 
 A method is a CalibrationMethod, whose constructor also takes its value in any
 case and padding and raises ConfigError otherwise.  _METHOD_KINDS alone states
-which kinds each method calibrates; the closed forms and limit checks read it.
+which kinds each method calibrates, and _CLOSED_FORMS which methods need no
+simulation; size_table, the closed forms and the limit checks read them.
 """
 
 from __future__ import annotations
@@ -67,6 +70,10 @@ _METHOD_KINDS = {
     CalibrationMethod.CAL1: frozenset({StatisticKind.ALR}),
     CalibrationMethod.CAL2: frozenset({StatisticKind.ALR}),
 }
+# The methods whose critical value is a closed form in n and alpha.
+_CLOSED_FORMS = frozenset(
+    {CalibrationMethod.THRESH, CalibrationMethod.EVI, CalibrationMethod.EVII}
+)
 
 
 def simulate_null_distribution(
@@ -128,59 +135,53 @@ def empirical_cv(replicates: np.ndarray, alpha: float) -> float:
     return float(np.partition(r, k)[k])
 
 
-def _check_asymptotic_args(method: CalibrationMethod, kind, n: int) -> StatisticKind:
-    """kind as a StatisticKind, refused unless `method` calibrates it and n >= 16."""
+def _closed_form_cv(method: CalibrationMethod, kind, n: int, alpha) -> float:
+    """The critical value of a method of _CLOSED_FORMS: its quantile q for BJ,
+    sqrt(2q) for HC, with llog = loglog n and g = log(-log(1 - alpha)):
+
+    * thresh -- q = llog (alpha is not read)
+    * evi    -- q = llog + (1/2) log llog - (1/2) log 4pi - g
+    * evii   -- q = c^2 / (2 b^2) - g, with c = 2 llog + (1/2) log llog -
+      (1/2) log 4pi and b^2 = 2 llog
+    """
     kind = StatisticKind(kind)
     if kind not in _METHOD_KINDS[method]:
         raise UnsupportedStatistic(f"{method.value} calibrates hc and bj; alr needs cal1/cal2")
     if n < 16:
         raise DomainError(f"asymptotic formulas need n >= 16 (loglog n > 0), got {n}")
-    return kind
+    llog = math.log(math.log(n))
+    if method is CalibrationMethod.THRESH:
+        q = llog
+    else:
+        alpha = _check_alpha(alpha)
+        if method is CalibrationMethod.EVI:
+            q = llog + 0.5 * math.log(llog) - 0.5 * _LOG_4PI - math.log(-math.log1p(-alpha))
+        else:
+            c = 2.0 * llog + 0.5 * math.log(llog) - 0.5 * _LOG_4PI
+            b2 = 2.0 * llog
+            q = c * c / (2.0 * b2) - math.log(-math.log1p(-alpha))
+    if kind is StatisticKind.BJ:
+        return q
+    if q <= 0.0:
+        raise NegativeQ(
+            f"{method.value.upper()} quantile q = {q:.6g} <= 0 at n={n}, alpha={alpha}"
+        )
+    return math.sqrt(2.0 * q)
 
 
 def thresh_cv(kind: StatisticKind, n: int) -> float:
     """Slowly-growing threshold: sqrt(2 loglog n) for HC, loglog n for BJ."""
-    kind = _check_asymptotic_args(CalibrationMethod.THRESH, kind, n)
-    llog = math.log(math.log(n))
-    if kind is StatisticKind.HC:
-        return math.sqrt(2.0 * llog)
-    return llog
+    return _closed_form_cv(CalibrationMethod.THRESH, kind, n, None)
 
 
 def evi_cv(kind: StatisticKind, n: int, alpha: float) -> float:
-    """First extreme-value approximation.
-
-    q = loglog n + (1/2) logloglog n - (1/2) log 4pi - log(-log(1-alpha));
-    BJ uses q directly, HC uses sqrt(2q).
-    """
-    kind = _check_asymptotic_args(CalibrationMethod.EVI, kind, n)
-    alpha = _check_alpha(alpha)
-    llog = math.log(math.log(n))
-    q = llog + 0.5 * math.log(llog) - 0.5 * _LOG_4PI - math.log(-math.log1p(-alpha))
-    if kind is StatisticKind.BJ:
-        return q
-    if q <= 0.0:
-        raise NegativeQ(f"EVI quantile q = {q:.6g} <= 0 at n={n}, alpha={alpha}")
-    return math.sqrt(2.0 * q)
+    """First extreme-value approximation; `_closed_form_cv` gives its q."""
+    return _closed_form_cv(CalibrationMethod.EVI, kind, n, alpha)
 
 
 def evii_cv(kind: StatisticKind, n: int, alpha: float) -> float:
-    """Second extreme-value approximation.
-
-    With c_n = 2 loglog n + (1/2) logloglog n - (1/2) log 4pi and
-    b_n^2 = 2 loglog n, q = c_n^2 / (2 b_n^2) - log(-log(1-alpha)).
-    """
-    kind = _check_asymptotic_args(CalibrationMethod.EVII, kind, n)
-    alpha = _check_alpha(alpha)
-    llog = math.log(math.log(n))
-    c = 2.0 * llog + 0.5 * math.log(llog) - 0.5 * _LOG_4PI
-    b2 = 2.0 * llog
-    q = c * c / (2.0 * b2) - math.log(-math.log1p(-alpha))
-    if kind is StatisticKind.BJ:
-        return q
-    if q <= 0.0:
-        raise NegativeQ(f"EVII quantile q = {q:.6g} <= 0 at n={n}, alpha={alpha}")
-    return math.sqrt(2.0 * q)
+    """Second extreme-value approximation; `_closed_form_cv` gives its q."""
+    return _closed_form_cv(CalibrationMethod.EVII, kind, n, alpha)
 
 
 # --- ALR limit law -----------------------------------------------------------
@@ -341,7 +342,7 @@ def _limit_draws(
     master_seed: int,
     threads: int,
 ) -> np.ndarray:
-    """Sorted limit-law draws, cached, shared and read-only.
+    """Limit-law draws in row order, cached, shared and read-only.
 
     cal1 ignores n_for_l and grid_size; pass 0 for both so that one cache
     entry serves every call.
@@ -353,7 +354,6 @@ def _limit_draws(
         else:
             task, params = _cal2_task, (master_seed, n_for_l, grid_size)
         [draws] = engine.simulate(task, [params], reps, threads)
-        draws = np.sort(draws)
         draws.flags.writeable = False
         entry.append(draws)
     return entry[0]
@@ -374,5 +374,4 @@ def alr_limit_cv(
     if variant is CalibrationMethod.CAL1:
         n_for_l = grid_size = 0
     draws = _limit_draws(variant, reps, n_for_l, grid_size, master_seed, threads)
-    raw = float(draws[quantile_index(reps, alpha) - 1])
-    return math.log(raw)
+    return math.log(empirical_cv(draws, alpha))

@@ -241,7 +241,6 @@ def _lower_rows(
     normals: Rows | None,
     count: int,
     bufs: list[np.ndarray] | None = None,
-    tmp: np.ndarray | None = None,
 ) -> np.ndarray:
     """(count, m) sorted lower halves p_(1..m), m = n // 2, clamped to
     [P_MIN, P_MAX], of the next `count` replicates of the mixture with a
@@ -260,10 +259,10 @@ def _lower_rows(
     sort of its first m + max K columns orders it; L = -S and p follow.
 
     The rows are formed in `bufs`, (at least count, w) float64 buffers for
-    each width w of `_buffer_widths`, and the divisors, when some row
-    shifts, in `tmp`, a float64 array of at least (count, m); each is new by
-    default.  The result is a view of the last of `bufs`, and L is left in
-    the last m columns of the first, the uniforms', for `_row_stats`.
+    each width w of `_buffer_widths`, new by default; the divisors, when
+    some row shifts, in the p-values' buffer, the last, before p is formed.
+    The result is a view of that buffer, and L is left in the last m
+    columns of the first, the uniforms', for `_row_stats`.
     """
     m = n // 2
     widths = _buffer_widths(n, uniforms, normals)
@@ -284,8 +283,7 @@ def _lower_rows(
     np.log(x, out=x)
     den = _renyi_denominators(n)
     if shifts:
-        tmp = np.empty((count, m)) if tmp is None else tmp[:count]
-        den = np.subtract(k[:, None].astype(float), den, out=tmp)
+        den = np.subtract(k[:, None].astype(float), den, out=p)
         short = shifts > n - m  # some row has fewer than m unshifted p-values
         if short:
             np.fmin(den, -1.0, out=den)
@@ -321,12 +319,11 @@ def _alt_rows(
     count: int,
     *,
     bufs=None,
-    tmp=None,
 ) -> np.ndarray:
     """(count, n // 2) sorted, clamped lower halves of the next `count`
     alternative replicates of the readers from `_alt_readers`: `_lower_rows`
-    of the mixture, formed in `bufs` with `tmp` as scratch."""
-    return _lower_rows(n, eps, mu, uniforms, normals, count, bufs, tmp)
+    of the mixture, formed in `bufs`."""
+    return _lower_rows(n, eps, mu, uniforms, normals, count, bufs)
 
 
 def _null_task(args) -> np.ndarray:
@@ -359,7 +356,7 @@ def _alt_task(args) -> np.ndarray:
     bufs, scratch = _task_buffers(block_rows(count, n), widths, n)
 
     def block(c: int) -> list[np.ndarray]:
-        p = _alt_rows(n, eps, mu, uniforms, normals, c, bufs=bufs, tmp=scratch[0])
+        p = _alt_rows(n, eps, mu, uniforms, normals, c, bufs=bufs)
         stats = _row_stats(p, n, kinds, scratch, bufs[0][:c, -m:])
         return [stats[k] for k in kinds]
 
@@ -374,6 +371,9 @@ def _check_request(n: int, reps: int, kinds) -> tuple[StatisticKind, ...]:
     available = supported_kinds(n)
     if kinds is None:
         return available
+    if isinstance(kinds, str):  # a kind is a str: its characters are no kinds
+        raise ConfigError(f"kinds must be a sequence of statistic kinds, such as ('hc',), "
+                          f"not the string {kinds!r}")
     kinds = tuple(StatisticKind(k) for k in kinds)
     if not kinds:
         raise ConfigError("need at least one statistic kind")

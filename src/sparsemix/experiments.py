@@ -8,16 +8,15 @@ import numpy as np
 
 from . import engine
 from .calibration import (
+    _CLOSED_FORMS,
     _METHOD_KINDS,
     CalibrationMethod,
     _check_alpha,
+    _closed_form_cv,
     alr_limit_cv,
     check_limit_request,
     check_tail,
     empirical_cv,
-    evi_cv,
-    evii_cv,
-    thresh_cv,
 )
 from .errors import ConfigError, DomainError, IncompatibleMethod, InsufficientReplicates
 from .mixture import mixture_from
@@ -25,13 +24,6 @@ from .stats import StatisticKind
 
 SIZE_HEADER = "n,kind,method,alpha,size,R,seed"
 POWER_HEADER = "beta,kind,power,n,R_cal,R_pow,cv,seed"
-
-# The calibrations that need no simulation: cv(kind, n, alpha).
-_CLOSED_FORMS = {
-    CalibrationMethod.THRESH: lambda kind, n, alpha: thresh_cv(kind, n),
-    CalibrationMethod.EVI: evi_cv,
-    CalibrationMethod.EVII: evii_cv,
-}
 
 
 @dataclass(frozen=True)
@@ -90,6 +82,9 @@ def size_table(
         raise ConfigError("a size table needs at least one n, one method and one level")
     for n in ns:
         kinds = engine._check_request(n, reps, kinds)
+    if isinstance(methods, str):  # a method is a str: its characters are no methods
+        raise ConfigError(f"methods must be a sequence of calibration methods, such as "
+                          f"('empirical',), not the string {methods!r}")
     methods = [CalibrationMethod(method) for method in methods]
     for method in methods:
         for kind in kinds:
@@ -102,7 +97,7 @@ def size_table(
             elif method in (CalibrationMethod.CAL1, CalibrationMethod.CAL2):
                 check_limit_request(method, alpha, limit_reps, limit_n_for_l, limit_grid)
     closed = {
-        (n, kind, method, alpha): _CLOSED_FORMS[method](kind, n, alpha)
+        (n, kind, method, alpha): _closed_form_cv(method, kind, n, alpha)
         for n in ns
         for kind in kinds
         for method in methods

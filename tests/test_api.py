@@ -3,7 +3,8 @@ duplicates of the batched kernels, with the one-sample samplers and their
 stream object, and the wrappers around a null sample and a critical value
 table, stay removed.  Every entry that takes a statistic kind or a
 calibration method gives the same result, bitwise, for the enum member and
-for its value in any case and padding."""
+for its value in any case and padding; a bare one, where a sequence is
+expected, is refused."""
 
 import dataclasses
 import enum
@@ -14,6 +15,7 @@ import pytest
 import sparsemix
 from sparsemix import (
     CalibrationMethod,
+    ConfigError,
     DomainError,
     SampleTooSmall,
     StatisticKind,
@@ -138,3 +140,24 @@ def _call_uncached(case, form):
 @pytest.mark.parametrize("case", STRING_FORM_CASES)
 def test_string_forms_give_the_enum_forms_result(case, form):
     _assert_same(_call_uncached(case, form), _call_uncached(case, lambda m: m))
+
+
+# a bare kind or method, member or value, is a str: it is refused, not iterated
+BARE_CASES = {
+    "null_statistics": lambda form: null_statistics(100, 300, 1, form(HC), threads=1),
+    "alternative_statistics": lambda form: alternative_statistics(
+        _GRID[0], 50, 1, kinds=form(HC), threads=1),
+    "size_table-kinds": lambda form: size_table(
+        [100], form(HC), [EMPIRICAL], [0.05], 300, 1, threads=1),
+    "size_table-methods": lambda form: size_table(
+        [100], [HC], form(THRESH), [0.05], 300, 1, threads=1),
+    "power_curve": lambda form: power_curve(100, [0.6], form(HC), 0.05, 300, 50, 1, threads=1),
+}
+
+
+@pytest.mark.parametrize("form", [lambda m: m, lambda m: m.value], ids=["member", "value"])
+@pytest.mark.parametrize("case", BARE_CASES)
+def test_a_bare_kind_or_method_is_refused_as_no_sequence(case, form):
+    engine._null_entry.cache_clear()
+    with pytest.raises(ConfigError, match=r"must be a sequence of .*, such as \('"):
+        BARE_CASES[case](form)

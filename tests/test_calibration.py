@@ -23,8 +23,10 @@ from sparsemix import (
     empirical_cv,
     evi_cv,
     evii_cv,
+    null_statistics,
     quantile_index,
     simulate_null_distribution,
+    size_table,
     stream_id_for,
     thresh_cv,
 )
@@ -240,6 +242,18 @@ def test_alr_limit_cv_cal1_exact_oracle(seed, alpha):
     assert lo < 1.0 - _cal1_tail(cv) < hi
 
 
+@pytest.mark.parametrize("seed", [1, 5, 1729])
+def test_cal1_draws_follow_the_exact_limit_law(seed):
+    # the DKW inequality with Massart's constant: sup |F_R - F| exceeds
+    # sqrt(log(2 / delta) / (2R)) with probability at most delta = 1e-6
+    reps = 200_000
+    draws = np.sort(_limit_draws(CalibrationMethod.CAL1, reps, 0, 0, seed, 1))
+    x = np.geomspace(1.02, 60.0, 40)
+    empirical = np.searchsorted(draws, x, side="right") / reps
+    exact = np.array([1.0 - _cal1_tail(v) for v in x])
+    assert np.max(np.abs(empirical - exact)) <= math.sqrt(math.log(2e6) / (2 * reps))
+
+
 # ---------------------------------------------------------------------------
 # asymptotic critical values
 
@@ -318,6 +332,92 @@ def test_asymptotic_cvs_decrease_in_alpha():
     for fn in (evi_cv, evii_cv):
         vals = [fn(StatisticKind.BJ, 10_000, a) for a in (0.01, 0.05, 0.1, 0.2)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+# ---------------------------------------------------------------------------
+# exact null laws of HC and BJ at n = 100, by boundary crossing
+
+def _noncrossing(b, n):
+    """P(U_(i) >= b_i for i = 1..len(b)) for n iid uniforms, b nondecreasing
+    (Noe 1972): the law of N(b_i), the count of uniforms below b_i, which
+    must stay below i.  Given j below b_(i-1), the other n - j are uniform
+    above it, so N(b_i) - j ~ Bin(n - j, (b_i - b_(i-1)) / (1 - b_(i-1)))."""
+    j = np.arange(len(b))
+    law = np.zeros(len(b))
+    law[0] = 1.0
+    prev = 0.0
+    for i, bi in enumerate(b, 1):
+        law = law @ stats.binom.pmf(j - j[:, None], n - j[:, None], (bi - prev) / (1.0 - prev))
+        law[i:] = 0.0
+        prev = bi
+    return law.sum()
+
+
+def _hc_boundary(c, n):
+    """b_i at which HC's term i equals c > 0: the smaller root of
+    (n + c^2) p^2 - (2nt + c^2) p + nt^2, t = i/n, in a form free of
+    cancellation."""
+    t = np.arange(1, n // 2 + 1) / n
+    return 2.0 * n * t * t / (2.0 * n * t + c * c + c * np.sqrt(c * c + 4.0 * n * t * (1.0 - t)))
+
+
+def _bj_boundary(c, n):
+    """b_i at which log LR_{n,i} equals c > 0: its root on (0, t), where it
+    falls from infinity to 0, found in log p."""
+
+    def log_lr(x, i):
+        t = i / n
+        return i * (math.log(t) - x) + (n - i) * (math.log1p(-t) - math.log1p(-math.exp(x)))
+
+    return np.array([
+        math.exp(optimize.brentq(lambda x: log_lr(x, i) - c, -700.0, math.log(i / n),
+                                 xtol=1e-14))
+        for i in range(1, n // 2 + 1)
+    ])
+
+
+def _exact_null_cdf(kind, c, n=100):
+    """P(stat <= c) under the null: every term of the statistic is a
+    decreasing function of its p_(i), so stat <= c exactly when p_(i) >= b_i
+    for every i, and p_(i) is nondecreasing, so b may be its running
+    maximum."""
+    boundary = _hc_boundary if kind is StatisticKind.HC else _bj_boundary
+    return _noncrossing(np.maximum.accumulate(boundary(c, n)), n)
+
+
+def test_exact_null_cdf_agrees_with_the_n2_form():
+    assert _exact_null_cdf(StatisticKind.HC, 4.27315, n=2) == pytest.approx(
+        _hc_cdf_n2(4.27315), rel=1e-12)
+
+
+_EXACT_KINDS = [StatisticKind.HC, StatisticKind.BJ]
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.1])
+@pytest.mark.parametrize("seed", [1, 5, 1729])
+@pytest.mark.parametrize("kind", _EXACT_KINDS)
+def test_empirical_cv_exact_oracle_at_n100(kind, seed, alpha):
+    # as at n = 2: F at the k-th of R null replicates is Beta(k, R + 1 - k)
+    reps = 100_000
+    k = quantile_index(reps, alpha)
+    cv = empirical_cv(null_statistics(100, reps, seed, _EXACT_KINDS)[kind], alpha)
+    lo, hi = stats.beta.ppf([1e-6, 1.0 - 1e-6], k, reps + 1 - k)
+    assert lo < _exact_null_cdf(kind, cv) < hi
+
+
+@pytest.mark.parametrize("seed", [1, 5, 1729])
+def test_closed_form_sizes_exact_oracle_at_n100(seed):
+    # each closed-form cell's rejection count is Bin(R, exact size); at n = 100
+    # evi's BJ cv rejects 7.25% at alpha = 0.05
+    reps = 100_000
+    methods = [CalibrationMethod.THRESH, CalibrationMethod.EVI, CalibrationMethod.EVII]
+    rows = size_table([100], _EXACT_KINDS, methods, [0.05, 0.1], reps, seed)
+    assert len(rows) == 12
+    for row in rows:
+        cv = calibration._closed_form_cv(row.method, row.kind, 100, row.nominal_alpha)
+        size = 1.0 - _exact_null_cdf(row.kind, cv)
+        lo, hi = stats.binom.ppf([1e-6, 1.0 - 1e-6], reps, size)
+        assert lo <= round(row.realized_size * reps) <= hi, row
 
 
 def test_calibration_method_parse():
@@ -457,7 +557,19 @@ def test_alr_limit_cv_deterministic_and_log_domain():
     assert v == alr_limit_cv(CalibrationMethod.CAL1, 0.1, 10_000, 42, threads=1)
     assert v > 0.0  # raw draws are >= 1, so the log cv is nonnegative
     draws = _limit_draws(CalibrationMethod.CAL1, 10_000, 0, 0, 42, 1)
-    assert v == math.log(draws[quantile_index(10_000, 0.1) - 1])
+    assert v == math.log(np.sort(draws)[quantile_index(10_000, 0.1) - 1])
+
+
+def test_alr_limit_cv_refuses_a_non_finite_draw(monkeypatch):
+    # the cv is empirical_cv of the draws, which refuses a non-finite one
+    def task(args):
+        draws = _cal1_task(args)
+        draws[0] = np.inf
+        return draws
+
+    monkeypatch.setattr(calibration, "_cal1_task", task)
+    with pytest.raises(NonFinite):
+        alr_limit_cv(CalibrationMethod.CAL1, 0.1, 10_000, 42, threads=1)
 
 
 def test_alr_limit_cv_shares_draws_across_alphas():
@@ -639,9 +751,9 @@ def test_limit_draws_do_not_depend_on_the_task_split(variant, reps, n_for_l, gri
         task, params = calibration._cal1_task, (11,)
     else:
         task, params = calibration._cal2_task, (11, n_for_l, grid_size)
-    # 7 rows a task, joined in this process
+    # 7 rows a task, joined in this process in row order
     tasks = [task((*params, s, min(7, reps - s))) for s in range(0, reps, 7)]
-    runs.append(np.sort(np.concatenate(tasks)))
+    runs.append(np.concatenate(tasks))
     assert runs[0].shape == (reps,)
     for other in runs[1:]:
         assert np.array_equal(runs[0], other)
