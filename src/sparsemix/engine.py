@@ -13,19 +13,29 @@ allocates its block buffers once and every block writes into them.
 
 A task reads its draws through one `rng.Rows` reader per family of draws,
 which seats each group of rng.GROUP_ROWS replicates once and keeps it across
-the task's blocks.  `_lower_rows`, the one sampler of null and alternative
-rows, draws only the m = n // 2 smallest p-values of a replicate that the
-statistics read: m spacings and, under the alternative, a shift count and
-the shifted normals, so it neither draws nor sorts the upper half.
+the task's blocks.  `_lower_log1m`, the one sampler of null and
+alternative rows, draws only the m = n // 2 smallest p-values of a
+replicate that the statistics read, as L = log(1 - p): m spacings and,
+under the alternative, a shift count and the shifted normals, so it
+neither draws nor sorts the upper half.  `_lower_rows` turns L into p for
+the kernels.
+
+`null_levels` needs no statistic: HC and BJ are maxima of terms decreasing
+in p, so a replicate exceeds a critical value exactly when its L crosses
+that value's boundary (`stats._log1m_boundaries`), and a null row is
+compared with the boundaries of the critical values asked for; the
+kernels decide only the rows that fall within rounding of one.
 
 Replicate j of a run is a pure function of master_seed and its coordinates
 (domain, sub, j), whatever task or block draws it, and every reduction runs
 along a row, so the result vectors do not depend on task size, block size
 or worker count.  Null statistic vectors are cached per (n, reps,
-master_seed) so size tables and power-curve calibration at the same
-configuration share one simulation pass.  The first pass computes only the
-requested kinds; a later request for a kind it lacks re-simulates once and
-adds every kind still missing, so no entry is simulated more than twice.
+master_seed) so power-curve calibration and size tables with an empirical
+or limit-law method at the same configuration share one simulation pass;
+size tables of closed forms alone take `null_levels` and fill no entry.
+The first pass computes only the requested kinds; a later request for a
+kind it lacks re-simulates once and adds every kind still missing, so no
+entry is simulated more than twice.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from collections.abc import Iterable
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
@@ -41,10 +52,23 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientReplicates, SampleTooSmall, WorkerLost
+from .errors import (
+    ConfigError,
+    InsufficientReplicates,
+    SampleTooSmall,
+    UnsupportedStatistic,
+    WorkerLost,
+)
 from .mixture import MixtureSpec, pvalue
 from .rng import DOMAIN_NULL, DOMAIN_POWER, DOMAIN_SHIFT, Rows
-from .stats import P_MAX, P_MIN, StatisticKind, _row_stats, supported_kinds
+from .stats import (
+    P_MAX,
+    P_MIN,
+    StatisticKind,
+    _log1m_boundaries,
+    _row_stats,
+    supported_kinds,
+)
 
 # Elements per block inside a task (1 MiB of doubles), sized to stay in L2.
 BLOCK_ELEMENTS = 1 << 17
@@ -141,14 +165,15 @@ def block_rows(count: int, width: int) -> int:
     return max(1, min(count, BLOCK_ELEMENTS // width))
 
 
-def in_blocks(block, shape: tuple, width: int) -> np.ndarray:
+def in_blocks(block, shape: tuple, width: int, dtype=float) -> np.ndarray:
     """The shape[-1] rows of a task, `width` elements each, run in blocks of
     block_rows(shape[-1], width) rows, in order.
 
     block(c) returns the results of the task's next c rows along its last
-    axis; they are written into one preallocated array of the given shape.
+    axis; they are written into one preallocated array of the given shape
+    and dtype.
     """
-    out = np.empty(shape)
+    out = np.empty(shape, dtype)
     count = shape[-1]
     rows = block_rows(count, width)
     for lo in range(0, count, rows):
@@ -159,8 +184,8 @@ def in_blocks(block, shape: tuple, width: int) -> np.ndarray:
 
 def _task_buffers(rows: int, widths: tuple, n: int) -> tuple[list[np.ndarray], tuple]:
     """A task's block buffers: a (rows, w) float buffer for each width w in
-    `widths`, and the `_row_stats` scratch at sample size n, a (rows, n // 2)
-    float and a (rows, n // 2) bool buffer.  The float buffers are one
+    `widths`, and the scratch of `_row_stats` or `_row_levels` at sample
+    size n, a (rows, n // 2) float and a (rows, n // 2) bool buffer.  The float buffers are one
     allocation: once glibc has unmapped one chunk of that size it keeps the
     next on its heap when freed, so a later task of the same shape faults
     none of it in again."""
@@ -233,45 +258,43 @@ def _buffer_widths(n: int, uniforms: Rows, normals: Rows | None) -> tuple[int, .
     return (uniforms.width, normals.width, m + normals.width, m)
 
 
-def _lower_rows(
+def _lower_log1m(
     n: int,
     eps: float,
     mu: float,
     uniforms: Rows,
     normals: Rows | None,
     count: int,
-    bufs: list[np.ndarray] | None = None,
+    bufs: list[np.ndarray],
 ) -> np.ndarray:
-    """(count, m) sorted lower halves p_(1..m), m = n // 2, clamped to
-    [P_MIN, P_MAX], of the next `count` replicates of the mixture with a
+    """(count, m) L_i = log(1 - p_(i)) of the sorted lower halves p_(1..m),
+    m = n // 2, of the next `count` replicates of the mixture with a
     fraction eps shifted by mu, read from `uniforms` and `normals` in the
     layout the `rng` docstring gives.  The null is eps = 0 and no normals.
 
     K ~ Bin(n, eps) coordinates are shifted (none when eps = 0).  The m
     smallest of the N = n - K unshifted p-values come from the Renyi
     representation (Renyi 1953; Devroye 1986, ch. V): their
-    L_i = log(1 - p_(i)) = sum_{k<=i} log(1 - u_k) / (N - k + 1) (1 - u is
-    exact on the 2^-53 grid), of which the first min(m, N) exist, and
-    p_(i) = -expm1(L_i).  The K shifted p-values are pvalue(Z + mu) of a
-    row's first K normals Z, one call per block.  A block where some row
-    shifts merges them in the domain S = -log(1 - p), which sorts as p
-    does: S = -log1p(-pvalue(Z + mu)) joins the row of S = -L, and a stable
-    sort of its first m + max K columns orders it; L = -S and p follow.
+    L_i = sum_{k<=i} log(1 - u_k) / (N - k + 1) (1 - u is exact on the
+    2^-53 grid), of which the first min(m, N) exist.  The K shifted
+    p-values are pvalue(Z + mu) of a row's first K normals Z, one call per
+    block.  A block where some row shifts merges them in the domain
+    S = -log(1 - p), which sorts as p does: S = -log1p(-pvalue(Z + mu))
+    joins the row of S = -L, and a stable sort of its first m + max K
+    columns orders it; L = -S follows.
 
     The rows are formed in `bufs`, (at least count, w) float64 buffers for
-    each width w of `_buffer_widths`, new by default; the divisors, when
-    some row shifts, in the p-values' buffer, the last, before p is formed.
-    The result is a view of that buffer, and L is left in the last m
-    columns of the first, the uniforms', for `_row_stats`.
+    each width w of `_buffer_widths`, of which the null reads only the
+    first; the divisors, when some row shifts, in the p-values' buffer, the
+    last.  The result is the last m columns of the first buffer, the
+    uniforms'.
     """
     m = n // 2
-    widths = _buffer_widths(n, uniforms, normals)
-    bufs = bufs or [np.empty((count, w)) for w in widths]
-    u, *rest, p = (buf[:count] for buf in bufs)
+    u, *rest = (buf[:count] for buf in bufs)
     uniforms.read(u)
     shifts = 0
     if normals is not None:
-        z, row = rest
+        z, row, p = rest
         normals.read(z)
         k = np.searchsorted(_shift_cdf(n, eps), u[:, 0], side="right")
         shifts = int(k.max(initial=0))
@@ -299,6 +322,27 @@ def _lower_rows(
         tail[~used] = np.inf
         row[:, : m + shifts].sort(axis=1, kind="stable")
         np.negative(x, out=log1m)
+    return log1m
+
+
+def _lower_rows(
+    n: int,
+    eps: float,
+    mu: float,
+    uniforms: Rows,
+    normals: Rows | None,
+    count: int,
+    bufs: list[np.ndarray] | None = None,
+) -> np.ndarray:
+    """(count, m) sorted lower halves p_(1..m) = -expm1(L_i), m = n // 2,
+    clamped to [P_MIN, P_MAX], of the replicates of `_lower_log1m`, formed
+    in `bufs` (new by default).  The result is a view of the last buffer,
+    and L is left in the last m columns of the first, for `_row_stats`.
+    """
+    widths = _buffer_widths(n, uniforms, normals)
+    bufs = bufs or [np.empty((count, w)) for w in widths]
+    log1m = _lower_log1m(n, eps, mu, uniforms, normals, count, bufs)
+    p = bufs[-1][:count]
     np.expm1(log1m, out=p)
     np.negative(p, out=p)
     return np.clip(p, P_MIN, P_MAX, out=p)
@@ -363,6 +407,74 @@ def _alt_task(args) -> np.ndarray:
     return in_blocks(block, (len(kinds), count), n)
 
 
+def _row_levels(
+    ell: np.ndarray, n: int, plan: tuple, sub: np.ndarray, cross: np.ndarray
+) -> np.ndarray:
+    """For each row of L = log(1 - p) rows `ell`, the number of the plan's
+    critical values that the kind's statistic of the row exceeds, exactly
+    as `_row_stats` of the clamped p = -expm1(L) would find it.
+
+    plan is (kind, cvs, loose, tight) from `_level_plan`.  Level by level,
+    on the rows that crossed every loose boundary so far, a row crosses
+    when some L_i exceeds loose[k]; its level is the last one it crosses,
+    and no kernel finds it higher.  One tight compare, at that level and
+    at the row's first crossing there, confirms it; the kernels decide the
+    few rows it does not.  The crossing rows and their compares are formed
+    in `sub` and `cross`, a float and a bool buffer of at least ell's shape,
+    so a block allocates no row-sized temporary.
+    """
+    kind, cvs, loose, tight = plan
+    rows = len(ell)
+    level = np.zeros(rows, dtype=np.intp)
+    first = np.zeros(rows, dtype=np.intp)
+    crossing, part = np.arange(rows), ell
+    for k, bound in enumerate(loose, 1):
+        hit = np.greater(part, bound, out=cross[: len(part)])
+        j = hit.argmax(axis=1)  # the first crossing, or 0 where none
+        kept = hit[np.arange(len(part)), j]
+        crossing, j = crossing[kept], j[kept]
+        level[crossing], first[crossing] = k, j
+        if k == len(loose) or not crossing.size:
+            break
+        # mode="clip" takes into `sub` unbuffered; every index is in range
+        part = np.take(ell, crossing, axis=0, out=sub[: crossing.size], mode="clip")
+    crossed = np.flatnonzero(level)
+    at = first[crossed]
+    unsure = crossed[ell[crossed, at] <= tight[level[crossed] - 1, at]]
+    if unsure.size:
+        log1m = ell[unsure]
+        p = np.clip(-np.expm1(log1m), P_MIN, P_MAX)
+        stat = _row_stats(p, n, (kind,), log1m=log1m)[kind]
+        level[unsure] = np.sum(stat[:, None] > cvs, axis=1)
+    return level
+
+
+def _level_task(args) -> np.ndarray:
+    """(len(plans), count) levels of null replicates start..start+count-1,
+    the rows of `_null_task`: for each plan of `null_levels`, the number of
+    its critical values that a row's statistic exceeds.  A block forms only
+    L, in the uniforms' buffer, and compares it with the boundaries in the
+    task's scratch buffers."""
+    n, master_seed, plans, start, count = args
+    uniforms = Rows(master_seed, DOMAIN_NULL, 0, start, count, n // 2)
+    bufs, (sub, cross) = _task_buffers(block_rows(count, n), (uniforms.width,), n)
+    dtype = np.min_scalar_type(max(len(plan[1]) for plan in plans))
+
+    def block(c: int) -> list[np.ndarray]:
+        ell = _lower_log1m(n, 0.0, 0.0, uniforms, None, c, bufs)
+        return [_row_levels(ell, n, plan, sub, cross) for plan in plans]
+
+    return in_blocks(block, (len(plans), count), n, dtype)
+
+
+def check_sequence(values, name: str, what: str) -> None:
+    """Refuse a bare value where a sequence of `what` is expected, before
+    anything runs: a str (a kind or a method is one) would be read
+    character by character, and a number not at all."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise ConfigError(f"{name} must be a sequence of {what}, not {values!r}")
+
+
 def _check_request(n: int, reps: int, kinds) -> tuple[StatisticKind, ...]:
     if n < 2:
         raise SampleTooSmall(f"need n >= 2, got {n}")
@@ -371,9 +483,7 @@ def _check_request(n: int, reps: int, kinds) -> tuple[StatisticKind, ...]:
     available = supported_kinds(n)
     if kinds is None:
         return available
-    if isinstance(kinds, str):  # a kind is a str: its characters are no kinds
-        raise ConfigError(f"kinds must be a sequence of statistic kinds, such as ('hc',), "
-                          f"not the string {kinds!r}")
+    check_sequence(kinds, "kinds", "statistic kinds, such as ('hc',)")
     kinds = tuple(StatisticKind(k) for k in kinds)
     if not kinds:
         raise ConfigError("need at least one statistic kind")
@@ -418,6 +528,59 @@ def null_statistics(
         stats.flags.writeable = False
         cached.update(zip(compute, stats))
     return {k: cached[k] for k in kinds}
+
+
+def _level_plan(kind: StatisticKind, cvs: np.ndarray, n: int) -> tuple:
+    """(kind, cvs, loose, tight): the (len(cvs), n // 2) boundaries of
+    `_row_levels` at c - d and c + d, d = n 2^-50 max(1, c).
+
+    The log LR kernel is within 0.49 n 2^-52 max(1, c) of its exact term
+    (tests/test_stats.py's mpmath oracle), and HC far closer; a boundary,
+    found by the same term in floating point and rounded to L, is off by
+    about as much again.  d, 4 n 2^-52 max(1, c), exceeds both together
+    (rows planted on the boundaries need no more than d / 16), so a row
+    beyond a loose boundary may exceed c and a row beyond a tight one
+    does.  Below a loose c - d <= 0 every row counts as crossing.  Both
+    are made monotone in the level, so a row that misses one loose
+    boundary misses every higher one.
+    """
+    d = n * 2.0**-50 * np.fmax(cvs, 1.0)
+    loose = np.full((cvs.size, n // 2), -np.inf)
+    low = cvs - d > 0.0
+    loose[low] = _log1m_boundaries(kind, (cvs - d)[low], n)
+    tight = _log1m_boundaries(kind, cvs + d, n)
+    return kind, cvs, np.minimum.accumulate(loose[::-1])[::-1], np.maximum.accumulate(tight)
+
+
+def null_levels(
+    n: int,
+    reps: int,
+    master_seed: int,
+    cvs: dict[StatisticKind, list[float]],
+    *,
+    threads: int = 0,
+) -> dict[StatisticKind, np.ndarray]:
+    """For each kind of `cvs`, HC or BJ, and each of `reps` null replicates,
+    the number of the kind's critical values cvs[kind] (ascending, distinct,
+    finite and >= 0) that the replicate's statistic exceeds.
+
+    The replicates are those of null_statistics(n, reps, master_seed), and
+    level >= q exactly where its statistic > cvs[kind][q - 1].  Each is
+    found by boundary crossing (`_row_levels`), so most rows never reach
+    the kernels.  Nothing is cached.
+    """
+    kinds = _check_request(n, reps, tuple(cvs))
+    plans = []
+    for kind, values in zip(kinds, cvs.values()):
+        if kind is StatisticKind.ALR:
+            raise UnsupportedStatistic("alr is a weighted sum, not a maximum: it has no boundary")
+        c = np.asarray(values, dtype=float)
+        if c.ndim != 1 or not np.all(np.isfinite(c) & (c >= 0.0)) or np.any(np.diff(c) <= 0.0):
+            raise ConfigError(f"{kind.value} critical values must be ascending, distinct, "
+                              f"finite and >= 0, got {values!r}")
+        plans.append(_level_plan(kind, c, n))
+    [levels] = simulate(_level_task, [(n, master_seed, tuple(plans))], reps, threads)
+    return dict(zip(kinds, levels))
 
 
 def alternative_statistics(

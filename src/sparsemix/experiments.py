@@ -58,6 +58,27 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
+def _boundary_exceedances(n, kinds, closed: dict, reps, master_seed, threads: int):
+    """exceed(kind, cv): which of `reps` null replicates have a statistic
+    above cv, one of the closed-form critical values closed[n, kind, ...],
+    as null_statistics' replicates would give it, read from the levels of
+    `engine.null_levels`.  Equal values are merged, and a value below zero
+    is exceeded by every replicate: only BJ's may be, and BJ >= 0."""
+    ascending = {
+        kind: sorted({cv for key, cv in closed.items() if key[:2] == (n, kind) and cv >= 0.0})
+        for kind in kinds
+    }
+    wanted = {kind: cvs for kind, cvs in ascending.items() if cvs}
+    levels = engine.null_levels(n, reps, master_seed, wanted, threads=threads) if wanted else {}
+
+    def exceed(kind, cv):
+        if cv < 0.0:
+            return np.ones(reps, dtype=bool)
+        return levels[kind] > ascending[kind].index(cv)
+
+    return exceed
+
+
 def size_table(
     ns: list[int],
     kinds: list[StatisticKind],
@@ -77,14 +98,20 @@ def size_table(
     (e.g. thresh with alr) are rejected rather than silently skipped.  Every
     n and (method, alpha) cell is checked, and every closed-form critical
     value computed, before the first null simulation.
+
+    When every method is a closed form, each n is one `engine.null_levels`
+    pass: a cell's size is the share of replicates whose level reaches its
+    critical value, bitwise what the statistics of `engine.null_statistics`
+    give, and no statistic is cached.  Any other request compares the
+    cached statistics with each cell's critical value.
     """
+    engine.check_sequence(ns, "ns", "sample sizes, such as (100, 1000)")
+    engine.check_sequence(methods, "methods", "calibration methods, such as ('empirical',)")
+    engine.check_sequence(alphas, "alphas", "levels, such as (0.05, 0.1)")
     if not ns or not methods or not alphas:
         raise ConfigError("a size table needs at least one n, one method and one level")
     for n in ns:
         kinds = engine._check_request(n, reps, kinds)
-    if isinstance(methods, str):  # a method is a str: its characters are no methods
-        raise ConfigError(f"methods must be a sequence of calibration methods, such as "
-                          f"('empirical',), not the string {methods!r}")
     methods = [CalibrationMethod(method) for method in methods]
     for method in methods:
         for kind in kinds:
@@ -104,9 +131,17 @@ def size_table(
         if method in _CLOSED_FORMS
         for alpha in alphas
     }
+    closed_only = all(method in _CLOSED_FORMS for method in methods)
     rows: list[SizeTableRow] = []
     for n in ns:
-        stats = engine.null_statistics(n, reps, master_seed, kinds, threads=threads)
+        if closed_only:
+            exceed = _boundary_exceedances(n, kinds, closed, reps, master_seed, threads)
+        else:
+            stats = engine.null_statistics(n, reps, master_seed, kinds, threads=threads)
+
+            def exceed(kind, cv):
+                return stats[kind] > cv
+
         for kind in kinds:
             for method in methods:
                 for alpha in alphas:
@@ -124,7 +159,7 @@ def size_table(
                             grid_size=limit_grid,
                             threads=threads,
                         )
-                    realized = float(np.mean(stats[kind] > cv))
+                    realized = float(np.mean(exceed(kind, cv)))
                     rows.append(
                         SizeTableRow(
                             n=n,
@@ -156,6 +191,7 @@ def power_curve(
     grid point then draws reps_pow alternative replicates on its own stream
     sub-range, and the tasks of every grid point share one pool queue.
     """
+    engine.check_sequence(betas, "betas", "sparsities, such as (0.6, 0.8)")
     if not betas:
         raise DomainError("beta grid must be nonempty")
     specs = [mixture_from(n, beta) for beta in betas]

@@ -13,6 +13,11 @@ simulated row hands the kernels the value its sampler formed before p_(i)
 agree to the rounding of that one value and are bitwise identical given the
 same log(1 - p_(i)).
 
+HC and BJ are maxima of terms that fall as p_(i) rises, so each exceeds a
+critical value c exactly when some p_(i) lies below a boundary b_i(c).
+`_log1m_boundaries` gives the boundaries as log(1 - b_i(c)), the domain of
+the sampler's L, for size tables at closed-form critical values.
+
 A kind is a StatisticKind, whose constructor also takes its value in any case
 and padding (" HC ") and raises UnsupportedStatistic for anything else.
 """
@@ -173,6 +178,47 @@ def _log_alr_rows(ell: np.ndarray, n: int, x=None) -> np.ndarray:
     x -= top[:, None]
     np.exp(x, out=x)
     return top + np.log(x.sum(axis=1))
+
+
+def _hc_boundary(c: np.ndarray, n: int) -> np.ndarray:
+    """b_i(c) for each c of the column c, c >= 0: the p at which HC's term i
+    equals c, the smaller root of (n + c^2) p^2 - (2nt + c^2) p + nt^2,
+    t = i/n, in a form free of cancellation."""
+    t = _columns(n)[0]
+    return 2.0 * n * t * t / (2.0 * n * t + c * c + c * np.sqrt(c * c + 4.0 * n * t * (1.0 - t)))
+
+
+def _bj_boundary(c: np.ndarray, n: int) -> np.ndarray:
+    """b_i(c) for each c of the column c, c > 0: the root of log LR_{n,i}(p)
+    = c on (0, t), where the term falls from infinity to 0, by bisection in
+    x = log p down to adjacent doubles.  The bracket's left end is where
+    i (log t - x) + (n - i) log1p(-t), which the term exceeds since
+    log1p(-p) <= 0, exceeds c."""
+    t, i, log_t, log1p_t, n_minus_i = _columns(n)
+    hi = np.broadcast_to(log_t, np.broadcast_shapes(c.shape, t.shape)).copy()
+    lo = log_t - (c - n_minus_i * log1p_t) / i - 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            return np.exp(hi)
+        above = i * (log_t - mid) + n_minus_i * (log1p_t - np.log1p(-np.exp(mid))) > c
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+
+
+def _log1m_boundaries(kind: StatisticKind, cvs, n: int) -> np.ndarray:
+    """(len(cvs), n // 2) boundaries in the sampler's domain, lambda_i(c) =
+    log(1 - b_i(c)) for each critical value c > 0 of HC or BJ.
+
+    Each term of the statistic is a decreasing function of p_(i), and
+    L_i = log(1 - p_(i)) of p_(i), so the statistic exceeds c exactly when
+    L_i > lambda_i(c) for some i: the p-values cross the boundary b(c)
+    (Noe, Ann. Math. Statist. 43, 1972; Moscovich, Nadler & Spiegelman,
+    EJS 10, 2016).  Where b_i(c) <= P_MIN no clamped p_(i) lies below it,
+    and lambda_i is 0, which no L_i exceeds."""
+    c = np.asarray(cvs, dtype=float)[:, None]
+    b = _hc_boundary(c, n) if kind is StatisticKind.HC else _bj_boundary(c, n)
+    return np.where(b > P_MIN, np.log1p(-b), 0.0)
 
 
 def _row_stats(

@@ -142,7 +142,9 @@ def test_string_forms_give_the_enum_forms_result(case, form):
     _assert_same(_call_uncached(case, form), _call_uncached(case, lambda m: m))
 
 
-# a bare kind or method, member or value, is a str: it is refused, not iterated
+# a bare kind or method, member or value, is a str, and a bare n, level or
+# sparsity, number or str, is no sequence: each is refused before anything
+# is simulated, not iterated
 BARE_CASES = {
     "null_statistics": lambda form: null_statistics(100, 300, 1, form(HC), threads=1),
     "alternative_statistics": lambda form: alternative_statistics(
@@ -151,13 +153,27 @@ BARE_CASES = {
         [100], form(HC), [EMPIRICAL], [0.05], 300, 1, threads=1),
     "size_table-methods": lambda form: size_table(
         [100], [HC], form(THRESH), [0.05], 300, 1, threads=1),
+    "size_table-ns": lambda form: size_table(
+        form(100), [HC], [THRESH], [0.05], 300, 1, threads=1),
+    "size_table-alphas": lambda form: size_table(
+        [100], [HC], [EVI], form(0.05), 300, 1, threads=1),
     "power_curve": lambda form: power_curve(100, [0.6], form(HC), 0.05, 300, 50, 1, threads=1),
+    "power_curve-betas": lambda form: power_curve(
+        100, form(0.6), [HC], 0.05, 300, 50, 1, threads=1),
 }
 
 
-@pytest.mark.parametrize("form", [lambda m: m, lambda m: m.value], ids=["member", "value"])
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("simulated before refusing a bare value")
+
+
+@pytest.mark.parametrize(
+    "form", [lambda v: v, lambda v: v.value if isinstance(v, enum.Enum) else str(v)],
+    ids=["member", "value"],
+)
 @pytest.mark.parametrize("case", BARE_CASES)
-def test_a_bare_kind_or_method_is_refused_as_no_sequence(case, form):
+def test_a_bare_kind_or_method_is_refused_as_no_sequence(monkeypatch, case, form):
     engine._null_entry.cache_clear()
-    with pytest.raises(ConfigError, match=r"must be a sequence of .*, such as \('"):
+    monkeypatch.setattr(engine, "simulate", _no_simulation)
+    with pytest.raises(ConfigError, match=r"must be a sequence of .*, such as \("):
         BARE_CASES[case](form)

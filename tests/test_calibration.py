@@ -41,6 +41,7 @@ from sparsemix.calibration import (
     _ln_rows,
 )
 from sparsemix.rng import DOMAIN_CAL1, DOMAIN_CAL2, GROUP_ROWS, U_FLOOR
+from sparsemix.stats import _log1m_boundaries
 from table_json import table_from_json
 
 REL = 1e-12
@@ -383,6 +384,22 @@ def _exact_null_cdf(kind, c, n=100):
     maximum."""
     boundary = _hc_boundary if kind is StatisticKind.HC else _bj_boundary
     return _noncrossing(np.maximum.accumulate(boundary(c, n)), n)
+
+
+@pytest.mark.parametrize("kind", [StatisticKind.HC, StatisticKind.BJ])
+@pytest.mark.parametrize("n", [100, 1000, 10_000])
+def test_package_boundaries_match_the_oracles(n, kind):
+    # the boundaries that size tables at closed-form critical values cross,
+    # in the sampler's domain log(1 - b), against the closed root and brentq
+    oracle = _hc_boundary if kind is StatisticKind.HC else _bj_boundary
+    cvs = sorted({
+        calibration._closed_form_cv(method, kind, n, alpha)
+        for method in calibration._CLOSED_FORMS
+        for alpha in (0.05, 0.1)
+    })
+    got = -np.expm1(_log1m_boundaries(kind, cvs, n))
+    for c, row in zip(cvs, got):
+        np.testing.assert_allclose(row, oracle(c, n), rtol=1e-12, atol=0)
 
 
 def test_exact_null_cdf_agrees_with_the_n2_form():

@@ -34,7 +34,7 @@ from sparsemix.rng import (
     DOMAIN_POWER,
     DOMAIN_SHIFT,
 )
-from sparsemix.stats import _row_stats
+from sparsemix.stats import P_MAX, P_MIN, _log1m_boundaries, _row_stats
 
 
 HC, BJ, ALR = StatisticKind.HC, StatisticKind.BJ, StatisticKind.ALR
@@ -154,6 +154,94 @@ def test_thread_count_does_not_change_results():
     for k in runs[0]:
         for other in runs[1:]:
             assert np.array_equal(runs[0][k], other[k])
+
+
+def test_levels_do_not_depend_on_the_task_split_or_thread_count():
+    n, reps, seed = 24, _SPLIT_ROWS, 8
+    plans = _plans(n)
+    cvs = {kind: c for kind, c, _, _ in plans}
+    runs = [engine.null_levels(n, reps, seed, cvs, threads=t) for t in (1, 2, 5, 0)]
+    split = np.concatenate(
+        [engine._level_task((n, seed, plans, s, c)) for s, c in _SPLIT], axis=-1
+    )
+    stats = null_statistics(n, reps, seed, tuple(cvs), threads=1)
+    for i, (kind, c) in enumerate(cvs.items()):
+        want = np.sum(stats[kind][:, None] > c, axis=1)
+        assert set(want.tolist()) == set(range(c.size + 1))  # every level is taken
+        assert np.array_equal(split[i], want)
+        for run in runs:
+            assert np.array_equal(run[kind], want)
+
+
+def _closed_form_cvs(kind, n):
+    """The distinct closed-form critical values of a kind at n, ascending."""
+    return np.array(sorted({
+        calibration._closed_form_cv(method, kind, n, alpha)
+        for method in calibration._CLOSED_FORMS
+        for alpha in (0.05, 0.1, 0.5)
+    }))
+
+
+@pytest.mark.parametrize("seed", [5, 1729])
+@pytest.mark.parametrize("n", [16, 100, 1001, 10_000])
+def test_levels_equal_the_statistics_path(n, seed):
+    reps = 4_000_000 // n
+    cvs = {kind: _closed_form_cvs(kind, n) for kind in (HC, BJ)}
+    levels = engine.null_levels(n, reps, seed, cvs, threads=1)
+    stats = null_statistics(n, reps, seed, (HC, BJ), threads=1)
+    for kind, c in cvs.items():
+        assert np.array_equal(levels[kind], np.sum(stats[kind][:, None] > c, axis=1))
+
+
+def _moved(x, ulps):
+    """x moved `ulps` doubles up (ulps > 0) or down."""
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@pytest.mark.parametrize("kind", [HC, BJ])
+@pytest.mark.parametrize("n", [16, 100, 1001, 10_000])
+def test_levels_of_rows_planted_on_a_boundary_equal_the_kernels(monkeypatch, n, kind):
+    # each row is L = log1p(-t), p = t, where every term is 0, but for one
+    # L_i planted on the boundary of a critical value, or a few ulps off it:
+    # the kernels decide such rows, and the levels and sizes are theirs
+    cvs = _closed_form_cvs(kind, n)
+    m = n // 2
+    boundary = _log1m_boundaries(kind, cvs, n)
+    base = np.log1p(-np.arange(1, m + 1) / n)
+    rows = []
+    for q in range(cvs.size):
+        for i in (0, m // 2, m - 1):
+            for ulps in range(-4, 5):
+                rows.append(base.copy())
+                rows[-1][i] = _moved(boundary[q, i], ulps)
+    ell = np.array(rows)
+    decided = []
+
+    def counted(p, *args, **kwargs):
+        decided.append(len(p))
+        return _row_stats(p, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_row_stats", counted)
+    levels = engine._row_levels(ell, n, engine._level_plan(kind, cvs, n), np.empty(ell.shape),
+                                np.empty(ell.shape, dtype=bool))
+    p = np.clip(-np.expm1(ell), P_MIN, P_MAX)
+    stat = _row_stats(p, n, (kind,), log1m=ell.copy())[kind]
+    assert sum(decided) > 0
+    assert np.array_equal(levels, np.sum(stat[:, None] > cvs, axis=1))
+    for q, cv in enumerate(cvs):
+        assert float(np.mean(levels > q)).hex() == float(np.mean(stat > cv)).hex()
+
+
+def test_null_levels_validation():
+    with pytest.raises(sparsemix.UnsupportedStatistic):
+        engine.null_levels(100, 10, 1, {ALR: [1.0]}, threads=1)
+    for bad in ([2.0, 1.0], [1.0, 1.0], [-1.0], [math.nan], [math.inf], [[1.0]]):
+        with pytest.raises(ConfigError):
+            engine.null_levels(100, 10, 1, {HC: bad}, threads=1)
+    with pytest.raises(ConfigError):
+        engine.null_levels(100, 10, 1, {}, threads=1)
 
 
 def test_alternative_threads_and_batching_invariance():
@@ -305,12 +393,24 @@ def test_null_and_power_domains_do_not_collide():
 
 _ALT = mixture_from(9, 0.6)
 
+# critical values of `_level_task` tests: crossed by most rows, by some and
+# by few
+_LEVEL_CVS = (("hc", (1.0, 2.5, 4.0)), ("bj", (0.5, 2.0, 4.0)))
+
+
+def _plans(n):
+    return tuple(engine._level_plan(StatisticKind(k), np.array(c), n) for k, c in _LEVEL_CVS)
+
+
 # (task, its arguments for rows 245..267, the width its blocks are sized by,
 # the (domain, sub) of each of its readers): an odd n, and 23 rows across the
 # edge between the first two groups of rng.GROUP_ROWS = 256 rows, which
 # 7-row blocks leave ragged.
 _TASKS = [
     pytest.param(engine._null_task, (9, 5, _ALL, 245, 23), 9, [(DOMAIN_NULL, 0)], id="null"),
+    pytest.param(
+        engine._level_task, (9, 5, _plans(9), 245, 23), 9, [(DOMAIN_NULL, 0)], id="levels",
+    ),
     pytest.param(
         engine._alt_task, (9, _ALT.eps, _ALT.mu, 5, 2, _ALL, 245, 23), 9,
         [(DOMAIN_POWER, 2), (DOMAIN_SHIFT, 2)], id="alt",
@@ -369,6 +469,8 @@ _BIG_ALT = mixture_from(10_000, 0.6)
             id="alt-1e4",
         ),
         pytest.param(calibration._cal2_task, (5, 100_000, 4096, 0, 976), id="cal2"),
+        pytest.param(engine._level_task, (1000, 5, _plans(1000), 0, 4000), id="levels-1e3"),
+        pytest.param(engine._level_task, (10_000, 5, _plans(10_000), 0, 400), id="levels-1e4"),
     ],
 )
 def test_task_memory_is_bounded_by_its_blocks(task, args):
@@ -400,10 +502,13 @@ def test_cal1_task_memory_is_bounded_by_its_blocks():
 _FAULTS = """
 import math, resource, sys
 sys.path.insert(0, {src!r})
+import numpy as np
 from sparsemix import calibration, engine
 from sparsemix.stats import StatisticKind
 
 HC, BJ, ALR = (StatisticKind(k) for k in ("hc", "bj", "alr"))
+PLANS = lambda n: tuple(engine._level_plan(StatisticKind(k), np.array(c), n)
+                        for k, c in {cvs!r})
 task, args, width = {task}, {args}, {width}
 task(args)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -423,7 +528,7 @@ def _faults_per_block(task: str, args: str, width: int) -> float:
     freed temporaries go back to the OS.
     """
     src = str(Path(sparsemix.__file__).parents[1])
-    script = _FAULTS.format(src=src, task=task, args=args, width=width)
+    script = _FAULTS.format(src=src, task=task, args=args, width=width, cvs=_LEVEL_CVS)
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, check=True)
     return float(done.stdout)
@@ -431,16 +536,19 @@ def _faults_per_block(task: str, args: str, width: int) -> float:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
 @pytest.mark.parametrize(
-    "n,count,kinds",
+    "task,n,count,per_row",
     [
-        pytest.param(1000, 2000, "HC, BJ", id="null-1e3"),
-        pytest.param(10_000, 400, "HC, BJ, ALR", id="null-1e4"),
+        pytest.param("engine._null_task", 1000, 2000, "(HC, BJ)", id="null-1e3"),
+        pytest.param("engine._null_task", 10_000, 400, "(HC, BJ, ALR)", id="null-1e4"),
+        pytest.param("engine._level_task", 1000, 2000, "PLANS(1000)", id="levels-1e3"),
+        pytest.param("engine._level_task", 10_000, 400, "PLANS(10_000)", id="levels-1e4"),
     ],
 )
-def test_null_blocks_reuse_their_buffers_without_page_faults(n, count, kinds):
-    # Blocks that allocate their temporaries fault about 600 pages each back in.
-    args = f"({n}, 5, ({kinds}), 0, {count})"
-    assert _faults_per_block("engine._null_task", args, n) <= 16
+def test_null_blocks_reuse_their_buffers_without_page_faults(task, n, count, per_row):
+    # Blocks that allocate their temporaries fault about 600 pages each back
+    # in.  per_row is what a task computes of each row: its kinds or plans.
+    args = f"({n}, 5, {per_row}, 0, {count})"
+    assert _faults_per_block(task, args, n) <= 16
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")

@@ -27,7 +27,7 @@ from sparsemix import (
     size_table,
     size_table_csv,
 )
-from sparsemix import engine
+from sparsemix import calibration, engine
 from sparsemix.experiments import POWER_HEADER, SIZE_HEADER
 
 HC = StatisticKind.HC
@@ -156,6 +156,45 @@ def test_size_table_reuses_null_cache():
     before = engine._null_entry(40, 500, 77)[HC]
     size_table([40], [HC, BJ], [EMP], [0.1], 500, 77, threads=1)
     assert engine._null_entry(40, 500, 77)[HC] is before
+
+
+CLOSED = [CalibrationMethod.THRESH, CalibrationMethod.EVI, CalibrationMethod.EVII]
+
+
+@pytest.mark.parametrize("seed", [5, 1729])
+def test_closed_form_size_tables_equal_the_statistics_path(monkeypatch, seed):
+    # closed forms alone are sized by boundary crossing, with no statistic
+    # cached; each size is bitwise that of the cached statistics at its cv
+    reps = 20_000
+    simulated = []
+    run = engine.simulate
+
+    def recorded(task, params, total, threads):
+        simulated.append(task)
+        return run(task, params, total, threads)
+
+    monkeypatch.setattr(engine, "simulate", recorded)
+    rows = size_table([100, 1001], [HC, BJ], CLOSED, [0.05, 0.1, 0.5], reps, seed, threads=1)
+    assert simulated == [engine._level_task] * 2
+    assert engine._null_entry.cache_info().currsize == 0
+    for row in rows:
+        stats = engine.null_statistics(row.n, reps, seed, (HC, BJ), threads=1)
+        cv = calibration._closed_form_cv(row.method, row.kind, row.n, row.nominal_alpha)
+        assert row.realized_size.hex() == float(np.mean(stats[row.kind] > cv)).hex(), row
+
+
+def test_closed_form_bj_size_below_zero_is_one(monkeypatch):
+    # at alpha = 0.9 and n = 100, evi's and evii's q is below zero, and BJ >= 0
+    # exceeds it on every replicate: nothing is simulated
+    methods = [CalibrationMethod.EVI, CalibrationMethod.EVII]
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "simulate", None)
+        rows = size_table([100], [BJ], methods, [0.9], 2000, 5, threads=1)
+    stats = engine.null_statistics(100, 2000, 5, (BJ,), threads=1)[BJ]
+    for row in rows:
+        cv = calibration._closed_form_cv(row.method, BJ, 100, 0.9)
+        assert cv < 0.0
+        assert row.realized_size == float(np.mean(stats > cv)) == 1.0
 
 
 def test_size_table_csv_golden():

@@ -53,6 +53,10 @@ def matrix(scale: float, grid: int) -> list[list[str]]:
         ["size-table", "--n", "100,1000", "--stat", "hc,bj",
          "--method", "thresh,evi,evii,empirical", "--alpha", "0.05,0.1",
          "--reps", reps(20_000, MC), "--out", "size-hc-bj.csv"],
+        ["size-table", "--n", "100,1000", "--stat", "hc,bj", "--method", "thresh,evi,evii",
+         "--alpha", "0.05,0.1", "--reps", reps(20_000, MC), "--out", "size-closed.csv"],
+        ["size-table", "--n", "100", "--stat", "bj", "--method", "thresh,evi,evii",
+         "--alpha", "0.9", "--reps", reps(20_000, MC), "--out", "size-bj-alpha-0.9.csv"],
         ["size-table", "--n", "1000", "--stat", "alr", "--method", "empirical,cal1,cal2",
          "--alpha", "0.05", "--reps", reps(20_000, MC), "--limit-reps", reps(20_000, LIMIT),
          "--grid", str(grid), "--out", "size-alr.csv"],
