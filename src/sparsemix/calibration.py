@@ -309,10 +309,12 @@ def _cal2_task(args) -> np.ndarray:
 
 def check_limit_request(
     variant: CalibrationMethod, alpha: float, reps: int, n_for_l: int, grid_size: int
-) -> tuple[CalibrationMethod, float]:
+) -> tuple[CalibrationMethod, float, int, int, int]:
     """Refuse, before any draw, what the limit law cannot calibrate; returns
-    (variant, alpha) as a CalibrationMethod and a float."""
+    the arguments as a CalibrationMethod, a float and three ints."""
     variant = CalibrationMethod(variant)
+    reps, n_for_l, grid_size = engine.check_integers(reps=reps, n_for_l=n_for_l,
+                                                     grid_size=grid_size)
     if _METHOD_KINDS[variant] != {StatisticKind.ALR}:  # cal1 and cal2 calibrate alr alone
         raise IncompatibleMethod(f"ALR limit calibration is cal1 or cal2, got {variant.value}")
     alpha = _check_alpha(alpha)
@@ -321,7 +323,7 @@ def check_limit_request(
     check_tail(reps, alpha)
     if variant is CalibrationMethod.CAL2:
         _check_bridge_args(n_for_l, grid_size)
-    return variant, alpha
+    return variant, alpha, reps, n_for_l, grid_size
 
 
 @lru_cache(maxsize=4)
@@ -370,7 +372,8 @@ def alr_limit_cv(
     threads: int = 0,
 ) -> float:
     """Upper-alpha critical value for log ALR from the sampled limit law."""
-    variant, alpha = check_limit_request(variant, alpha, reps, n_for_l, grid_size)
+    variant, alpha, reps, n_for_l, grid_size = check_limit_request(variant, alpha, reps,
+                                                                   n_for_l, grid_size)
     if variant is CalibrationMethod.CAL1:
         n_for_l = grid_size = 0
     draws = _limit_draws(variant, reps, n_for_l, grid_size, master_seed, threads)

@@ -29,22 +29,20 @@ kernels decide only the rows that fall within rounding of one.
 Replicate j of a run is a pure function of master_seed and its coordinates
 (domain, sub, j), whatever task or block draws it, and every reduction runs
 along a row, so the result vectors do not depend on task size, block size
-or worker count.  Null statistic vectors are cached per (n, reps,
-master_seed) so power-curve calibration and size tables with an empirical
-or limit-law method at the same configuration share one simulation pass;
-size tables of closed forms alone take `null_levels` and fill no entry.
-The first pass computes only the requested kinds; a later request for a
-kind it lacks re-simulates once and adds every kind still missing, so no
-entry is simulated more than twice.
+or worker count.  No statistic or level outlives its call: each call
+simulates the kinds it asks for once and returns new arrays; only the
+read-only tables a sampler reads (`_renyi_denominators`, `_shift_cdf`)
+are cached.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from collections.abc import Iterable
+from collections.abc import Collection
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
@@ -470,19 +468,32 @@ def _level_task(args) -> np.ndarray:
 def check_sequence(values, name: str, what: str) -> None:
     """Refuse a bare value where a sequence of `what` is expected, before
     anything runs: a str (a kind or a method is one) would be read
-    character by character, and a number not at all."""
-    if isinstance(values, str) or not isinstance(values, Iterable):
+    character by character, a number not at all, and an iterator once."""
+    if isinstance(values, str) or not isinstance(values, Collection):
         raise ConfigError(f"{name} must be a sequence of {what}, not {values!r}")
 
 
-def _check_request(n: int, reps: int, kinds) -> tuple[StatisticKind, ...]:
+def check_integers(**values) -> list[int]:
+    """The values as ints, in order, or ConfigError before anything runs: a
+    NumPy integer is an integer, a float (100.0 too) is not."""
+    try:
+        return [operator.index(v) for v in values.values()]
+    except TypeError:
+        got = ", ".join(f"{name}={v!r}" for name, v in values.items())
+        raise ConfigError(f"{', '.join(values)} must be integers, got {got}") from None
+
+
+def _check_request(n: int, reps: int, kinds) -> tuple[int, int, tuple[StatisticKind, ...]]:
+    """(n, reps, kinds) of a request, n and reps as ints and kinds as
+    StatisticKinds supported at n, or a typed error before anything runs."""
+    n, reps = check_integers(n=n, reps=reps)
     if n < 2:
         raise SampleTooSmall(f"need n >= 2, got {n}")
     if reps < 1:
         raise InsufficientReplicates(f"need at least one replicate, got {reps}")
     available = supported_kinds(n)
     if kinds is None:
-        return available
+        return n, reps, available
     check_sequence(kinds, "kinds", "statistic kinds, such as ('hc',)")
     kinds = tuple(StatisticKind(k) for k in kinds)
     if not kinds:
@@ -490,14 +501,7 @@ def _check_request(n: int, reps: int, kinds) -> tuple[StatisticKind, ...]:
     for k in kinds:
         if k not in available:
             raise SampleTooSmall(f"{k.value} needs n >= 4, got n={n}")
-    return kinds
-
-
-@lru_cache(maxsize=8)
-def _null_entry(n: int, reps: int, master_seed: int) -> dict[StatisticKind, np.ndarray]:
-    """The cached statistic vectors of one null configuration, filled in by
-    null_statistics; empty until its first simulation pass completes."""
-    return {}
+    return n, reps, kinds
 
 
 def null_statistics(
@@ -508,26 +512,13 @@ def null_statistics(
     *,
     threads: int = 0,
 ) -> dict[StatisticKind, np.ndarray]:
-    """Statistic vectors over `reps` null replicates, keyed by kind.
-
-    Returned arrays are cached, shared and read-only.
-    A configuration's first call computes only its `kinds`.  A later call
-    asking for a kind the entry lacks runs a second simulation pass, which
-    adds every supported kind still missing, so a third is never needed.
-    """
-    kinds = _check_request(n, reps, kinds)
-    cached = _null_entry(n, reps, master_seed)
-    if not cached:
-        compute = kinds
-    elif all(k in cached for k in kinds):
-        compute = ()
-    else:
-        compute = tuple(k for k in supported_kinds(n) if k not in cached)
-    if compute:
-        [stats] = simulate(_null_task, [(n, master_seed, compute)], reps, threads)
-        stats.flags.writeable = False
-        cached.update(zip(compute, stats))
-    return {k: cached[k] for k in kinds}
+    """Statistic vectors over `reps` null replicates, keyed by kind: one
+    simulation pass of the kinds asked for (every kind supported at n by
+    default), in new arrays.  A kind's vector does not depend on which
+    other kinds are computed with it."""
+    n, reps, kinds = _check_request(n, reps, kinds)
+    [stats] = simulate(_null_task, [(n, master_seed, kinds)], reps, threads)
+    return dict(zip(kinds, stats))
 
 
 def _level_plan(kind: StatisticKind, cvs: np.ndarray, n: int) -> tuple:
@@ -567,9 +558,9 @@ def null_levels(
     The replicates are those of null_statistics(n, reps, master_seed), and
     level >= q exactly where its statistic > cvs[kind][q - 1].  Each is
     found by boundary crossing (`_row_levels`), so most rows never reach
-    the kernels.  Nothing is cached.
+    the kernels.
     """
-    kinds = _check_request(n, reps, tuple(cvs))
+    n, reps, kinds = _check_request(n, reps, tuple(cvs))
     plans = []
     for kind, values in zip(kinds, cvs.values()):
         if kind is StatisticKind.ALR:
@@ -622,7 +613,7 @@ def alternative_grid(
     n = specs[0].n
     if any(spec.n != n for spec in specs):
         raise ConfigError("every mixture of a grid needs the same n")
-    kinds = _check_request(n, reps, kinds)
+    n, reps, kinds = _check_request(n, reps, kinds)
     params = [
         (n, spec.eps, spec.mu, master_seed, first_sub + k, kinds)
         for k, spec in enumerate(specs)

@@ -102,16 +102,19 @@ def size_table(
     When every method is a closed form, each n is one `engine.null_levels`
     pass: a cell's size is the share of replicates whose level reaches its
     critical value, bitwise what the statistics of `engine.null_statistics`
-    give, and no statistic is cached.  Any other request compares the
-    cached statistics with each cell's critical value.
+    give.  Any other request makes one `engine.null_statistics` pass an n
+    and compares its statistics with each cell's critical value.
     """
     engine.check_sequence(ns, "ns", "sample sizes, such as (100, 1000)")
     engine.check_sequence(methods, "methods", "calibration methods, such as ('empirical',)")
     engine.check_sequence(alphas, "alphas", "levels, such as (0.05, 0.1)")
-    if not ns or not methods or not alphas:
+    if len(ns) == 0 or len(methods) == 0 or len(alphas) == 0:
         raise ConfigError("a size table needs at least one n, one method and one level")
+    sizes = []
     for n in ns:
-        kinds = engine._check_request(n, reps, kinds)
+        n, reps, kinds = engine._check_request(n, reps, kinds)
+        sizes.append(n)
+    ns = sizes
     methods = [CalibrationMethod(method) for method in methods]
     for method in methods:
         for kind in kinds:
@@ -192,8 +195,9 @@ def power_curve(
     sub-range, and the tasks of every grid point share one pool queue.
     """
     engine.check_sequence(betas, "betas", "sparsities, such as (0.6, 0.8)")
-    if not betas:
+    if len(betas) == 0:
         raise DomainError("beta grid must be nonempty")
+    n, reps_cal, reps_pow = engine.check_integers(n=n, reps_cal=reps_cal, reps_pow=reps_pow)
     specs = [mixture_from(n, beta) for beta in betas]
     check_tail(reps_cal, _check_alpha(alpha))
     if reps_pow < 1:

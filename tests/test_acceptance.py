@@ -1,8 +1,11 @@
 """End-to-end acceptance checks at the contracted simulation scale.
 
 Each test prints one PASS/FAIL line.  The Monte Carlo runs share one master
-seed so the size study, the fixed-cv ALR study, and the power study all reuse
-the same cached null statistic vectors.
+seed, so the size study, the fixed-cv ALR study, the structural invariants
+and the power study all read the same null replicates.  The size study
+counts boundary crossings and computes no statistic; the fixed-cv ALR study
+and the structural invariants read one module-wide null pass an n
+(`null_stats`).
 
 Budget: a few minutes of CPU; everything here is deterministic.
 """
@@ -28,7 +31,6 @@ from sparsemix import (
     simulate_null_distribution,
     size_table,
 )
-from sparsemix import engine
 from sparsemix.stats import _log_alr_rows, _row_stats
 
 HC = StatisticKind.HC
@@ -99,6 +101,12 @@ def size_rows():
     )
 
 
+@pytest.fixture(scope="module")
+def null_stats():
+    """Every statistic of the R_NULL null replicates at each n of SIZE_NS."""
+    return {n: null_statistics(n, R_NULL, SEED, threads=0) for n in SIZE_NS}
+
+
 def test_criterion_1_asymptotic_sizes(size_rows):
     got = {
         (r.n, r.kind.value, r.method.value, r.nominal_alpha): r.realized_size
@@ -124,11 +132,10 @@ def test_criterion_1_asymptotic_sizes(size_rows):
     assert ok, errs
 
 
-def test_criterion_2_alr_sizes_at_fixed_cvs(size_rows):
-    # reuses the null ALR vectors cached by the size study
+def test_criterion_2_alr_sizes_at_fixed_cvs(null_stats):
     errs, devs = [], []
     for n in SIZE_NS:
-        alr = null_statistics(n, R_NULL, SEED, (ALR,), threads=0)[ALR]
+        alr = null_stats[n][ALR]
         for variant, (cv05, cv10) in FIXED_CVS.items():
             e05, e10 = EXPECTED_ALR_SIZE[n][variant]
             for cv, expect, alpha in ((cv05, e05, 0.05), (cv10, e10, 0.10)):
@@ -418,13 +425,13 @@ def test_criterion_6_small_sample_exactness():
     assert ok, errs
 
 
-def test_criterion_7_structural_invariants():
+def test_criterion_7_structural_invariants(null_stats):
     errs = []
 
     # BJ is nonnegative and ALR is sandwiched by the weight mass and BJ,
-    # replicate by replicate, on the large cached null runs
+    # replicate by replicate, on the large null runs
     for n in (100, 10_000):
-        stats = null_statistics(n, R_NULL, SEED, threads=0)
+        stats = null_stats[n]
         bj = stats[BJ]
         alr = stats[ALR]
         if not np.all(bj >= 0.0):
@@ -454,9 +461,7 @@ def test_criterion_7_structural_invariants():
     # task per worker, so 5 workers split the run into 5 tasks
     runs = []
     for threads in (1, 0, 2, 5):
-        engine._null_entry.cache_clear()
         runs.append(simulate_null_distribution(BJ, 50, 2000, SEED + 1, threads=threads))
-    engine._null_entry.cache_clear()
     if not all(np.array_equal(runs[0], r) for r in runs[1:]):
         errs.append("null sample depends on the thread count")
 

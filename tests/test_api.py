@@ -122,9 +122,8 @@ def _assert_same(got, want):
 
 
 def _call_uncached(case, form):
-    """The case's result with empty null and limit-law caches, so that the
-    form reaches every layer."""
-    engine._null_entry.cache_clear()
+    """The case's result with an empty limit-law cache, so that the form
+    reaches every layer."""
     calibration._limit_entry.cache_clear()
     if case in STRING_FORM_ERRORS:
         with pytest.raises(STRING_FORM_ERRORS[case]):
@@ -143,8 +142,8 @@ def test_string_forms_give_the_enum_forms_result(case, form):
 
 
 # a bare kind or method, member or value, is a str, and a bare n, level or
-# sparsity, number or str, is no sequence: each is refused before anything
-# is simulated, not iterated
+# sparsity, number or str, is no sequence, nor is an iterator of one: each is
+# refused before anything is simulated, not iterated
 BARE_CASES = {
     "null_statistics": lambda form: null_statistics(100, 300, 1, form(HC), threads=1),
     "alternative_statistics": lambda form: alternative_statistics(
@@ -168,12 +167,84 @@ def _no_simulation(*args, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "form", [lambda v: v, lambda v: v.value if isinstance(v, enum.Enum) else str(v)],
-    ids=["member", "value"],
+    "form",
+    [lambda v: v, lambda v: v.value if isinstance(v, enum.Enum) else str(v),
+     lambda v: (x for x in [v])],  # a sequence is read more than once, an iterator once
+    ids=["member", "value", "iterator"],
 )
 @pytest.mark.parametrize("case", BARE_CASES)
 def test_a_bare_kind_or_method_is_refused_as_no_sequence(monkeypatch, case, form):
-    engine._null_entry.cache_clear()
     monkeypatch.setattr(engine, "simulate", _no_simulation)
     with pytest.raises(ConfigError, match=r"must be a sequence of .*, such as \("):
         BARE_CASES[case](form)
+
+
+# ---------------------------------------------------------------------------
+# an n or a count may be any integer, a NumPy one too, and gives the int's
+# result bitwise; a float, a whole one too, is refused before anything is
+# simulated
+
+# each call passes every sample size and count through `i`
+INTEGER_CASES = {
+    "null_statistics": lambda i: null_statistics(i(100), i(300), 1, threads=1),
+    "alternative_statistics": lambda i: alternative_statistics(
+        mixture_from(i(100), 0.6), i(50), 1, threads=1),
+    "simulate_null_distribution": lambda i: simulate_null_distribution(
+        HC, i(100), i(300), 1, threads=1),
+    "size_table-closed": lambda i: size_table(
+        [i(100), i(1000)], [HC, BJ], [THRESH, EVI], [0.05], i(300), 1, threads=1),
+    "size_table-empirical": lambda i: size_table(
+        [i(100)], [HC], [EMPIRICAL], [0.05], i(300), 1, threads=1),
+    "size_table-limit": lambda i: size_table(
+        [i(100)], [ALR], [CAL2], [0.05], 300, 1, threads=1, limit_reps=i(10_000),
+        limit_n_for_l=i(1000), limit_grid=i(256)),
+    "power_curve": lambda i: power_curve(
+        i(100), [0.6], [HC, BJ], 0.05, i(300), i(50), 1, threads=1),
+    "alr_limit_cv": lambda i: alr_limit_cv(
+        CAL2, 0.05, i(10_000), 1, n_for_l=i(1000), grid_size=i(256), threads=1),
+    "check_limit_request": lambda i: check_limit_request(
+        CAL1, 0.05, i(10_000), i(1000), i(256)),
+}
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint16], ids=lambda t: t.__name__)
+@pytest.mark.parametrize("case", INTEGER_CASES)
+def test_a_numpy_integer_gives_the_ints_result(case, integer):
+    calibration._limit_entry.cache_clear()
+    got = INTEGER_CASES[case](integer)
+    calibration._limit_entry.cache_clear()
+    _assert_same(got, INTEGER_CASES[case](int))
+
+
+@pytest.mark.parametrize(
+    "number", [float, lambda v: v + 0.5], ids=["whole-float", "half-float"]
+)
+@pytest.mark.parametrize("case", INTEGER_CASES)
+def test_a_float_n_or_count_is_refused_before_simulating(monkeypatch, case, number):
+    calibration._limit_entry.cache_clear()
+    monkeypatch.setattr(engine, "simulate", _no_simulation)
+    with pytest.raises(ConfigError, match="must be integers"):
+        INTEGER_CASES[case](number)
+
+
+def test_arrays_of_sizes_levels_and_sparsities_give_the_lists_result():
+    def table(ns, alphas):
+        return size_table(ns, [HC, BJ], [THRESH, EMPIRICAL], alphas, 300, 1, threads=1)
+
+    _assert_same(table(np.array([100, 1000]), np.array([0.05, 0.1])),
+                 table([100, 1000], [0.05, 0.1]))
+
+    def curve(betas):
+        return power_curve(100, betas, [HC], 0.05, 300, 50, 1, threads=1)
+
+    _assert_same(curve(np.array([0.6, 0.7])), curve([0.6, 0.7]))
+
+
+def test_empty_arrays_of_sizes_levels_and_sparsities_are_refused(monkeypatch):
+    monkeypatch.setattr(engine, "simulate", _no_simulation)
+    empty = np.array([])
+    for ns, alphas in ((empty, [0.05]), ([100], empty)):
+        with pytest.raises(ConfigError, match="at least one n"):
+            size_table(ns, [HC], [THRESH], alphas, 300, 1, threads=1)
+    with pytest.raises(DomainError, match="nonempty"):
+        power_curve(100, empty, [HC], 0.05, 300, 50, 1, threads=1)

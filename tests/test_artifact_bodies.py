@@ -9,7 +9,8 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_bodies.py"
 ARTIFACTS = {
     "calibrate.json", "calibrate-hc.json", "calibrate-alr.json", "size-hc-bj.csv",
-    "size-closed.csv", "size-bj-alpha-0.9.csv", "size-alr.csv", "power-1e3.csv", "power-1e3.svg", "power-1e4.csv", "power-1e4.svg",
+    "size-closed.csv", "size-bj-alpha-0.9.csv", "size-alr.csv", "size-alr-2n.csv",
+    "power-1e3.csv", "power-1e3.svg", "power-1e4.csv", "power-1e4.svg",
     "cal1.json", "cal2.json",
 }
 

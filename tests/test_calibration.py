@@ -410,14 +410,23 @@ def test_exact_null_cdf_agrees_with_the_n2_form():
 _EXACT_KINDS = [StatisticKind.HC, StatisticKind.BJ]
 
 
+_ORACLE_SEEDS = [1, 5, 1729]
+
+
+@pytest.fixture(scope="module")
+def null_at_n100():
+    """HC and BJ of 100_000 null replicates at n = 100, for each oracle seed."""
+    return {seed: null_statistics(100, 100_000, seed, _EXACT_KINDS) for seed in _ORACLE_SEEDS}
+
+
 @pytest.mark.parametrize("alpha", [0.05, 0.1])
-@pytest.mark.parametrize("seed", [1, 5, 1729])
+@pytest.mark.parametrize("seed", _ORACLE_SEEDS)
 @pytest.mark.parametrize("kind", _EXACT_KINDS)
-def test_empirical_cv_exact_oracle_at_n100(kind, seed, alpha):
+def test_empirical_cv_exact_oracle_at_n100(null_at_n100, kind, seed, alpha):
     # as at n = 2: F at the k-th of R null replicates is Beta(k, R + 1 - k)
     reps = 100_000
     k = quantile_index(reps, alpha)
-    cv = empirical_cv(null_statistics(100, reps, seed, _EXACT_KINDS)[kind], alpha)
+    cv = empirical_cv(null_at_n100[seed][kind], alpha)
     lo, hi = stats.beta.ppf([1e-6, 1.0 - 1e-6], k, reps + 1 - k)
     assert lo < _exact_null_cdf(kind, cv) < hi
 

@@ -24,13 +24,6 @@ ORACLE = {
 }
 
 
-@pytest.fixture(autouse=True)
-def _clean_cache():
-    engine._null_entry.cache_clear()
-    yield
-    engine._null_entry.cache_clear()
-
-
 @pytest.fixture()
 def pfile(tmp_path):
     f = tmp_path / "p.txt"
@@ -99,7 +92,6 @@ def test_calibrate_reruns_byte_identical(tmp_path):
     argv = ["calibrate", "--stat", "bj", "--n", "32", "--alpha", "0.1",
             "--reps", "300", "--seed", "9", "--out"]
     assert main(argv + [str(out1)]) == 0
-    engine._null_entry.cache_clear()
     assert main(argv + [str(out2)]) == 0
     a, b = out1.read_bytes(), out2.read_bytes()
     # the embedded config names the output path; normalize before comparing
@@ -255,12 +247,16 @@ def test_exit_duplicate_alpha(tmp_path):
     assert main(argv) == 2
 
 
-def test_exit_sparse_tail_precheck(tmp_path):
+def _no_simulation(*args):
+    raise AssertionError("a simulation ran")
+
+
+def test_exit_sparse_tail_precheck(tmp_path, monkeypatch):
     # fails before simulating: reps * alpha < 5
+    monkeypatch.setattr(engine, "simulate", _no_simulation)
     argv = ["calibrate", "--stat", "hc", "--n", "32", "--alpha", "0.001",
             "--reps", "300", "--seed", "0", "--out", str(tmp_path / "x.json")]
     assert main(argv) == 12
-    assert engine._null_entry.cache_info().currsize == 0
 
 
 _LIST_BASE = {
@@ -326,14 +322,14 @@ def test_exit_alr_limit_variant_not_a_limit_law(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_exit_size_table_alpha_out_of_range(tmp_path):
+def test_exit_size_table_alpha_out_of_range(tmp_path, monkeypatch):
     # thresh never reads the level, which is still checked before simulating
+    monkeypatch.setattr(engine, "simulate", _no_simulation)
     argv = ["size-table", "--n", "32", "--stat", "hc", "--method", "thresh",
             "--alpha", "1.5", "--reps", "300", "--seed", "0",
             "--out", str(tmp_path / "x.csv")]
     assert main(argv) == 11
     assert list(tmp_path.iterdir()) == []
-    assert engine._null_entry.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(
@@ -352,10 +348,7 @@ def test_exit_size_table_checks_every_n_before_simulating(tmp_path, monkeypatch,
 
 
 def test_exit_power_curve_out_and_svg_name_one_file(tmp_path, monkeypatch, capsys):
-    def no_simulation(*args):
-        raise AssertionError("a simulation ran")
-
-    monkeypatch.setattr(engine, "simulate", no_simulation)
+    monkeypatch.setattr(engine, "simulate", _no_simulation)
     monkeypatch.chdir(tmp_path)
     argv = ["power-curve", *_LIST_BASE["power-curve"], "--out", "p.csv",
             "--svg", str(tmp_path / "p.csv")]
@@ -365,13 +358,13 @@ def test_exit_power_curve_out_and_svg_name_one_file(tmp_path, monkeypatch, capsy
     assert list(tmp_path.iterdir()) == []
 
 
-def test_exit_power_curve_without_power_replicates(tmp_path):
+def test_exit_power_curve_without_power_replicates(tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "simulate", _no_simulation)
     argv = ["power-curve", *_LIST_BASE["power-curve"], "--out", str(tmp_path / "p.csv"),
             "--svg", str(tmp_path / "p.svg")]
     argv[argv.index("--pow-reps") + 1] = "0"
     assert main(argv) == 12
     assert list(tmp_path.iterdir()) == []
-    assert engine._null_entry.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("variant", ["cal1", "cal2"])

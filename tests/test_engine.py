@@ -1,5 +1,6 @@
-"""Batched Monte Carlo engine: scalar agreement, batching, blocks, caching."""
+"""Batched Monte Carlo engine: scalar agreement, batching, blocks, requests."""
 
+import itertools
 import math
 import subprocess
 import sys
@@ -34,18 +35,11 @@ from sparsemix.rng import (
     DOMAIN_POWER,
     DOMAIN_SHIFT,
 )
-from sparsemix.stats import P_MAX, P_MIN, _log1m_boundaries, _row_stats
+from sparsemix.stats import P_MAX, P_MIN, _log1m_boundaries, _row_stats, supported_kinds
 
 
 HC, BJ, ALR = StatisticKind.HC, StatisticKind.BJ, StatisticKind.ALR
 _ALL = (HC, BJ, ALR)
-
-
-@pytest.fixture(autouse=True)
-def _clean_cache():
-    engine._null_entry.cache_clear()
-    yield
-    engine._null_entry.cache_clear()
 
 
 def _numpy_row(seed, domain, sub, j, width, normal=False):
@@ -149,7 +143,6 @@ def test_thread_count_does_not_change_results():
     n, reps, seed = 24, _SPLIT_ROWS, 8
     runs = []
     for threads in (1, 2, 5, 0):  # 5 workers: 5 tasks, more than the cores
-        engine._null_entry.cache_clear()
         runs.append(null_statistics(n, reps, seed, threads=threads))
     for k in runs[0]:
         for other in runs[1:]:
@@ -274,60 +267,40 @@ def test_alternative_grid_refuses_empty_or_mixed_n():
         engine.alternative_grid([mixture_from(16, 0.6), mixture_from(32, 0.6)], 12, 4, threads=1)
 
 
-def test_null_cache_shares_arrays():
-    a = null_statistics(20, 10, 1, threads=1)
-    b = null_statistics(20, 10, 1, threads=1)
-    for k in a:
-        assert a[k] is b[k]
-    # subset requests reuse the cached arrays
-    c = null_statistics(20, 10, 1, kinds=(StatisticKind.HC,), threads=1)
-    assert set(c) == {StatisticKind.HC}
-    assert c[StatisticKind.HC] is a[StatisticKind.HC]
+def _subsets(kinds):
+    return [c for r in range(1, len(kinds) + 1) for c in itertools.combinations(kinds, r)]
 
 
-def test_cached_null_arrays_are_read_only():
-    first = null_statistics(20, 10, 1, kinds=(StatisticKind.HC,), threads=1)
-    later = null_statistics(20, 10, 1, threads=1)  # a second pass adds BJ and ALR
-    for stats in (first, later):
-        for v in stats.values():
-            with pytest.raises(ValueError):
-                v[0] = 0.0
+# every nonempty subset of the kinds supported at n; BJ and ALR run before HC
+# and lend it their buffers, so a kind's vector must not depend on its company
+_NULL_SUBSETS = [(n, kinds) for n in (2, 3, 100, 1001) for kinds in _subsets(supported_kinds(n))]
 
 
-def test_null_kinds_added_on_demand_equal_one_pass(monkeypatch):
-    hc, bj, alr = StatisticKind.HC, StatisticKind.BJ, StatisticKind.ALR
-    passes = []
-    run_tasks = engine.map_tasks
-
-    def counted(fn, tasks, threads):
-        passes.append(1)
-        return run_tasks(fn, tasks, threads)
-
-    monkeypatch.setattr(engine, "map_tasks", counted)
-    first = null_statistics(40, 300, 9, kinds=(hc,), threads=1)
-    cached = engine._null_entry(40, 300, 9)
-    assert set(cached) == {hc}  # BJ and ALR were not computed
-    later = null_statistics(40, 300, 9, kinds=(bj, hc), threads=1)
-    assert list(later) == [bj, hc]
-    assert engine._null_entry(40, 300, 9) is cached
-    assert set(cached) == {hc, bj, alr}  # the second pass fills in every kind
-    assert cached[hc] is first[hc]
-    null_statistics(40, 300, 9, kinds=(alr,), threads=1)
-    assert len(passes) == 2
-    engine._null_entry.cache_clear()
-    whole = null_statistics(40, 300, 9, threads=1)
-    for k in (hc, bj, alr):
-        assert np.array_equal(cached[k], whole[k])
+@pytest.mark.parametrize(
+    "n,kinds", _NULL_SUBSETS,
+    ids=[f"n{n}-{'-'.join(k.value for k in c)}" for n, c in _NULL_SUBSETS],
+)
+def test_a_null_kind_does_not_depend_on_the_kinds_computed_with_it(n, kinds):
+    whole = null_statistics(n, 300, 9, threads=1)
+    got = null_statistics(n, 300, 9, kinds, threads=1)
+    assert list(got) == list(kinds)
+    for k in kinds:
+        assert got[k].tobytes() == whole[k].tobytes()
 
 
-def test_null_cache_is_keyed_and_bounded():
-    null_statistics(20, 10, 1, threads=1)
-    null_statistics(20, 10, 2, threads=1)
-    info = engine._null_entry.cache_info
-    assert info().currsize == 2
-    for seed in range(3, 3 + info().maxsize):
-        null_statistics(20, 10, seed, threads=1)
-    assert info().currsize == info().maxsize
+_ALT_SUBSETS = _subsets(_ALL)
+
+
+@pytest.mark.parametrize(
+    "kinds", _ALT_SUBSETS, ids=["-".join(k.value for k in c) for c in _ALT_SUBSETS]
+)
+def test_an_alternative_kind_does_not_depend_on_the_kinds_computed_with_it(kinds):
+    spec = mixture_from(1001, 0.6)
+    whole = alternative_statistics(spec, 300, 9, sub=2, threads=1)
+    got = alternative_statistics(spec, 300, 9, sub=2, kinds=kinds, threads=1)
+    assert list(got) == list(kinds)
+    for k in kinds:
+        assert got[k].tobytes() == whole[k].tobytes()
 
 
 def test_small_n_skips_alr():

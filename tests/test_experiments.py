@@ -36,13 +36,6 @@ ALR = StatisticKind.ALR
 EMP = CalibrationMethod.EMPIRICAL
 
 
-@pytest.fixture(autouse=True)
-def _clean_cache():
-    engine._null_entry.cache_clear()
-    yield
-    engine._null_entry.cache_clear()
-
-
 def test_beta_grid_default():
     grid = beta_grid_default()
     assert len(grid) == 10
@@ -150,21 +143,13 @@ def test_size_table_thresh_rows_are_alpha_independent():
     assert rows[0].realized_size == rows[1].realized_size
 
 
-def test_size_table_reuses_null_cache():
-    size_table([40], [HC], [EMP], [0.05], 500, 77, threads=1)
-    assert engine._null_entry.cache_info().currsize == 1
-    before = engine._null_entry(40, 500, 77)[HC]
-    size_table([40], [HC, BJ], [EMP], [0.1], 500, 77, threads=1)
-    assert engine._null_entry(40, 500, 77)[HC] is before
-
-
 CLOSED = [CalibrationMethod.THRESH, CalibrationMethod.EVI, CalibrationMethod.EVII]
 
 
 @pytest.mark.parametrize("seed", [5, 1729])
 def test_closed_form_size_tables_equal_the_statistics_path(monkeypatch, seed):
     # closed forms alone are sized by boundary crossing, with no statistic
-    # cached; each size is bitwise that of the cached statistics at its cv
+    # computed; each size is bitwise that of the statistics at its cv
     reps = 20_000
     simulated = []
     run = engine.simulate
@@ -176,11 +161,10 @@ def test_closed_form_size_tables_equal_the_statistics_path(monkeypatch, seed):
     monkeypatch.setattr(engine, "simulate", recorded)
     rows = size_table([100, 1001], [HC, BJ], CLOSED, [0.05, 0.1, 0.5], reps, seed, threads=1)
     assert simulated == [engine._level_task] * 2
-    assert engine._null_entry.cache_info().currsize == 0
+    stats = {n: engine.null_statistics(n, reps, seed, (HC, BJ), threads=1) for n in (100, 1001)}
     for row in rows:
-        stats = engine.null_statistics(row.n, reps, seed, (HC, BJ), threads=1)
         cv = calibration._closed_form_cv(row.method, row.kind, row.n, row.nominal_alpha)
-        assert row.realized_size.hex() == float(np.mean(stats[row.kind] > cv)).hex(), row
+        assert row.realized_size.hex() == float(np.mean(stats[row.n][row.kind] > cv)).hex(), row
 
 
 def test_closed_form_bj_size_below_zero_is_one(monkeypatch):
@@ -230,13 +214,13 @@ def test_size_table_csv_golden():
 # ---------------------------------------------------------------------------
 # power curves
 
-def test_power_curve_validates_grid_before_simulating():
+def test_power_curve_validates_grid_before_simulating(monkeypatch):
+    # the bad grid never reaches the engine
+    monkeypatch.setattr(engine, "simulate", None)
     with pytest.raises(DomainError):
         power_curve(100, [], [HC], 0.05, 200, 50, 0)
     with pytest.raises(DomainError):
         power_curve(100, [0.6, 0.4], [HC], 0.05, 200, 50, 0)
-    # the bad grid never reached the engine
-    assert engine._null_entry.cache_info().currsize == 0
 
 
 def test_power_curve_points_and_determinism():
@@ -275,7 +259,6 @@ def test_power_curve_grid_is_thread_invariant_and_keeps_sub_ranges():
     grid = [0.55, 0.7, 0.9]
     pts = power_curve(40, grid, [HC, BJ, ALR], 0.05, 400, 30, 19, threads=1)
     assert power_curve(40, grid, [HC, BJ, ALR], 0.05, 400, 30, 19, threads=2) == pts
-    engine._null_entry.cache_clear()
     # 5 workers: 5 tasks a point, more than the cores
     assert power_curve(40, grid, [HC, BJ, ALR], 0.05, 400, 30, 19, threads=5) == pts
     # grid point k draws from stream sub-range k, as a call of its own would

@@ -20,13 +20,6 @@ _POWER = ["power-curve", "--n", "32", "--beta-grid", "0.6,0.8", "--stat", "hc,bj
           "--cal-reps", "200", "--pow-reps", "50", "--seed", "0", "--threads", "2"]
 
 
-@pytest.fixture(autouse=True)
-def _clean_cache():
-    engine._null_entry.cache_clear()
-    yield
-    engine._null_entry.cache_clear()
-
-
 @pytest.fixture()
 def deadline():
     """Fail a test that is still running after 30 s instead of hanging."""

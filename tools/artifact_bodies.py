@@ -60,6 +60,10 @@ def matrix(scale: float, grid: int) -> list[list[str]]:
         ["size-table", "--n", "1000", "--stat", "alr", "--method", "empirical,cal1,cal2",
          "--alpha", "0.05", "--reps", reps(20_000, MC), "--limit-reps", reps(20_000, LIMIT),
          "--grid", str(grid), "--out", "size-alr.csv"],
+        # the one path where a limit-law cache entry serves several n and levels
+        ["size-table", "--n", "100,1000", "--stat", "alr", "--method", "empirical,cal1,cal2",
+         "--alpha", "0.05,0.1", "--reps", reps(20_000, MC), "--limit-reps", reps(20_000, LIMIT),
+         "--grid", str(grid), "--out", "size-alr-2n.csv"],
         ["power-curve", "--n", "1000", "--stat", "hc,bj,alr", "--alpha", "0.05",
          "--cal-reps", reps(10_000, MC), "--pow-reps", reps(2000, POWER),
          "--out", "power-1e3.csv", "--svg", "power-1e3.svg"],
