@@ -11,6 +11,10 @@ The three closed forms share one body, `_closed_form_cv`: a quantile q that
 BJ takes as its cv and HC as sqrt(2q).  ALR critical values are kept in the
 log domain throughout, matching log_alr.
 
+No draw outlives its call: `_limit_draws` returns a new array from one
+simulation, so a caller with several levels draws once and takes
+empirical_cv at each.  Only `_bridge_coeffs`' read-only tables are cached.
+
 A method is a CalibrationMethod, whose constructor also takes its value in any
 case and padding and raises ConfigError otherwise.  _METHOD_KINDS alone states
 which kinds each method calibrates, and _CLOSED_FORMS which methods need no
@@ -85,6 +89,7 @@ def simulate_null_distribution(
     threads: int = 0,
 ) -> np.ndarray:
     """`reps` null replicates of the statistic, sorted and read-only."""
+    [reps] = engine.check_integers(reps=reps)
     if reps < 100:
         raise InsufficientReplicates(f"need reps >= 100, got {reps}")
     [stats] = engine.null_statistics(n, reps, master_seed, (kind,), threads=threads).values()
@@ -219,7 +224,7 @@ def _cal1_rows(u: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _bridge_coeffs(n: int, grid_size: int):
     """Log-spaced grid on [1/n, 1/2] plus transition and trapezoid weights.
 
-    Returns (t, c, w, k): grid points, cumsum coefficients for the
+    Returns (t, c, w, k), read-only: grid points, cumsum coefficients for the
     telescoped bridge transitions, trapezoid weights in u = log t, and the
     integrand's scale (1 - t) / (2 t) on the squared Y+.
     """
@@ -235,6 +240,8 @@ def _bridge_coeffs(n: int, grid_size: int):
     w[:-1] += 0.5 * du
     w[1:] += 0.5 * du
     k = (1.0 - t) / (2.0 * t)
+    for table in (t, c, w, k):
+        table.flags.writeable = False
     return t, c, w, k
 
 
@@ -326,39 +333,16 @@ def check_limit_request(
     return variant, alpha, reps, n_for_l, grid_size
 
 
-@lru_cache(maxsize=4)
-def _limit_entry(
-    variant: CalibrationMethod, reps: int, n_for_l: int, grid_size: int, master_seed: int
-) -> list[np.ndarray]:
-    """The cached draws of one limit-law configuration, filled in by
-    _limit_draws; empty until its simulation completes.  The draws do not
-    depend on the worker count, so it is not part of the key."""
-    return []
-
-
-def _limit_draws(
-    variant: CalibrationMethod,
-    reps: int,
-    n_for_l: int,
-    grid_size: int,
-    master_seed: int,
-    threads: int,
-) -> np.ndarray:
-    """Limit-law draws in row order, cached, shared and read-only.
-
-    cal1 ignores n_for_l and grid_size; pass 0 for both so that one cache
-    entry serves every call.
-    """
-    entry = _limit_entry(variant, reps, n_for_l, grid_size, master_seed)
-    if not entry:
-        if variant is CalibrationMethod.CAL1:
-            task, params = _cal1_task, (master_seed,)
-        else:
-            task, params = _cal2_task, (master_seed, n_for_l, grid_size)
-        [draws] = engine.simulate(task, [params], reps, threads)
-        draws.flags.writeable = False
-        entry.append(draws)
-    return entry[0]
+def _limit_draws(variant: CalibrationMethod, reps: int, n_for_l: int, grid_size: int,
+                 master_seed: int, threads: int) -> np.ndarray:
+    """`reps` limit-law draws in row order, from one simulation, in a new
+    array; cal1 ignores n_for_l and grid_size."""
+    if variant is CalibrationMethod.CAL1:
+        task, params = _cal1_task, (master_seed,)
+    else:
+        task, params = _cal2_task, (master_seed, n_for_l, grid_size)
+    [draws] = engine.simulate(task, [params], reps, threads)
+    return draws
 
 
 def alr_limit_cv(
@@ -371,10 +355,12 @@ def alr_limit_cv(
     grid_size: int = 4096,
     threads: int = 0,
 ) -> float:
-    """Upper-alpha critical value for log ALR from the sampled limit law."""
+    """Upper-alpha critical value for log ALR from one simulation of the
+    sampled limit law.  Nothing is cached: a caller with several levels
+    draws once with _limit_draws and takes empirical_cv at each, as the
+    alr-limit command and size_table do."""
     variant, alpha, reps, n_for_l, grid_size = check_limit_request(variant, alpha, reps,
                                                                    n_for_l, grid_size)
-    if variant is CalibrationMethod.CAL1:
-        n_for_l = grid_size = 0
+    master_seed = engine.check_seed(master_seed)
     draws = _limit_draws(variant, reps, n_for_l, grid_size, master_seed, threads)
     return math.log(empirical_cv(draws, alpha))

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, engine
+from . import __version__, calibration, engine
 from .calibration import (
     CalibrationMethod,
-    alr_limit_cv,
     check_limit_request,
     check_tail,
     empirical_cv,
@@ -72,7 +72,7 @@ def _parse_alphas(text: str) -> list[float]:
 def _check_seed(seed: int) -> int:
     if seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {seed}")
-    return seed
+    return engine.check_seed(seed)
 
 
 def _write_outputs(*outputs: tuple[str, str]) -> None:
@@ -217,17 +217,12 @@ def _cmd_alr_limit(args: argparse.Namespace, config: dict) -> int:
     alphas = _parse_alphas(args.alpha)
     for alpha in alphas:  # refuse any level before the first draw
         check_limit_request(variant, alpha, args.reps, args.n_for_l, args.grid)
+    # one draw serves every level; looked up in its module, where perfbench wraps it
+    draws = calibration._limit_draws(variant, args.reps, args.n_for_l, args.grid, args.seed,
+                                     args.threads)
     entries = []
     for alpha in alphas:
-        log_cv = alr_limit_cv(
-            variant,
-            alpha,
-            args.reps,
-            args.seed,
-            n_for_l=args.n_for_l,
-            grid_size=args.grid,
-            threads=args.threads,
-        )
+        log_cv = math.log(empirical_cv(draws, alpha))
         entries.append({"alpha": alpha, "log_cv": log_cv, "cv": float(np.exp(log_cv))})
     is_cal2 = variant is CalibrationMethod.CAL2
     payload = {

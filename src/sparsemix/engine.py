@@ -29,10 +29,11 @@ kernels decide only the rows that fall within rounding of one.
 Replicate j of a run is a pure function of master_seed and its coordinates
 (domain, sub, j), whatever task or block draws it, and every reduction runs
 along a row, so the result vectors do not depend on task size, block size
-or worker count.  No statistic or level outlives its call: each call
-simulates the kinds it asks for once and returns new arrays; only the
-read-only tables a sampler reads (`_renyi_denominators`, `_shift_cdf`)
-are cached.
+or worker count.  No statistic, level or limit-law draw outlives its call,
+here or anywhere in the package: each call simulates what it asks for once
+and returns new arrays.  Only read-only tables are cached: those the
+samplers read (`_renyi_denominators`, `_shift_cdf`), the kernels' columns
+in `stats`, and cal2's bridge coefficients in `calibration`.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     InsufficientReplicates,
+    OutOfRange,
     SampleTooSmall,
     UnsupportedStatistic,
     WorkerLost,
@@ -73,7 +75,8 @@ BLOCK_ELEMENTS = 1 << 17
 
 
 def resolve_threads(threads: int) -> int:
-    """0 means all available cores; otherwise the explicit worker count."""
+    """0 means all available cores; otherwise the explicit worker count, an int."""
+    [threads] = check_integers(threads=threads)
     if threads < 0:
         raise ConfigError(f"thread count must be >= 0, got {threads}")
     if threads == 0:
@@ -483,17 +486,27 @@ def check_integers(**values) -> list[int]:
         raise ConfigError(f"{', '.join(values)} must be integers, got {got}") from None
 
 
-def _check_request(n: int, reps: int, kinds) -> tuple[int, int, tuple[StatisticKind, ...]]:
-    """(n, reps, kinds) of a request, n and reps as ints and kinds as
-    StatisticKinds supported at n, or a typed error before anything runs."""
+def check_seed(master_seed: int) -> int:
+    """The master seed as an int in [0, 2^64), or a typed error before
+    anything runs: ConfigError for a non-integer, OutOfRange outside."""
+    [master_seed] = check_integers(master_seed=master_seed)
+    if not 0 <= master_seed < 2**64:
+        raise OutOfRange(f"master_seed {master_seed} outside [0, 2^64)")
+    return master_seed
+
+
+def _check_request(n: int, reps: int, master_seed: int, kinds) -> tuple[int, int, int, tuple]:
+    """(n, reps, master_seed, kinds) as ints and StatisticKinds supported at
+    n, or a typed error before anything runs."""
     n, reps = check_integers(n=n, reps=reps)
+    master_seed = check_seed(master_seed)
     if n < 2:
         raise SampleTooSmall(f"need n >= 2, got {n}")
     if reps < 1:
         raise InsufficientReplicates(f"need at least one replicate, got {reps}")
     available = supported_kinds(n)
     if kinds is None:
-        return n, reps, available
+        return n, reps, master_seed, available
     check_sequence(kinds, "kinds", "statistic kinds, such as ('hc',)")
     kinds = tuple(StatisticKind(k) for k in kinds)
     if not kinds:
@@ -501,7 +514,7 @@ def _check_request(n: int, reps: int, kinds) -> tuple[int, int, tuple[StatisticK
     for k in kinds:
         if k not in available:
             raise SampleTooSmall(f"{k.value} needs n >= 4, got n={n}")
-    return n, reps, kinds
+    return n, reps, master_seed, kinds
 
 
 def null_statistics(
@@ -516,7 +529,7 @@ def null_statistics(
     simulation pass of the kinds asked for (every kind supported at n by
     default), in new arrays.  A kind's vector does not depend on which
     other kinds are computed with it."""
-    n, reps, kinds = _check_request(n, reps, kinds)
+    n, reps, master_seed, kinds = _check_request(n, reps, master_seed, kinds)
     [stats] = simulate(_null_task, [(n, master_seed, kinds)], reps, threads)
     return dict(zip(kinds, stats))
 
@@ -560,7 +573,7 @@ def null_levels(
     found by boundary crossing (`_row_levels`), so most rows never reach
     the kernels.
     """
-    n, reps, kinds = _check_request(n, reps, tuple(cvs))
+    n, reps, master_seed, kinds = _check_request(n, reps, master_seed, tuple(cvs))
     plans = []
     for kind, values in zip(kinds, cvs.values()):
         if kind is StatisticKind.ALR:
@@ -613,7 +626,7 @@ def alternative_grid(
     n = specs[0].n
     if any(spec.n != n for spec in specs):
         raise ConfigError("every mixture of a grid needs the same n")
-    n, reps, kinds = _check_request(n, reps, kinds)
+    n, reps, master_seed, kinds = _check_request(n, reps, master_seed, kinds)
     params = [
         (n, spec.eps, spec.mu, master_seed, first_sub + k, kinds)
         for k, spec in enumerate(specs)

@@ -19,7 +19,6 @@ import pytest
 from sparsemix import (
     CalibrationMethod,
     StatisticKind,
-    alr_limit_cv,
     beta_grid_default,
     bj_plus,
     empirical_cv,
@@ -31,6 +30,7 @@ from sparsemix import (
     simulate_null_distribution,
     size_table,
 )
+from sparsemix.calibration import _limit_draws
 from sparsemix.stats import _log_alr_rows, _row_stats
 
 HC = StatisticKind.HC
@@ -151,20 +151,11 @@ def test_criterion_2_alr_sizes_at_fixed_cvs(null_stats):
 
 
 def test_criterion_3_limit_law_quantiles():
-    q95_1 = math.exp(alr_limit_cv(CalibrationMethod.CAL1, 0.05, R_NULL, SEED, threads=0))
-    q90_1 = math.exp(alr_limit_cv(CalibrationMethod.CAL1, 0.10, R_NULL, SEED, threads=0))
-    q95_2 = math.exp(
-        alr_limit_cv(
-            CalibrationMethod.CAL2, 0.05, R_NULL, SEED,
-            n_for_l=100_000, grid_size=4096, threads=0,
-        )
-    )
-    q90_2 = math.exp(
-        alr_limit_cv(
-            CalibrationMethod.CAL2, 0.10, R_NULL, SEED,
-            n_for_l=100_000, grid_size=4096, threads=0,
-        )
-    )
+    # one simulation a variant, read at both levels
+    cal1 = _limit_draws(CalibrationMethod.CAL1, R_NULL, 0, 0, SEED, 0)
+    cal2 = _limit_draws(CalibrationMethod.CAL2, R_NULL, 100_000, 4096, SEED, 0)
+    q95_1, q90_1 = (empirical_cv(cal1, alpha) for alpha in (0.05, 0.10))
+    q95_2, q90_2 = (empirical_cv(cal2, alpha) for alpha in (0.05, 0.10))
     checks = [
         ("cal1 q95", q95_1, 6.05, 0.25),
         ("cal1 q90", q90_1, 3.42, 0.10),

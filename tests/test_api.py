@@ -17,11 +17,11 @@ from sparsemix import (
     CalibrationMethod,
     ConfigError,
     DomainError,
+    OutOfRange,
     SampleTooSmall,
     StatisticKind,
     alr_limit_cv,
     alternative_statistics,
-    calibration,
     engine,
     mixture_from,
     null_statistics,
@@ -121,24 +121,18 @@ def _assert_same(got, want):
         assert got == want
 
 
-def _call_uncached(case, form):
-    """The case's result with an empty limit-law cache, so that the form
-    reaches every layer."""
-    calibration._limit_entry.cache_clear()
-    if case in STRING_FORM_ERRORS:
-        with pytest.raises(STRING_FORM_ERRORS[case]):
-            STRING_FORM_CASES[case](form)
-        return None
-    return STRING_FORM_CASES[case](form)
-
-
 @pytest.mark.parametrize(
     "form", [lambda m: m.value, lambda m: f"  {m.value.upper()} "],
     ids=["value", "padded-upper"],
 )
 @pytest.mark.parametrize("case", STRING_FORM_CASES)
 def test_string_forms_give_the_enum_forms_result(case, form):
-    _assert_same(_call_uncached(case, form), _call_uncached(case, lambda m: m))
+    if case in STRING_FORM_ERRORS:
+        for each in (form, lambda m: m):
+            with pytest.raises(STRING_FORM_ERRORS[case]):
+                STRING_FORM_CASES[case](each)
+    else:
+        _assert_same(STRING_FORM_CASES[case](form), STRING_FORM_CASES[case](lambda m: m))
 
 
 # a bare kind or method, member or value, is a str, and a bare n, level or
@@ -210,10 +204,7 @@ INTEGER_CASES = {
 @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint16], ids=lambda t: t.__name__)
 @pytest.mark.parametrize("case", INTEGER_CASES)
 def test_a_numpy_integer_gives_the_ints_result(case, integer):
-    calibration._limit_entry.cache_clear()
-    got = INTEGER_CASES[case](integer)
-    calibration._limit_entry.cache_clear()
-    _assert_same(got, INTEGER_CASES[case](int))
+    _assert_same(INTEGER_CASES[case](integer), INTEGER_CASES[case](int))
 
 
 @pytest.mark.parametrize(
@@ -221,7 +212,6 @@ def test_a_numpy_integer_gives_the_ints_result(case, integer):
 )
 @pytest.mark.parametrize("case", INTEGER_CASES)
 def test_a_float_n_or_count_is_refused_before_simulating(monkeypatch, case, number):
-    calibration._limit_entry.cache_clear()
     monkeypatch.setattr(engine, "simulate", _no_simulation)
     with pytest.raises(ConfigError, match="must be integers"):
         INTEGER_CASES[case](number)
@@ -248,3 +238,81 @@ def test_empty_arrays_of_sizes_levels_and_sparsities_are_refused(monkeypatch):
             size_table(ns, [HC], [THRESH], alphas, 300, 1, threads=1)
     with pytest.raises(DomainError, match="nonempty"):
         power_curve(100, empty, [HC], 0.05, 300, 50, 1, threads=1)
+
+
+# ---------------------------------------------------------------------------
+# a master seed may be any integer in [0, 2^64), a NumPy one too, and gives
+# the int's result bitwise; anything else is refused before anything is
+# simulated
+
+# each call passes the master seed through `s`
+SEED_CASES = {
+    "null_statistics": lambda s: null_statistics(100, 300, s(1), threads=1),
+    "alternative_statistics": lambda s: alternative_statistics(
+        mixture_from(100, 0.6), 50, s(1), threads=1),
+    "simulate_null_distribution": lambda s: simulate_null_distribution(
+        HC, 100, 300, s(1), threads=1),
+    "size_table-closed": lambda s: size_table(
+        [100], [HC, BJ], [THRESH, EVI], [0.05], 300, s(1), threads=1),
+    "size_table-limit": lambda s: size_table(
+        [100], [ALR], [EMPIRICAL, CAL1], [0.05], 300, s(1), threads=1, limit_reps=10_000),
+    "power_curve": lambda s: power_curve(100, [0.6], [HC, BJ], 0.05, 300, 50, s(1), threads=1),
+    "alr_limit_cv": lambda s: alr_limit_cv(CAL1, 0.05, 10_000, s(1), threads=1),
+}
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.uint64, np.uint8], ids=lambda t: t.__name__)
+@pytest.mark.parametrize("case", SEED_CASES)
+def test_a_numpy_seed_gives_the_ints_result(case, integer):
+    _assert_same(SEED_CASES[case](integer), SEED_CASES[case](int))
+
+
+@pytest.mark.parametrize(
+    "seed,error",
+    [(float, ConfigError), (str, ConfigError), (lambda v: -v, OutOfRange),
+     (lambda v: 2**64 + v - 1, OutOfRange)],
+    ids=["float", "str", "negative", "2**64"],
+)
+@pytest.mark.parametrize("case", SEED_CASES)
+def test_a_bad_seed_is_refused_before_simulating(monkeypatch, case, seed, error):
+    monkeypatch.setattr(engine, "simulate", _no_simulation)
+    with pytest.raises(error, match="master_seed"):
+        SEED_CASES[case](seed)
+
+
+def test_a_str_replicate_count_is_refused_before_simulating(monkeypatch):
+    monkeypatch.setattr(engine, "simulate", _no_simulation)
+    with pytest.raises(ConfigError, match="must be integers"):
+        simulate_null_distribution(HC, 100, "300", 1, threads=1)
+
+
+# ---------------------------------------------------------------------------
+# a thread count may be any integer >= 0, a NumPy one too, and gives the
+# int's result; anything else is refused before any task runs
+
+# each call passes the thread count through `t`
+THREAD_CASES = {
+    "null_statistics": lambda t: null_statistics(100, 300, 1, threads=t(2)),
+    "size_table": lambda t: size_table(
+        [100], [ALR], [EMPIRICAL, CAL1], [0.05], 300, 1, threads=t(2), limit_reps=10_000),
+    "power_curve": lambda t: power_curve(100, [0.6], [HC, BJ], 0.05, 300, 50, 1, threads=t(2)),
+    "alr_limit_cv": lambda t: alr_limit_cv(CAL1, 0.05, 10_000, 1, threads=t(2)),
+}
+
+
+@pytest.mark.parametrize("case", THREAD_CASES)
+def test_a_numpy_thread_count_gives_the_ints_result(case):
+    _assert_same(THREAD_CASES[case](np.int64), THREAD_CASES[case](int))
+
+
+def _no_task(*args):
+    raise AssertionError("ran a task before refusing the thread count")
+
+
+@pytest.mark.parametrize(
+    "threads", [float, str, lambda v: None], ids=["float", "str", "None"])
+@pytest.mark.parametrize("case", THREAD_CASES)
+def test_a_non_integer_thread_count_is_refused_before_any_task(monkeypatch, case, threads):
+    monkeypatch.setattr(engine, "map_tasks", _no_task)
+    with pytest.raises(ConfigError, match="threads must be integers"):
+        THREAD_CASES[case](threads)

@@ -1,6 +1,7 @@
 """tools/artifact_bodies.py at tiny replicate counts: it runs every command
-of its matrix and prints one hash per artifact body, and the bodies do not
-depend on the worker count."""
+of its matrix and prints one hash per artifact body and one line of
+`engine.simulate` calls per command, and neither depends on the worker
+count."""
 
 import subprocess
 import sys
@@ -19,12 +20,23 @@ def test_artifact_bodies_hash_each_artifact_once_per_run():
     argv = ["--seeds", "5", "--threads", "1,2", "--scale", "0.01", "--grid", "256"]
     done = subprocess.run([sys.executable, str(TOOL), *argv], capture_output=True,
                           text=True, timeout=300, check=True)
-    bodies = {}
+    bodies, simulations = {}, {}
     for line in done.stdout.splitlines():
-        digest, seed, threads, name = line.split()
-        assert len(digest) == 64 and seed == "seed=5"
-        bodies.setdefault(threads, {})[name] = digest
-    assert set(bodies) == {"threads=1", "threads=2"}
+        first, seed, threads, name = line.split()
+        assert seed == "seed=5"
+        if first.startswith("simulate="):
+            simulations.setdefault(threads, {})[name] = first
+        else:
+            assert len(first) == 64
+            bodies.setdefault(threads, {})[name] = first
+    assert set(bodies) == set(simulations) == {"threads=1", "threads=2"}
     assert set(bodies["threads=1"]) == ARTIFACTS
     # the config line, which records --threads, is not part of a body
     assert bodies["threads=1"] == bodies["threads=2"]
+    # one line for every command, named by its --out file, the same at any
+    # worker count
+    assert set(simulations["threads=1"]) == {a for a in ARTIFACTS if not a.endswith(".svg")}
+    assert simulations["threads=1"] == simulations["threads=2"]
+    # one draw of each limit law serves both n and both levels
+    assert simulations["threads=1"]["size-alr-2n.csv"] == (
+        "simulate=_cal1_task:1:10000,_cal2_task:1:10000,_null_task:1:200,_null_task:1:200")

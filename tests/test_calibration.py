@@ -37,7 +37,6 @@ from sparsemix.calibration import (
     _cal1_task,
     _cal2_task,
     _limit_draws,
-    _limit_entry,
     _ln_rows,
 )
 from sparsemix.rng import DOMAIN_CAL1, DOMAIN_CAL2, GROUP_ROWS, U_FLOOR
@@ -77,13 +76,6 @@ def _bridge_rows(n, grid_size, u):
     """
     t, c, _, _ = _bridge_coeffs(n, grid_size)
     return np.cumsum(_normals(u) * c, axis=1) * (1.0 - t)
-
-
-@pytest.fixture(autouse=True)
-def _clean_caches():
-    _limit_entry.cache_clear()
-    yield
-    _limit_entry.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +516,12 @@ def test_sample_ln_lower_bound_and_determinism():
     assert _ln_rows(n, m, z[7:8])[0] == vals[7]
 
 
-def test_bridge_args_validation():
+def test_bridge_args_validation(monkeypatch):
+    def no_simulation(*args):
+        raise AssertionError("simulated before refusing the bridge arguments")
+
+    monkeypatch.setattr(engine, "simulate", no_simulation)
+
     def cal2(n_for_l, grid_size):
         return alr_limit_cv(
             CalibrationMethod.CAL2, 0.1, 10_000, 0,
@@ -535,7 +532,6 @@ def test_bridge_args_validation():
         cal2(15, 512)
     with pytest.raises(DomainError):
         cal2(100, 255)
-    assert _limit_entry.cache_info().currsize == 0  # refused before any draw
 
 
 def test_bridge_marginal_variance():
@@ -596,31 +592,6 @@ def test_alr_limit_cv_refuses_a_non_finite_draw(monkeypatch):
     monkeypatch.setattr(calibration, "_cal1_task", task)
     with pytest.raises(NonFinite):
         alr_limit_cv(CalibrationMethod.CAL1, 0.1, 10_000, 42, threads=1)
-
-
-def test_alr_limit_cv_shares_draws_across_alphas():
-    alr_limit_cv(CalibrationMethod.CAL1, 0.05, 10_000, 9, threads=1)
-    assert _limit_entry.cache_info().currsize == 1
-    alr_limit_cv(CalibrationMethod.CAL1, 0.1, 10_000, 9, threads=1)
-    info = _limit_entry.cache_info()
-    assert (info.currsize, info.hits) == (1, 1)  # second alpha reused the draws
-
-
-def test_limit_draws_are_cached_across_thread_counts(monkeypatch):
-    maps = []
-    run_tasks = engine.map_tasks
-
-    def counted(fn, tasks, threads):
-        maps.append(threads)
-        return run_tasks(fn, tasks, threads)
-
-    monkeypatch.setattr(engine, "map_tasks", counted)
-    v = alr_limit_cv(CalibrationMethod.CAL1, 0.05, 20_000, 7, threads=1)
-    assert maps == [1]
-    assert alr_limit_cv(CalibrationMethod.CAL1, 0.05, 20_000, 7, threads=2) == v
-    assert maps == [1]  # the second call made no map
-    info = _limit_entry.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_alr_limit_cv_cal2_runs_small():
@@ -697,7 +668,6 @@ def test_bridge_increments_are_standard_normal(monkeypatch):
 def test_cal2_draws_do_not_depend_on_the_thread_count():
     runs = []
     for threads in (1, 2, 0):
-        _limit_entry.cache_clear()
         cv = alr_limit_cv(
             CalibrationMethod.CAL2, 0.1, 10_000, 19,
             n_for_l=1000, grid_size=256, threads=threads,
@@ -753,13 +723,6 @@ def test_alr_limit_cv_validation():
         alr_limit_cv(CalibrationMethod.CAL1, 1.5, 10_000, 0)
 
 
-def test_cached_limit_draws_are_read_only():
-    draws = _limit_draws(CalibrationMethod.CAL1, 10_000, 0, 0, 3, 1)
-    with pytest.raises(ValueError):
-        draws[0] = 0.0
-    assert _limit_draws(CalibrationMethod.CAL1, 10_000, 0, 0, 3, 1) is draws
-
-
 @pytest.mark.parametrize(
     "variant,reps,n_for_l,grid_size",
     [
@@ -771,7 +734,6 @@ def test_limit_draws_do_not_depend_on_the_task_split(variant, reps, n_for_l, gri
     args = (variant, reps, n_for_l, grid_size, 11)
     runs = []
     for threads in (1, 2, 5):  # 5 workers: 5 tasks, more than the cores
-        _limit_entry.cache_clear()
         runs.append(_limit_draws(*args, threads))
     if variant is CalibrationMethod.CAL1:
         task, params = calibration._cal1_task, (11,)

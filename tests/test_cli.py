@@ -12,7 +12,7 @@ import pytest
 from scipy import special
 
 import sparsemix
-from sparsemix import calibration, engine, svg_from_power_csv
+from sparsemix import engine, svg_from_power_csv
 from sparsemix.cli import main
 from sparsemix.stats import bj_plus, hc_star, log_alr, prepare
 from table_json import table_from_json
@@ -186,7 +186,6 @@ def test_alr_limit_out_file(tmp_path):
 def test_alr_limit_variant_in_any_case_and_padding(tmp_path):
     bodies = []
     for variant in ("cal1", " CAL1 "):
-        calibration._limit_entry.cache_clear()
         out = tmp_path / "limit.json"
         argv = ["alr-limit", "--variant", variant, "--reps", "10000", "--alpha", "0.05,0.1",
                 "--seed", "5", "--out", str(out)]
@@ -195,6 +194,35 @@ def test_alr_limit_variant_in_any_case_and_padding(tmp_path):
         assert payload.pop("config")["parameters"]["variant"] == variant
         bodies.append(json.dumps(payload, sort_keys=True))
     assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize(
+    "argv,calls",
+    [
+        (["alr-limit", "--variant", "cal1", "--reps", "10000"], {"_cal1_task": 1}),
+        (["alr-limit", "--variant", "cal2", "--reps", "10000", "--n-for-l", "1000",
+          "--grid", "256"], {"_cal2_task": 1}),
+        (["size-table", "--n", "100,1000", "--stat", "alr", "--method",
+          "empirical,cal1,cal2", "--reps", "200", "--limit-reps", "10000",
+          "--n-for-l", "1000", "--grid", "256"],
+         {"_cal1_task": 1, "_cal2_task": 1, "_null_task": 2}),
+    ],
+    ids=["alr-limit-cal1", "alr-limit-cal2", "size-table"],
+)
+def test_a_limit_law_is_simulated_once_for_every_n_and_level(tmp_path, monkeypatch, argv,
+                                                            calls):
+    counted = {}
+    simulate = engine.simulate
+
+    def counting(task, params, total, threads):
+        counted[task.__name__] = counted.get(task.__name__, 0) + 1
+        return simulate(task, params, total, threads)
+
+    monkeypatch.setattr(engine, "simulate", counting)
+    out = tmp_path / "out"
+    assert main([*argv, "--alpha", "0.05,0.1", "--seed", "5", "--threads", "1",
+                 "--out", str(out)]) == 0
+    assert counted == calls
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +397,6 @@ def test_exit_power_curve_without_power_replicates(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("variant", ["cal1", "cal2"])
 def test_exit_alr_limit_alpha_out_of_range_before_simulating(tmp_path, monkeypatch, variant):
-    calibration._limit_entry.cache_clear()
     maps = []
     run_tasks = engine.map_tasks
 
@@ -390,6 +417,17 @@ def test_exit_negative_seed(tmp_path):
     argv = ["calibrate", "--stat", "hc", "--n", "32", "--alpha", "0.05",
             "--reps", "300", "--seed", "-1", "--out", str(tmp_path / "x.json")]
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--stat", "hc", "--n", "32", "--alpha", "0.05", "--reps", "300"],
+    ["alr-limit", "--variant", "cal1", "--reps", "10000", "--alpha", "0.05"],
+], ids=["calibrate", "alr-limit"])
+def test_exit_seed_out_of_range_before_simulating(tmp_path, monkeypatch, argv):
+    monkeypatch.setattr(engine, "simulate", _no_simulation)
+    out = tmp_path / "x.json"
+    assert main([*argv, "--seed", str(2**64), "--out", str(out)]) == 6
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_unwritable_output(pfile, tmp_path, capsys):

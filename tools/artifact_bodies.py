@@ -1,4 +1,5 @@
-"""Print one sha256 per CLI artifact body, to compare two checkouts.
+"""Print one sha256 per CLI artifact body, and the simulations each
+command makes, to compare two checkouts.
 
 Runs the CLI matrix below at every seed and `--threads` value asked for,
 each command in a fresh interpreter on the `src/` of the checkout given, and
@@ -6,10 +7,16 @@ prints one line per artifact file:
 
     <sha256 of the body>  seed=<seed> threads=<threads> <file>
 
+then one line per command, named by its `--out` file, with the sorted
+multiset of its `engine.simulate` calls, each as task:parameter tuples:rows:
+
+    simulate=<task>:<tuples>:<rows>,...  seed=<seed> threads=<threads> <file>
+
 The body is the file without its run configuration: a CSV loses its
 `# config` line and a JSON its "config" key (which hold the output paths and
 `--threads`); an SVG is hashed whole.  Bodies of equal lines are
-byte-identical, so two checkouts compare with one `diff`:
+byte-identical, and the simulations do not depend on `--threads`, so two
+checkouts compare with one `diff`:
 
     python tools/artifact_bodies.py --src PARENT/src > parent.txt
     python tools/artifact_bodies.py --src src > change.txt
@@ -38,6 +45,25 @@ ROOT = Path(__file__).resolve().parents[1]
 # power rows a grid point
 MC, LIMIT, POWER = 200, 10_000, 20
 
+# Runs the CLI on argv[2:] with engine.simulate counted, and writes the
+# sorted calls to the file argv[1].
+COUNTED_CLI = """
+import sys
+from pathlib import Path
+from sparsemix import cli, engine
+
+calls, simulate = [], engine.simulate
+
+def counted(task, params, total, threads):
+    calls.append(f"{task.__name__}:{len(params)}:{total}")
+    return simulate(task, params, total, threads)
+
+engine.simulate = counted
+code = cli.main(sys.argv[2:])
+Path(sys.argv[1]).write_text(",".join(sorted(calls)))
+sys.exit(code)
+"""
+
 
 def matrix(scale: float, grid: int) -> list[list[str]]:
     """The commands, each writing its artifacts into the current directory."""
@@ -60,7 +86,7 @@ def matrix(scale: float, grid: int) -> list[list[str]]:
         ["size-table", "--n", "1000", "--stat", "alr", "--method", "empirical,cal1,cal2",
          "--alpha", "0.05", "--reps", reps(20_000, MC), "--limit-reps", reps(20_000, LIMIT),
          "--grid", str(grid), "--out", "size-alr.csv"],
-        # the one path where a limit-law cache entry serves several n and levels
+        # one draw of each limit law serves several n and levels
         ["size-table", "--n", "100,1000", "--stat", "alr", "--method", "empirical,cal1,cal2",
          "--alpha", "0.05,0.1", "--reps", reps(20_000, MC), "--limit-reps", reps(20_000, LIMIT),
          "--grid", str(grid), "--out", "size-alr-2n.csv"],
@@ -90,20 +116,25 @@ def body(path: Path) -> bytes:
 
 
 def run(src: Path, seed: int, threads: int, commands: list[list[str]]) -> list[str]:
-    """Hash lines of every artifact of `commands` at one seed and thread count."""
+    """Hash lines of every artifact of `commands` at one seed and thread
+    count, then one line of simulations a command."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    lines = []
-    with tempfile.TemporaryDirectory() as tmp:
+    where = f"seed={seed} threads={threads}"
+    lines, simulations = [], []
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as log:
+        calls = Path(log) / "calls"
         for argv in commands:
             argv = [*argv, "--seed", str(seed), "--threads", str(threads)]
-            done = subprocess.run([sys.executable, "-m", "sparsemix", *argv], cwd=tmp,
-                                  env=env, capture_output=True, text=True)
+            done = subprocess.run([sys.executable, "-c", COUNTED_CLI, str(calls), *argv],
+                                  cwd=tmp, env=env, capture_output=True, text=True)
             if done.returncode:
                 sys.exit(f"sparsemix {' '.join(argv)}: exit {done.returncode}\n{done.stderr}")
+            out = argv[argv.index("--out") + 1]
+            simulations.append(f"simulate={calls.read_text()}  {where} {out}")
         for path in sorted(Path(tmp).iterdir()):
             digest = hashlib.sha256(body(path)).hexdigest()
-            lines.append(f"{digest}  seed={seed} threads={threads} {path.name}")
-    return lines
+            lines.append(f"{digest}  {where} {path.name}")
+    return lines + simulations
 
 
 def _ints(text: str) -> list[int]:
