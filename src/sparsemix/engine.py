@@ -8,8 +8,8 @@ for itself.  Inside a task, `in_blocks` runs the whole pipeline (uniforms,
 then the sorted lower half of each row's p-values or the bridge, then the
 kernels) on blocks of BLOCK_ELEMENTS // n rows, or about BLOCK_ELEMENTS
 elements of the bridge, so a block's temporaries stay in a core's L2 cache
-and a task's memory does not grow with its size; a null or alternative task
-allocates its block buffers once and every block writes into them.
+and a task's memory does not grow with its size; a task allocates its block
+buffers once and every block writes into them.
 
 A task reads its draws through one `rng.Rows` reader per family of draws,
 which seats each group of rng.GROUP_ROWS replicates once and keeps it across
@@ -17,8 +17,9 @@ the task's blocks.  `_lower_log1m`, the one sampler of null and
 alternative rows, draws only the m = n // 2 smallest p-values of a
 replicate that the statistics read, as L = log(1 - p): m spacings and,
 under the alternative, a shift count and the shifted normals, so it
-neither draws nor sorts the upper half.  `_lower_rows` turns L into p for
-the kernels.
+neither draws nor sorts the upper half.  One task, `_row_task`, samples
+every null and alternative row; its blocks reduce L either to statistics,
+through the p-values that `_lower_rows` forms for the kernels, or to levels.
 
 `null_levels` needs no statistic: HC and BJ are maxima of terms decreasing
 in p, so a replicate exceeds a critical value exactly when its L crosses
@@ -39,7 +40,6 @@ in `stats`, and cal2's bridge coefficients in `calibration`.
 from __future__ import annotations
 
 import multiprocessing
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -58,6 +58,7 @@ from .errors import (
     SampleTooSmall,
     UnsupportedStatistic,
     WorkerLost,
+    check_integers,
 )
 from .mixture import MixtureSpec, pvalue
 from .rng import DOMAIN_NULL, DOMAIN_POWER, DOMAIN_SHIFT, Rows
@@ -230,21 +231,21 @@ def _shift_cdf(n: int, eps: float) -> np.ndarray:
     return cdf
 
 
-def _alt_readers(
-    n: int, eps: float, master_seed: int, sub: int, start: int, count: int
+def _readers(
+    n: int, eps: float, master_seed: int, domain: int, sub: int, start: int, count: int
 ) -> tuple[Rows, Rows | None]:
-    """The readers of alternative replicates start..start+count-1 on stream
-    sub-range `sub`, in the layout the `rng` docstring gives: 1 + m uniforms
-    of (DOMAIN_POWER, sub) a row, and as many normals of (DOMAIN_SHIFT, sub)
-    as the most shifts a row can have, one less than the size of its
-    Bin(n, eps) CDF table.  At eps = 0, a null row's m uniforms and no
-    normals."""
+    """The readers of replicates start..start+count-1 on (domain, sub) of
+    the mixture with a fraction eps shifted, in the layout the `rng`
+    docstring gives.  At eps = 0, m uniforms a row and no normals; a null
+    row is eps = 0 on (DOMAIN_NULL, 0).  Otherwise 1 + m uniforms a row, and
+    as many normals of (DOMAIN_SHIFT, sub) as the most shifts a row can
+    have, one less than the size of its Bin(n, eps) CDF table."""
     m = n // 2
     if eps == 0.0:
-        return Rows(master_seed, DOMAIN_POWER, sub, start, count, m), None
+        return Rows(master_seed, domain, sub, start, count, m), None
     shifts = _shift_cdf(n, eps).size - 1
     return (
-        Rows(master_seed, DOMAIN_POWER, sub, start, count, 1 + m),
+        Rows(master_seed, domain, sub, start, count, 1 + m),
         Rows(master_seed, DOMAIN_SHIFT, sub, start, count, shifts, normal=True),
     )
 
@@ -333,15 +334,14 @@ def _lower_rows(
     uniforms: Rows,
     normals: Rows | None,
     count: int,
-    bufs: list[np.ndarray] | None = None,
+    bufs: list[np.ndarray],
 ) -> np.ndarray:
     """(count, m) sorted lower halves p_(1..m) = -expm1(L_i), m = n // 2,
     clamped to [P_MIN, P_MAX], of the replicates of `_lower_log1m`, formed
-    in `bufs` (new by default).  The result is a view of the last buffer,
-    and L is left in the last m columns of the first, for `_row_stats`.
+    in `bufs`, one for each width of `_buffer_widths`.  The result is a view
+    of the last buffer, and L is left in the last m columns of the first,
+    for `_row_stats`.
     """
-    widths = _buffer_widths(n, uniforms, normals)
-    bufs = bufs or [np.empty((count, w)) for w in widths]
     log1m = _lower_log1m(n, eps, mu, uniforms, normals, count, bufs)
     p = bufs[-1][:count]
     np.expm1(log1m, out=p)
@@ -349,63 +349,9 @@ def _lower_rows(
     return np.clip(p, P_MIN, P_MAX, out=p)
 
 
-def _null_rows(n: int, uniforms: Rows, count: int, *, bufs=None) -> np.ndarray:
-    """(count, n // 2) sorted, clamped lower halves of the next `count` null
-    replicates of `uniforms`: `_lower_rows` at eps = 0, formed in `bufs`."""
-    return _lower_rows(n, 0.0, 0.0, uniforms, None, count, bufs)
-
-
-def _alt_rows(
-    n: int,
-    eps: float,
-    mu: float,
-    uniforms: Rows,
-    normals: Rows | None,
-    count: int,
-    *,
-    bufs=None,
-) -> np.ndarray:
-    """(count, n // 2) sorted, clamped lower halves of the next `count`
-    alternative replicates of the readers from `_alt_readers`: `_lower_rows`
-    of the mixture, formed in `bufs`."""
-    return _lower_rows(n, eps, mu, uniforms, normals, count, bufs)
-
-
-def _null_task(args) -> np.ndarray:
-    """(len(kinds), count) statistics of null replicates start..start+count-1,
-    computed in blocks of BLOCK_ELEMENTS // n rows with one reader and one
-    set of block buffers for the whole task; the last, shorter block uses
-    their leading rows."""
-    n, master_seed, kinds, start, count = args
-    m = n // 2
-    uniforms = Rows(master_seed, DOMAIN_NULL, 0, start, count, m)
-    widths = _buffer_widths(n, uniforms, None)
-    bufs, scratch = _task_buffers(block_rows(count, n), widths, n)
-
-    def block(c: int) -> list[np.ndarray]:
-        p = _null_rows(n, uniforms, c, bufs=bufs)
-        stats = _row_stats(p, n, kinds, scratch, bufs[0][:c, -m:])
-        return [stats[k] for k in kinds]
-
-    return in_blocks(block, (len(kinds), count), n)
-
-
-def _alt_task(args) -> np.ndarray:
-    """(len(kinds), count) statistics of alternative replicates, in blocks of
-    the null's row count, with buffers wide enough for a row that shifts
-    the most coordinates a row can."""
-    n, eps, mu, master_seed, sub, kinds, start, count = args
-    m = n // 2
-    uniforms, normals = _alt_readers(n, eps, master_seed, sub, start, count)
-    widths = _buffer_widths(n, uniforms, normals)
-    bufs, scratch = _task_buffers(block_rows(count, n), widths, n)
-
-    def block(c: int) -> list[np.ndarray]:
-        p = _alt_rows(n, eps, mu, uniforms, normals, c, bufs=bufs)
-        stats = _row_stats(p, n, kinds, scratch, bufs[0][:c, -m:])
-        return [stats[k] for k in kinds]
-
-    return in_blocks(block, (len(kinds), count), n)
+# The names through which `_row_task` forms the p-values of null and of
+# alternative rows: perfbench/tracer.py times each as a layer of its own.
+_null_rows = _alt_rows = _lower_rows
 
 
 def _row_levels(
@@ -450,22 +396,44 @@ def _row_levels(
     return level
 
 
-def _level_task(args) -> np.ndarray:
-    """(len(plans), count) levels of null replicates start..start+count-1,
-    the rows of `_null_task`: for each plan of `null_levels`, the number of
-    its critical values that a row's statistic exceeds.  A block forms only
-    L, in the uniforms' buffer, and compares it with the boundaries in the
-    task's scratch buffers."""
-    n, master_seed, plans, start, count = args
-    uniforms = Rows(master_seed, DOMAIN_NULL, 0, start, count, n // 2)
-    bufs, (sub, cross) = _task_buffers(block_rows(count, n), (uniforms.width,), n)
-    dtype = np.min_scalar_type(max(len(plan[1]) for plan in plans))
+def _row_task(args) -> np.ndarray:
+    """(len(reduce), count) reductions of replicates start..start+count-1 of
+    the mixture with a fraction eps shifted by mu, on (domain, sub): a null
+    row is eps = 0 on (DOMAIN_NULL, 0).  `reduce` is either statistic kinds,
+    whose statistics a row gets, or plans of `_level_plan`, whose levels it
+    gets (`_row_levels`).
 
-    def block(c: int) -> list[np.ndarray]:
-        ell = _lower_log1m(n, 0.0, 0.0, uniforms, None, c, bufs)
-        return [_row_levels(ell, n, plan, sub, cross) for plan in plans]
+    The rows run in blocks of BLOCK_ELEMENTS // n rows with one set of
+    readers and one set of block buffers for the whole task, wide enough
+    for a row that shifts the most coordinates a row can; the last, shorter
+    block uses their leading rows.  A block of levels forms only L, so
+    without normals it needs no p-values' buffer and gets none.
+    """
+    n, eps, mu, master_seed, domain, sub, reduce, start, count = args
+    m = n // 2
+    uniforms, normals = _readers(n, eps, master_seed, domain, sub, start, count)
+    widths = _buffer_widths(n, uniforms, normals)
+    levels = isinstance(reduce[0], tuple)
+    if levels and normals is None:
+        widths = widths[:1]
+    bufs, scratch = _task_buffers(block_rows(count, n), widths, n)
 
-    return in_blocks(block, (len(plans), count), n, dtype)
+    if levels:
+        dtype = np.min_scalar_type(max(len(plan[1]) for plan in reduce))
+
+        def block(c: int) -> list[np.ndarray]:
+            ell = _lower_log1m(n, eps, mu, uniforms, normals, c, bufs)
+            return [_row_levels(ell, n, plan, *scratch) for plan in reduce]
+    else:
+        dtype = float
+        rows = _null_rows if domain == DOMAIN_NULL else _alt_rows
+
+        def block(c: int) -> list[np.ndarray]:
+            p = rows(n, eps, mu, uniforms, normals, c, bufs)
+            stats = _row_stats(p, n, reduce, scratch, bufs[0][:c, -m:])
+            return [stats[k] for k in reduce]
+
+    return in_blocks(block, (len(reduce), count), n, dtype)
 
 
 def check_sequence(values, name: str, what: str) -> None:
@@ -474,16 +442,6 @@ def check_sequence(values, name: str, what: str) -> None:
     character by character, a number not at all, and an iterator once."""
     if isinstance(values, str) or not isinstance(values, Collection):
         raise ConfigError(f"{name} must be a sequence of {what}, not {values!r}")
-
-
-def check_integers(**values) -> list[int]:
-    """The values as ints, in order, or ConfigError before anything runs: a
-    NumPy integer is an integer, a float (100.0 too) is not."""
-    try:
-        return [operator.index(v) for v in values.values()]
-    except TypeError:
-        got = ", ".join(f"{name}={v!r}" for name, v in values.items())
-        raise ConfigError(f"{', '.join(values)} must be integers, got {got}") from None
 
 
 def check_seed(master_seed: int) -> int:
@@ -530,7 +488,8 @@ def null_statistics(
     default), in new arrays.  A kind's vector does not depend on which
     other kinds are computed with it."""
     n, reps, master_seed, kinds = _check_request(n, reps, master_seed, kinds)
-    [stats] = simulate(_null_task, [(n, master_seed, kinds)], reps, threads)
+    params = (n, 0.0, 0.0, master_seed, DOMAIN_NULL, 0, kinds)
+    [stats] = simulate(_row_task, [params], reps, threads)
     return dict(zip(kinds, stats))
 
 
@@ -583,7 +542,8 @@ def null_levels(
             raise ConfigError(f"{kind.value} critical values must be ascending, distinct, "
                               f"finite and >= 0, got {values!r}")
         plans.append(_level_plan(kind, c, n))
-    [levels] = simulate(_level_task, [(n, master_seed, tuple(plans))], reps, threads)
+    params = (n, 0.0, 0.0, master_seed, DOMAIN_NULL, 0, tuple(plans))
+    [levels] = simulate(_row_task, [params], reps, threads)
     return dict(zip(kinds, levels))
 
 
@@ -616,7 +576,8 @@ def alternative_grid(
     threads: int = 0,
 ) -> list[dict[StatisticKind, np.ndarray]]:
     """alternative_statistics of every mixture in `specs`, all of one n, with
-    specs[k] on stream sub-range first_sub + k.
+    specs[k] on stream sub-range first_sub + k, an integer; sub-ranges
+    outside [0, 2^16) raise OutOfRange before anything runs.
 
     The tasks of every mixture share one map_tasks call, so no worker waits
     for the last task of one mixture before the next mixture starts.
@@ -627,11 +588,12 @@ def alternative_grid(
     if any(spec.n != n for spec in specs):
         raise ConfigError("every mixture of a grid needs the same n")
     n, reps, master_seed, kinds = _check_request(n, reps, master_seed, kinds)
+    [first_sub] = check_integers(first_sub=first_sub)
+    if not 0 <= first_sub <= 2**16 - len(specs):
+        raise OutOfRange(f"stream sub-ranges {first_sub}..{first_sub + len(specs) - 1} "
+                         "outside [0, 2^16)")
     params = [
-        (n, spec.eps, spec.mu, master_seed, first_sub + k, kinds)
+        (n, spec.eps, spec.mu, master_seed, DOMAIN_POWER, first_sub + k, kinds)
         for k, spec in enumerate(specs)
     ]
-    return [
-        dict(zip(kinds, stats))
-        for stats in simulate(_alt_task, params, reps, threads)
-    ]
+    return [dict(zip(kinds, stats)) for stats in simulate(_row_task, params, reps, threads)]

@@ -1,6 +1,11 @@
-"""Error taxonomy. Each class carries a distinct process exit code for the CLI."""
+"""Error taxonomy. Each class carries a distinct process exit code for the CLI.
+
+`check_integers` is the package's one integer conversion; it lives here so
+that every module can refuse a non-integer with ConfigError."""
 
 from __future__ import annotations
+
+import operator
 
 
 class SparsemixError(Exception):
@@ -92,3 +97,13 @@ class OutOfMemory(SparsemixError):
     may use, in this process or in a worker."""
 
     exit_code = 15
+
+
+def check_integers(**values) -> list[int]:
+    """The values as ints, in order, or ConfigError before anything runs: a
+    NumPy integer is an integer, a float (100.0 too) is not."""
+    try:
+        return [operator.index(v) for v in values.values()]
+    except TypeError:
+        got = ", ".join(f"{name}={v!r}" for name, v in values.items())
+        raise ConfigError(f"{', '.join(values)} must be integers, got {got}") from None

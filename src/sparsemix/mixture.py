@@ -13,7 +13,7 @@ from math import erfc
 
 import numpy as np
 
-from .errors import DomainError, NonFinite, OutOfRange, SampleTooSmall
+from .errors import DomainError, NonFinite, OutOfRange, SampleTooSmall, check_integers
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -57,8 +57,10 @@ def mixture_from(n: int, beta: float, r: float | None = None) -> MixtureSpec:
     """MixtureSpec for (n, beta): eps = n^-beta, mu = sqrt(2 r log n).
 
     r defaults to r_of_beta(beta); passing r explicitly supports stress tests
-    at other signal strengths.
+    at other signal strengths.  n is converted to an int (ConfigError if it
+    is not an integer).
     """
+    [n] = check_integers(n=n)
     beta = float(beta)
     if not 0.5 < beta <= 1.0:
         raise DomainError(f"beta must lie in (1/2, 1], got {beta!r}")

@@ -27,8 +27,9 @@ keeps it across the task's blocks.  Seating costs ~10 us, which GROUP_ROWS
 rows share.  numpy.random is loaded on the first seat, not when the package
 is imported.
 
-Row layouts, m = n // 2 (engine._lower_rows turns the first two into
-sorted lower halves of p-values):
+Row layouts, m = n // 2.  engine._readers reads the first two for the one
+row task, engine._row_task, and engine._lower_log1m turns each row into the
+sorted lower half of its p-values, as log(1 - p):
 
 * Null (DOMAIN_NULL, sub 0): m uniforms, the spacings of the m smallest of
   n uniform p-values.

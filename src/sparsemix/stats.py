@@ -9,9 +9,9 @@ The scalar operations are one-row wrappers over the batched kernels used by
 the Monte Carlo engine.  HC of a scalar evaluation and of the corresponding
 row of a batch are bitwise identical.  BJ and ALR read log(1 - p_(i)): a
 simulated row hands the kernels the value its sampler formed before p_(i)
-(`engine._lower_rows`), a one-sample call forms it with log1p, so the two
-agree to the rounding of that one value and are bitwise identical given the
-same log(1 - p_(i)).
+(`engine._lower_log1m`, in `engine._row_task`), a one-sample call forms it
+with log1p, so the two agree to the rounding of that one value and are
+bitwise identical given the same log(1 - p_(i)).
 
 HC and BJ are maxima of terms that fall as p_(i) rises, so each exceeds a
 critical value c exactly when some p_(i) lies below a boundary b_i(c).

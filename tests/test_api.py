@@ -217,6 +217,43 @@ def test_a_float_n_or_count_is_refused_before_simulating(monkeypatch, case, numb
         INTEGER_CASES[case](number)
 
 
+def test_mixture_from_converts_n():
+    for bad in ("100", 100.5):
+        with pytest.raises(ConfigError, match="must be integers"):
+            mixture_from(bad, 0.6)
+    spec = mixture_from(np.int64(100), 0.6)
+    assert spec == mixture_from(100, 0.6)
+    assert type(spec.n) is int
+
+
+# ---------------------------------------------------------------------------
+# a stream sub-range may be any integer, a NumPy one too, and gives the int's
+# result bitwise; anything else, or a grid reaching past 2^16 - 1, is refused
+# before anything is simulated
+
+def test_a_numpy_sub_range_gives_the_ints_result():
+    for sub in (3, 2**16 - 1):
+        _assert_same(alternative_statistics(_GRID[0], 50, 1, sub=np.int64(sub), threads=1),
+                     alternative_statistics(_GRID[0], 50, 1, sub=sub, threads=1))
+    _assert_same(engine.alternative_grid(_GRID, 50, 1, first_sub=np.int64(3), threads=1),
+                 engine.alternative_grid(_GRID, 50, 1, first_sub=3, threads=1))
+
+
+@pytest.mark.parametrize(
+    "sub,specs,error",
+    [(1.0, 1, ConfigError), ("1", 1, ConfigError), (-1, 1, OutOfRange),
+     (2**16, 1, OutOfRange), (2**16 - 1, 2, OutOfRange)],
+    ids=["float", "str", "negative", "2**16", "grid-2**16-1"],
+)
+def test_a_bad_sub_range_is_refused_before_simulating(monkeypatch, sub, specs, error):
+    monkeypatch.setattr(engine, "simulate", _no_simulation)
+    with pytest.raises(error, match="sub"):
+        if specs == 1:
+            alternative_statistics(_GRID[0], 50, 1, sub=sub, threads=1)
+        else:
+            engine.alternative_grid(_GRID[:specs], 50, 1, first_sub=sub, threads=1)
+
+
 def test_arrays_of_sizes_levels_and_sparsities_give_the_lists_result():
     def table(ns, alphas):
         return size_table(ns, [HC, BJ], [THRESH, EMPIRICAL], alphas, 300, 1, threads=1)

@@ -39,4 +39,8 @@ def test_artifact_bodies_hash_each_artifact_once_per_run():
     assert simulations["threads=1"] == simulations["threads=2"]
     # one draw of each limit law serves both n and both levels
     assert simulations["threads=1"]["size-alr-2n.csv"] == (
-        "simulate=_cal1_task:1:10000,_cal2_task:1:10000,_null_task:1:200,_null_task:1:200")
+        "simulate=_cal1_task:1:10000,_cal2_task:1:10000,"
+        "_row_task[null:stats]:1:200,_row_task[null:stats]:1:200")
+    # closed forms alone are sized by levels, with no statistic computed
+    assert simulations["threads=1"]["size-closed.csv"] == (
+        "simulate=_row_task[null:levels]:1:200,_row_task[null:levels]:1:200")

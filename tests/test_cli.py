@@ -14,6 +14,7 @@ from scipy import special
 import sparsemix
 from sparsemix import engine, svg_from_power_csv
 from sparsemix.cli import main
+from sparsemix.rng import DOMAIN_NULL
 from sparsemix.stats import bj_plus, hc_star, log_alr, prepare
 from table_json import table_from_json
 
@@ -205,7 +206,7 @@ def test_alr_limit_variant_in_any_case_and_padding(tmp_path):
         (["size-table", "--n", "100,1000", "--stat", "alr", "--method",
           "empirical,cal1,cal2", "--reps", "200", "--limit-reps", "10000",
           "--n-for-l", "1000", "--grid", "256"],
-         {"_cal1_task": 1, "_cal2_task": 1, "_null_task": 2}),
+         {"_cal1_task": 1, "_cal2_task": 1, "_row_task[null:stats]": 2}),
     ],
     ids=["alr-limit-cal1", "alr-limit-cal2", "size-table"],
 )
@@ -215,7 +216,13 @@ def test_a_limit_law_is_simulated_once_for_every_n_and_level(tmp_path, monkeypat
     simulate = engine.simulate
 
     def counting(task, params, total, threads):
-        counted[task.__name__] = counted.get(task.__name__, 0) + 1
+        # a row task by its domain, here always the null's, and its reduction,
+        # as tools/artifact_bodies.py names it
+        name = task.__name__
+        if task is engine._row_task:
+            assert params[0][4] == DOMAIN_NULL
+            name += "[null:levels]" if isinstance(params[0][6][0], tuple) else "[null:stats]"
+        counted[name] = counted.get(name, 0) + 1
         return simulate(task, params, total, threads)
 
     monkeypatch.setattr(engine, "simulate", counting)

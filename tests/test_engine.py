@@ -42,6 +42,17 @@ HC, BJ, ALR = StatisticKind.HC, StatisticKind.BJ, StatisticKind.ALR
 _ALL = (HC, BJ, ALR)
 
 
+def _null(n, seed, reduce, start, count):
+    """`engine._row_task` arguments of null rows start..start+count-1."""
+    return (n, 0.0, 0.0, seed, DOMAIN_NULL, 0, reduce, start, count)
+
+
+def _alt(spec, seed, sub, reduce, start, count):
+    """`engine._row_task` arguments of rows start..start+count-1 of the
+    mixture `spec` on stream sub-range `sub`."""
+    return (spec.n, spec.eps, spec.mu, seed, DOMAIN_POWER, sub, reduce, start, count)
+
+
 def _numpy_row(seed, domain, sub, j, width, normal=False):
     """The oracle: row j of (domain, sub), `width` wide, which is uniforms (or
     standard normals) [k * width, (k + 1) * width), k = j % GROUP_ROWS, of
@@ -107,7 +118,7 @@ def test_alternative_batch_matches_scalar_path_bitwise():
     for eps in (0.1, 0.6):
         spec = MixtureSpec(n=100, eps=eps, mu=2.0)
         n, m = spec.n, spec.n // 2
-        got = engine._alt_task((n, eps, spec.mu, seed, sub, _ALL, start, count))
+        got = engine._row_task(_alt(spec, seed, sub, _ALL, start, count))
         cdf = sps.binom.cdf(np.arange(n + 1), n, spec.eps)
         width = engine._shift_cdf(n, eps).size - 1
         for i in range(count):
@@ -133,7 +144,7 @@ def test_batch_size_does_not_change_results():
     whole = null_statistics(n, reps, seed, threads=1)
     kinds = tuple(whole)
     split = np.concatenate(
-        [engine._null_task((n, seed, kinds, s, c)) for s, c in _SPLIT], axis=-1
+        [engine._row_task(_null(n, seed, kinds, s, c)) for s, c in _SPLIT], axis=-1
     )
     for i, k in enumerate(kinds):
         assert np.array_equal(whole[k], split[i])
@@ -155,7 +166,7 @@ def test_levels_do_not_depend_on_the_task_split_or_thread_count():
     cvs = {kind: c for kind, c, _, _ in plans}
     runs = [engine.null_levels(n, reps, seed, cvs, threads=t) for t in (1, 2, 5, 0)]
     split = np.concatenate(
-        [engine._level_task((n, seed, plans, s, c)) for s, c in _SPLIT], axis=-1
+        [engine._row_task(_null(n, seed, plans, s, c)) for s, c in _SPLIT], axis=-1
     )
     stats = null_statistics(n, reps, seed, tuple(cvs), threads=1)
     for i, (kind, c) in enumerate(cvs.items()):
@@ -164,6 +175,22 @@ def test_levels_do_not_depend_on_the_task_split_or_thread_count():
         assert np.array_equal(split[i], want)
         for run in runs:
             assert np.array_equal(run[kind], want)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [mixture_from(100, 0.55), mixture_from(1001, 0.75), MixtureSpec(n=100, eps=0.6, mu=2.0),
+     MixtureSpec(n=100, eps=0.0, mu=0.0)],
+    ids=["n100-beta0.55", "n1001-beta0.75", "short-rows", "eps0"],
+)
+def test_levels_of_alternative_rows_equal_the_statistics_path(spec):
+    # the level reduction is not tied to the null's rows: at eps = 0.6 most
+    # rows have fewer than m unshifted p-values
+    plans = _plans(spec.n)
+    levels = engine._row_task(_alt(spec, 5, 2, plans, 0, 2000))
+    stats = engine._row_task(_alt(spec, 5, 2, (HC, BJ), 0, 2000))
+    for i, (_, c, _, _) in enumerate(plans):
+        assert np.array_equal(levels[i], np.sum(stats[i][:, None] > c, axis=1))
 
 
 def _closed_form_cvs(kind, n):
@@ -243,8 +270,7 @@ def test_alternative_threads_and_batching_invariance():
     redone = alternative_statistics(spec, _SPLIT_ROWS, 5, sub=1, threads=5)
     kinds = tuple(base)
     split = np.concatenate(
-        [engine._alt_task((spec.n, spec.eps, spec.mu, 5, 1, kinds, s, c)) for s, c in _SPLIT],
-        axis=-1,
+        [engine._row_task(_alt(spec, 5, 1, kinds, s, c)) for s, c in _SPLIT], axis=-1
     )
     for i, k in enumerate(kinds):
         assert np.array_equal(base[k], redone[k])
@@ -366,7 +392,7 @@ def test_null_and_power_domains_do_not_collide():
 
 _ALT = mixture_from(9, 0.6)
 
-# critical values of `_level_task` tests: crossed by most rows, by some and
+# critical values of the level tasks' tests: crossed by most rows, by some and
 # by few
 _LEVEL_CVS = (("hc", (1.0, 2.5, 4.0)), ("bj", (0.5, 2.0, 4.0)))
 
@@ -380,12 +406,12 @@ def _plans(n):
 # edge between the first two groups of rng.GROUP_ROWS = 256 rows, which
 # 7-row blocks leave ragged.
 _TASKS = [
-    pytest.param(engine._null_task, (9, 5, _ALL, 245, 23), 9, [(DOMAIN_NULL, 0)], id="null"),
+    pytest.param(engine._row_task, _null(9, 5, _ALL, 245, 23), 9, [(DOMAIN_NULL, 0)], id="null"),
     pytest.param(
-        engine._level_task, (9, 5, _plans(9), 245, 23), 9, [(DOMAIN_NULL, 0)], id="levels",
+        engine._row_task, _null(9, 5, _plans(9), 245, 23), 9, [(DOMAIN_NULL, 0)], id="levels",
     ),
     pytest.param(
-        engine._alt_task, (9, _ALT.eps, _ALT.mu, 5, 2, _ALL, 245, 23), 9,
+        engine._row_task, _alt(_ALT, 5, 2, _ALL, 245, 23), 9,
         [(DOMAIN_POWER, 2), (DOMAIN_SHIFT, 2)], id="alt",
     ),
     pytest.param(
@@ -434,16 +460,13 @@ _BIG_ALT = mixture_from(10_000, 0.6)
 @pytest.mark.parametrize(
     "task,args",
     [
-        pytest.param(engine._null_task, (1000, 5, _ALL, 0, 4000), id="null-1e3"),
-        pytest.param(engine._null_task, (10_000, 5, _ALL, 0, 400), id="null-1e4"),
-        pytest.param(
-            engine._alt_task,
-            (10_000, _BIG_ALT.eps, _BIG_ALT.mu, 5, 0, _ALL, 0, 200),
-            id="alt-1e4",
-        ),
+        pytest.param(engine._row_task, _null(1000, 5, _ALL, 0, 4000), id="null-1e3"),
+        pytest.param(engine._row_task, _null(10_000, 5, _ALL, 0, 400), id="null-1e4"),
+        pytest.param(engine._row_task, _alt(_BIG_ALT, 5, 0, _ALL, 0, 200), id="alt-1e4"),
         pytest.param(calibration._cal2_task, (5, 100_000, 4096, 0, 976), id="cal2"),
-        pytest.param(engine._level_task, (1000, 5, _plans(1000), 0, 4000), id="levels-1e3"),
-        pytest.param(engine._level_task, (10_000, 5, _plans(10_000), 0, 400), id="levels-1e4"),
+        pytest.param(engine._row_task, _null(1000, 5, _plans(1000), 0, 4000), id="levels-1e3"),
+        pytest.param(engine._row_task, _null(10_000, 5, _plans(10_000), 0, 400),
+                     id="levels-1e4"),
     ],
 )
 def test_task_memory_is_bounded_by_its_blocks(task, args):
@@ -495,7 +518,7 @@ print(faults / (3 * math.ceil(count / engine.block_rows(count, width))))
 
 def _faults_per_block(task: str, args: str, width: int) -> float:
     """Minor page faults per block of `task` (an expression such as
-    "engine._null_task") at the tuple expression `args`, rows `width` wide.
+    "engine._row_task") at the tuple expression `args`, rows `width` wide.
 
     A fresh interpreter, because this process's heap history decides whether
     freed temporaries go back to the OS.
@@ -509,19 +532,19 @@ def _faults_per_block(task: str, args: str, width: int) -> float:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
 @pytest.mark.parametrize(
-    "task,n,count,per_row",
+    "n,count,per_row",
     [
-        pytest.param("engine._null_task", 1000, 2000, "(HC, BJ)", id="null-1e3"),
-        pytest.param("engine._null_task", 10_000, 400, "(HC, BJ, ALR)", id="null-1e4"),
-        pytest.param("engine._level_task", 1000, 2000, "PLANS(1000)", id="levels-1e3"),
-        pytest.param("engine._level_task", 10_000, 400, "PLANS(10_000)", id="levels-1e4"),
+        pytest.param(1000, 2000, "(HC, BJ)", id="null-1e3"),
+        pytest.param(10_000, 400, "(HC, BJ, ALR)", id="null-1e4"),
+        pytest.param(1000, 2000, "PLANS(1000)", id="levels-1e3"),
+        pytest.param(10_000, 400, "PLANS(10_000)", id="levels-1e4"),
     ],
 )
-def test_null_blocks_reuse_their_buffers_without_page_faults(task, n, count, per_row):
+def test_null_blocks_reuse_their_buffers_without_page_faults(n, count, per_row):
     # Blocks that allocate their temporaries fault about 600 pages each back
     # in.  per_row is what a task computes of each row: its kinds or plans.
-    args = f"({n}, 5, {per_row}, 0, {count})"
-    assert _faults_per_block(task, args, n) <= 16
+    args = f"({n}, 0.0, 0.0, 5, engine.DOMAIN_NULL, 0, {per_row}, 0, {count})"
+    assert _faults_per_block("engine._row_task", args, n) <= 16
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")

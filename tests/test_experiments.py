@@ -28,6 +28,7 @@ from sparsemix import (
     size_table_csv,
 )
 from sparsemix import calibration, engine
+from sparsemix.rng import DOMAIN_NULL
 from sparsemix.experiments import POWER_HEADER, SIZE_HEADER
 
 HC = StatisticKind.HC
@@ -155,12 +156,14 @@ def test_closed_form_size_tables_equal_the_statistics_path(monkeypatch, seed):
     run = engine.simulate
 
     def recorded(task, params, total, threads):
-        simulated.append(task)
+        # each task's domain, and whether it reduces rows to levels (plans
+        # are tuples) or to statistics
+        simulated.extend((task, p[4], isinstance(p[6][0], tuple)) for p in params)
         return run(task, params, total, threads)
 
     monkeypatch.setattr(engine, "simulate", recorded)
     rows = size_table([100, 1001], [HC, BJ], CLOSED, [0.05, 0.1, 0.5], reps, seed, threads=1)
-    assert simulated == [engine._level_task] * 2
+    assert simulated == [(engine._row_task, DOMAIN_NULL, True)] * 2
     stats = {n: engine.null_statistics(n, reps, seed, (HC, BJ), threads=1) for n in (100, 1001)}
     for row in rows:
         cv = calibration._closed_form_cv(row.method, row.kind, row.n, row.nominal_alpha)

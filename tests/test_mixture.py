@@ -161,13 +161,21 @@ def test_pvalue_shapes_and_validation():
 # ---------------------------------------------------------------------------
 # null sampler: the engine's sorted, clamped lower halves, one replicate each
 
+def _lower_rows(n, eps, mu, readers, count):
+    """`engine._lower_rows` of the next `count` rows of `readers`, formed in
+    new buffers."""
+    bufs = [np.empty((count, w)) for w in engine._buffer_widths(n, *readers)]
+    return engine._lower_rows(n, eps, mu, *readers, count, bufs)
+
+
 def _null_rows(n, seed, start, count):
-    return engine._null_rows(n, Rows(seed, DOMAIN_NULL, 0, start, count, n // 2), count)
+    readers = engine._readers(n, 0.0, seed, DOMAIN_NULL, 0, start, count)
+    return _lower_rows(n, 0.0, 0.0, readers, count)
 
 
 def _alt_rows(n, eps, mu, seed, start, count):
-    readers = engine._alt_readers(n, eps, seed, 0, start, count)
-    return engine._alt_rows(n, eps, mu, *readers, count)
+    readers = engine._readers(n, eps, seed, DOMAIN_POWER, 0, start, count)
+    return _lower_rows(n, eps, mu, readers, count)
 
 
 def _null(n, seed, idx):
@@ -227,8 +235,8 @@ def test_alternative_pvalues_sparse_kernel(eps, monkeypatch):
     monkeypatch.setattr(engine, "pvalue", recorded)
     if eps == 0.0:
         monkeypatch.setattr(mixture, "erfc", no_erfc)
-    uniforms, normals = engine._alt_readers(n, eps, 23, 0, 0, rows)
-    low = engine._alt_rows(n, eps, mu, uniforms, normals, rows)
+    uniforms, normals = engine._readers(n, eps, 23, DOMAIN_POWER, 0, 0, rows)
+    low = _lower_rows(n, eps, mu, (uniforms, normals), rows)
     monkeypatch.undo()
     assert low.shape == (rows, m)
     if eps == 0.0:

@@ -1,6 +1,7 @@
 """The worker pool: one per command, a typed error when a worker dies, and
 no output and no live worker after an error or an interrupt."""
 
+import functools
 import multiprocessing
 import os
 import signal
@@ -12,6 +13,7 @@ import pytest
 from sparsemix import StatisticKind, WorkerLost
 from sparsemix import engine
 from sparsemix.cli import main
+from sparsemix.rng import DOMAIN_NULL, DOMAIN_POWER
 
 _ALL = (StatisticKind.HC, StatisticKind.BJ, StatisticKind.ALR)
 
@@ -58,21 +60,29 @@ def _interrupt(args):
     raise KeyboardInterrupt
 
 
+_ROW_TASK = engine._row_task
+
+
+def _on_domain(domain, fail, args):
+    """engine._row_task, but `fail` in its place on the rows of `domain`."""
+    return (fail if args[4] == domain else _ROW_TASK)(args)
+
+
 def _power_argv(tmp_path):
     return [*_POWER, "--out", str(tmp_path / "p.csv"), "--svg", str(tmp_path / "p.svg")]
 
 
 def test_maps_inside_one_workers_block_share_one_pool(pools):
-    tasks = [(20, 1, _ALL, s, 5) for s in range(0, 20, 5)]
+    tasks = [(20, 0.0, 0.0, 1, DOMAIN_NULL, 0, _ALL, s, 5) for s in range(0, 20, 5)]
     with engine.workers(2):
-        first = engine.map_tasks(engine._null_task, tasks, 2)
-        again = engine.map_tasks(engine._null_task, tasks, 2)
+        first = engine.map_tasks(engine._row_task, tasks, 2)
+        again = engine.map_tasks(engine._row_task, tasks, 2)
     assert len(pools) == 1
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
     assert multiprocessing.active_children() == []
     with engine.workers(1):  # one worker runs in this process: no pool
-        engine.map_tasks(engine._null_task, tasks, 1)
-    engine.map_tasks(engine._null_task, tasks, 2)  # no block open: a pool of its own
+        engine.map_tasks(engine._row_task, tasks, 1)
+    engine.map_tasks(engine._row_task, tasks, 2)  # no block open: a pool of its own
     assert len(pools) == 2
 
 
@@ -108,9 +118,12 @@ def test_power_curve_runs_on_one_pool(tmp_path, pools):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("task", ["_null_task", "_alt_task"])
-def test_killed_worker_exits_14_with_no_output(tmp_path, monkeypatch, capsys, deadline, task):
-    monkeypatch.setattr(engine, task, _kill_own_worker)
+@pytest.mark.parametrize("domain", [DOMAIN_NULL, DOMAIN_POWER], ids=["null", "alt"])
+def test_killed_worker_exits_14_with_no_output(tmp_path, monkeypatch, capsys, deadline, domain):
+    # the worker dies in the null map, or in the alternatives' map after the
+    # null map has run
+    monkeypatch.setattr(engine, "_row_task", functools.partial(_on_domain, domain,
+                                                               _kill_own_worker))
     assert main(_power_argv(tmp_path)) == 14
     assert "error: WorkerLost:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
@@ -118,7 +131,8 @@ def test_killed_worker_exits_14_with_no_output(tmp_path, monkeypatch, capsys, de
 
 
 def test_interrupt_leaves_no_output_and_no_worker(tmp_path, monkeypatch, deadline):
-    monkeypatch.setattr(engine, "_alt_task", _interrupt)
+    monkeypatch.setattr(engine, "_row_task",
+                        functools.partial(_on_domain, DOMAIN_POWER, _interrupt))
     with pytest.raises(KeyboardInterrupt):
         main(_power_argv(tmp_path))
     assert list(tmp_path.iterdir()) == []

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sparsemix import calibration, engine
-from sparsemix.rng import DOMAIN_NULL, Rows
+from sparsemix.rng import DOMAIN_NULL, DOMAIN_POWER
 from sparsemix.stats import P_MAX, P_MIN
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -43,15 +43,14 @@ def test_readme_snippets_rebuild_the_rows(n, j, seed, grid, eps, mu):
         exec(code, ns)
     # the samplers leave L = log(1 - p) in the last m columns of the
     # uniforms' buffer, the first of their buffers
-    uniforms = Rows(seed, DOMAIN_NULL, 0, j, 1, m)
-    bufs = [np.empty((1, w)) for w in engine._buffer_widths(n, uniforms, None)]
-    null = engine._null_rows(n, uniforms, 1, bufs=bufs)[0]
-    assert np.array_equal(np.clip(ns["low"], P_MIN, P_MAX), null)
-    assert np.array_equal(ns["log1m"], bufs[0][0, -m:])
-    readers = engine._alt_readers(n, eps, seed, b, j, 1)
-    bufs = [np.empty((1, w)) for w in engine._buffer_widths(n, *readers)]
-    alt = engine._alt_rows(n, eps, mu, *readers, 1, bufs=bufs)[0]
-    assert np.array_equal(np.clip(ns["low_alt"], P_MIN, P_MAX), alt)
-    assert np.array_equal(ns["log1m_alt"], bufs[0][0, -m:])
+    for (e, x, domain, sub), low, log1m in (
+        ((0.0, 0.0, DOMAIN_NULL, 0), ns["low"], ns["log1m"]),
+        ((eps, mu, DOMAIN_POWER, b), ns["low_alt"], ns["log1m_alt"]),
+    ):
+        readers = engine._readers(n, e, seed, domain, sub, j, 1)
+        bufs = [np.empty((1, w)) for w in engine._buffer_widths(n, *readers)]
+        row = engine._lower_rows(n, e, x, *readers, 1, bufs)[0]
+        assert np.array_equal(np.clip(low, P_MIN, P_MAX), row)
+        assert np.array_equal(log1m, bufs[0][0, -m:])
     assert np.array_equal(ns["cal1"], calibration._cal1_task((seed, j, 1)))
     assert np.array_equal(ns["cal2"], calibration._cal2_task((seed, n, grid, j, 1)))

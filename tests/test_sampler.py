@@ -50,26 +50,32 @@ def _dense_stats(n, eps, mu, seed, domain, count):
     return _stats(lambda s, c: _dense_lower_halves(n, eps, mu, seed, domain, s, c), n, count)
 
 
+def _lower_rows(n, eps, mu, readers, count):
+    """`engine._lower_rows` of the next `count` rows of `readers`, formed in
+    new buffers."""
+    bufs = [np.empty((count, w)) for w in engine._buffer_widths(n, *readers)]
+    return engine._lower_rows(n, eps, mu, *readers, count, bufs)
+
+
 def _null_rows(n, seed, count):
-    return engine._null_rows(n, Rows(seed, DOMAIN_NULL, 0, 0, count, n // 2), count)
+    readers = engine._readers(n, 0.0, seed, DOMAIN_NULL, 0, 0, count)
+    return _lower_rows(n, 0.0, 0.0, readers, count)
 
 
 def _alt_rows(spec, seed, count):
-    readers = engine._alt_readers(spec.n, spec.eps, seed, 0, 0, count)
-    return engine._alt_rows(spec.n, spec.eps, spec.mu, *readers, count)
+    readers = engine._readers(spec.n, spec.eps, seed, DOMAIN_POWER, 0, 0, count)
+    return _lower_rows(spec.n, spec.eps, spec.mu, readers, count)
 
 
 def _alt_stats(spec, seed, count):
     # one pair of readers for every chunk, as a task reads its blocks
-    readers = engine._alt_readers(spec.n, spec.eps, seed, 0, 0, count)
-    return _stats(
-        lambda s, c: engine._alt_rows(spec.n, spec.eps, spec.mu, *readers, c), spec.n, count
-    )
+    readers = engine._readers(spec.n, spec.eps, seed, DOMAIN_POWER, 0, 0, count)
+    return _stats(lambda s, c: _lower_rows(spec.n, spec.eps, spec.mu, readers, c), spec.n, count)
 
 
 def _null_stats(n, seed, count):
-    reader = Rows(seed, DOMAIN_NULL, 0, 0, count, n // 2)
-    return _stats(lambda s, c: engine._null_rows(n, reader, c), n, count)
+    readers = engine._readers(n, 0.0, seed, DOMAIN_NULL, 0, 0, count)
+    return _stats(lambda s, c: _lower_rows(n, 0.0, 0.0, readers, c), n, count)
 
 
 def _assert_same_law(a, b):

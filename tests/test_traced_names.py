@@ -8,7 +8,7 @@ import importlib
 from pathlib import Path
 
 from sparsemix import StatisticKind, engine, stats
-from sparsemix.mixture import mixture_from
+from sparsemix.mixture import MixtureSpec, mixture_from
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -30,23 +30,29 @@ def test_kernel_timer_entry_point_exists():
 
 
 def test_tasks_draw_their_rows_through_the_traced_samplers(monkeypatch):
-    # the tracer wraps engine._null_rows and engine._alt_rows and counts
-    # out.shape[0] as rows, so each must return its `count` rows and the
-    # tasks must look them up in the module globals
-    spec = mixture_from(40, 0.6)
+    # the tracer wraps engine._null_rows and engine._alt_rows as two layers
+    # and counts out.shape[0] as rows, so each must return its `count` rows
+    # and `_row_task` must look them up in the module globals: null
+    # statistic rows through `_null_rows`, alternative rows (at eps = 0 too)
+    # through `_alt_rows`, and level rows, which form no p-values, through
+    # neither
     rows = {}
     for name in ("_null_rows", "_alt_rows"):
         sampler = getattr(engine, name)
 
-        def counted(*args, _sampler=sampler, _name=name, **kwargs):
-            out = _sampler(*args, **kwargs)
-            assert out.shape == (args[-1], 20)
+        def counted(*args, _sampler=sampler, _name=name):
+            out = _sampler(*args)
+            assert out.shape == (args[5], 20)
             rows[_name] = rows.get(_name, 0) + out.shape[0]
             return out
 
         monkeypatch.setattr(engine, name, counted)
     monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 7 * 40)  # 7-row blocks
-    kinds = tuple(StatisticKind)
-    engine._null_task((40, 5, kinds, 3, 23))
-    engine._alt_task((40, spec.eps, spec.mu, 5, 1, kinds, 3, 23))
-    assert rows == {"_null_rows": 23, "_alt_rows": 23}
+    engine.null_statistics(40, 23, 5, threads=1)
+    assert rows == {"_null_rows": 23}
+    engine.alternative_grid([mixture_from(40, 0.6), MixtureSpec(40, 0.0, 0.0)], 23, 5,
+                            first_sub=1, threads=1)
+    assert rows == {"_null_rows": 23, "_alt_rows": 46}
+    engine.null_levels(40, 23, 5, {StatisticKind.HC: [1.0, 2.5], StatisticKind.BJ: [2.0]},
+                       threads=1)
+    assert rows == {"_null_rows": 23, "_alt_rows": 46}

@@ -12,6 +12,10 @@ multiset of its `engine.simulate` calls, each as task:parameter tuples:rows:
 
     simulate=<task>:<tuples>:<rows>,...  seed=<seed> threads=<threads> <file>
 
+A task is named by its function; `engine._row_task` also by the domain of
+its rows and what it reduces them to, `_row_task[null:levels]` say, so a
+closed-form size table that computed statistics would show.
+
 The body is the file without its run configuration: a CSV loses its
 `# config` line and a JSON its "config" key (which hold the output paths and
 `--threads`); an SVG is hashed whole.  Bodies of equal lines are
@@ -50,12 +54,18 @@ MC, LIMIT, POWER = 200, 10_000, 20
 COUNTED_CLI = """
 import sys
 from pathlib import Path
-from sparsemix import cli, engine
+from sparsemix import cli, engine, rng
 
 calls, simulate = [], engine.simulate
+domains = {v: k[len("DOMAIN_"):].lower() for k, v in vars(rng).items()
+           if k.startswith("DOMAIN_")}
 
 def counted(task, params, total, threads):
-    calls.append(f"{task.__name__}:{len(params)}:{total}")
+    name = task.__name__
+    if name == "_row_task":  # (n, eps, mu, seed, domain, sub, kinds or plans)
+        domain, reduce = params[0][4], params[0][6]
+        name += f"[{domains[domain]}:{'levels' if isinstance(reduce[0], tuple) else 'stats'}]"
+    calls.append(f"{name}:{len(params)}:{total}")
     return simulate(task, params, total, threads)
 
 engine.simulate = counted
