@@ -32,7 +32,6 @@ import numpy as np
 
 from . import engine
 from .errors import (
-    AlphaOutOfRange,
     ConfigError,
     DomainError,
     IncompatibleMethod,
@@ -41,6 +40,7 @@ from .errors import (
     NonFinite,
     OutOfRange,
     UnsupportedStatistic,
+    convert,
 )
 from .rng import DOMAIN_CAL1, DOMAIN_CAL2, U_FLOOR, Rows, exponentials_from_uniforms
 from .stats import StatisticKind
@@ -89,7 +89,8 @@ def simulate_null_distribution(
     threads: int = 0,
 ) -> np.ndarray:
     """`reps` null replicates of the statistic, sorted and read-only."""
-    [reps] = engine.check_integers(reps=reps)
+    kind, n, reps, master_seed, threads = convert(kind=kind, n=n, reps=reps,
+                                                  master_seed=master_seed, threads=threads)
     if reps < 100:
         raise InsufficientReplicates(f"need reps >= 100, got {reps}")
     [stats] = engine.null_statistics(n, reps, master_seed, (kind,), threads=threads).values()
@@ -98,22 +99,13 @@ def simulate_null_distribution(
     return replicates
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {alpha!r}")
-    return alpha
-
-
 def quantile_index(reps: int, alpha: float) -> int:
     """1-based index of the upper-alpha empirical quantile: ceil((1-alpha)(R+1)), capped at R.
 
     Uses exact rational arithmetic on alpha's decimal form; float rounding
     would put e.g. ceil(0.95 * 20) at 20 instead of 19.
     """
-    _check_alpha(alpha)
-    if reps < 1:
-        raise InsufficientReplicates(f"need reps >= 1, got {reps}")
+    reps, alpha = convert(reps=reps, alpha=alpha)
     k = math.ceil((1 - Fraction(str(alpha))) * (reps + 1))
     return min(k, reps)
 
@@ -134,7 +126,7 @@ def empirical_cv(replicates: np.ndarray, alpha: float) -> float:
         raise OutOfRange("replicates must be a nonempty vector")
     if not np.all(np.isfinite(r)):
         raise NonFinite("replicates must be finite")
-    alpha = _check_alpha(alpha)
+    [alpha] = convert(alpha=alpha)
     check_tail(r.size, alpha)
     k = quantile_index(r.size, alpha) - 1
     return float(np.partition(r, k)[k])
@@ -149,7 +141,7 @@ def _closed_form_cv(method: CalibrationMethod, kind, n: int, alpha) -> float:
     * evii   -- q = c^2 / (2 b^2) - g, with c = 2 llog + (1/2) log llog -
       (1/2) log 4pi and b^2 = 2 llog
     """
-    kind = StatisticKind(kind)
+    kind, n = convert(kind=kind, n=n)
     if kind not in _METHOD_KINDS[method]:
         raise UnsupportedStatistic(f"{method.value} calibrates hc and bj; alr needs cal1/cal2")
     if n < 16:
@@ -158,7 +150,7 @@ def _closed_form_cv(method: CalibrationMethod, kind, n: int, alpha) -> float:
     if method is CalibrationMethod.THRESH:
         q = llog
     else:
-        alpha = _check_alpha(alpha)
+        [alpha] = convert(alpha=alpha)
         if method is CalibrationMethod.EVI:
             q = llog + 0.5 * math.log(llog) - 0.5 * _LOG_4PI - math.log(-math.log1p(-alpha))
         else:
@@ -245,13 +237,6 @@ def _bridge_coeffs(n: int, grid_size: int):
     return t, c, w, k
 
 
-def _check_bridge_args(n: int, grid_size: int) -> None:
-    if n < 16:
-        raise DomainError(f"bridge functional needs n >= 16, got {n}")
-    if grid_size < 256:
-        raise DomainError(f"grid_size must be >= 256, got {grid_size}")
-
-
 def _ln_rows(
     n: int, grid_size: int, z: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -318,18 +303,18 @@ def check_limit_request(
     variant: CalibrationMethod, alpha: float, reps: int, n_for_l: int, grid_size: int
 ) -> tuple[CalibrationMethod, float, int, int, int]:
     """Refuse, before any draw, what the limit law cannot calibrate; returns
-    the arguments as a CalibrationMethod, a float and three ints."""
-    variant = CalibrationMethod(variant)
-    reps, n_for_l, grid_size = engine.check_integers(reps=reps, n_for_l=n_for_l,
-                                                     grid_size=grid_size)
+    the arguments converted."""
+    variant, alpha, reps, n_for_l, grid_size = convert(
+        variant=variant, alpha=alpha, reps=reps, n_for_l=n_for_l, grid_size=grid_size)
     if _METHOD_KINDS[variant] != {StatisticKind.ALR}:  # cal1 and cal2 calibrate alr alone
         raise IncompatibleMethod(f"ALR limit calibration is cal1 or cal2, got {variant.value}")
-    alpha = _check_alpha(alpha)
     if reps < 10_000:
         raise InsufficientReplicates(f"limit-law calibration needs reps >= 10000, got {reps}")
     check_tail(reps, alpha)
-    if variant is CalibrationMethod.CAL2:
-        _check_bridge_args(n_for_l, grid_size)
+    if variant is CalibrationMethod.CAL2 and n_for_l < 16:
+        raise DomainError(f"bridge functional needs n >= 16, got {n_for_l}")
+    if variant is CalibrationMethod.CAL2 and grid_size < 256:
+        raise DomainError(f"grid_size must be >= 256, got {grid_size}")
     return variant, alpha, reps, n_for_l, grid_size
 
 
@@ -361,6 +346,6 @@ def alr_limit_cv(
     alr-limit command and size_table do."""
     variant, alpha, reps, n_for_l, grid_size = check_limit_request(variant, alpha, reps,
                                                                    n_for_l, grid_size)
-    master_seed = engine.check_seed(master_seed)
+    master_seed, threads = convert(master_seed=master_seed, threads=threads)
     draws = _limit_draws(variant, reps, n_for_l, grid_size, master_seed, threads)
     return math.log(empirical_cv(draws, alpha))

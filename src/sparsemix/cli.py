@@ -24,10 +24,9 @@ from .calibration import (
     check_limit_request,
     check_tail,
     empirical_cv,
-    quantile_index,
     simulate_null_distribution,
 )
-from .errors import ConfigError, IoError, OutOfMemory, SparsemixError
+from .errors import ConfigError, IoError, OutOfMemory, SparsemixError, convert
 from .experiments import (
     beta_grid_default,
     power_curve,
@@ -53,26 +52,18 @@ def _run_config(args: argparse.Namespace) -> dict:
 
 def _parse_list(text: str, flag: str, parse) -> list:
     """The comma-separated values of `flag`, each through `parse`; a
-    malformed, empty or repeating list is a ConfigError."""
+    malformed or empty list is a ConfigError (the package refuses repeats)."""
     try:
         values = [parse(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise ConfigError(f"{flag} expects comma-separated values, got {text!r}") from None
     if not values:
         raise ConfigError(f"{flag} expects at least one value")
-    if len(set(values)) != len(values):
-        raise ConfigError(f"{flag} values must be distinct, got {text!r}")
     return values
 
 
 def _parse_alphas(text: str) -> list[float]:
     return sorted(_parse_list(text, "--alpha", float))
-
-
-def _check_seed(seed: int) -> int:
-    if seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {seed}")
-    return engine.check_seed(seed)
 
 
 def _write_outputs(*outputs: tuple[str, str]) -> None:
@@ -140,18 +131,10 @@ def _cmd_stat(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def _precheck_alphas(reps: int, alphas: list[float]) -> None:
-    """Fail before simulating if a requested level cannot be calibrated."""
-    for a in alphas:
-        quantile_index(reps, a)
-        check_tail(reps, a)
-
-
 def _cmd_calibrate(args: argparse.Namespace, config: dict) -> int:
-    _check_seed(args.seed)
-    kind = StatisticKind(args.stat)
-    alphas = _parse_alphas(args.alpha)
-    _precheck_alphas(args.reps, alphas)
+    kind, reps, alphas = convert(kind=args.stat, reps=args.reps, alphas=_parse_alphas(args.alpha))
+    for alpha in alphas:  # refuse any level before simulating
+        check_tail(reps, alpha)
     replicates = simulate_null_distribution(
         kind, args.n, args.reps, args.seed, threads=args.threads
     )
@@ -170,7 +153,6 @@ def _cmd_calibrate(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_size_table(args: argparse.Namespace, config: dict) -> int:
-    _check_seed(args.seed)
     rows = size_table(
         ns=_parse_list(args.n, "--n", int),
         kinds=_parse_list(args.stat, "--stat", StatisticKind),
@@ -188,7 +170,6 @@ def _cmd_size_table(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_power_curve(args: argparse.Namespace, config: dict) -> int:
-    _check_seed(args.seed)
     if args.svg is not None and Path(args.svg).resolve() == Path(args.out).resolve():
         raise ConfigError(f"--out and --svg name the same file, {args.out!r}")
     if args.beta_grid.strip() == "default":
@@ -212,9 +193,7 @@ def _cmd_power_curve(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_alr_limit(args: argparse.Namespace, config: dict) -> int:
-    _check_seed(args.seed)
-    variant = CalibrationMethod(args.variant)
-    alphas = _parse_alphas(args.alpha)
+    variant, alphas = convert(variant=args.variant, alphas=_parse_alphas(args.alpha))
     for alpha in alphas:  # refuse any level before the first draw
         check_limit_request(variant, alpha, args.reps, args.n_for_l, args.grid)
     # one draw serves every level; looked up in its module, where perfbench wraps it
@@ -326,6 +305,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     config = _run_config(args)
     try:
+        seed = vars(args).get("seed", 0)  # stat takes none
+        if seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {seed}")
+        convert(master_seed=seed)
         # one worker pool serves every simulation of the command; stat has none
         with engine.workers(vars(args).get("threads", 1)):
             return _COMMANDS[args.command](args, config)

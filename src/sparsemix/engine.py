@@ -43,7 +43,6 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from collections.abc import Collection
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
@@ -53,12 +52,12 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    InsufficientReplicates,
+    OutOfMemory,
     OutOfRange,
     SampleTooSmall,
     UnsupportedStatistic,
     WorkerLost,
-    check_integers,
+    convert,
 )
 from .mixture import MixtureSpec, pvalue
 from .rng import DOMAIN_NULL, DOMAIN_POWER, DOMAIN_SHIFT, Rows
@@ -77,12 +76,8 @@ BLOCK_ELEMENTS = 1 << 17
 
 def resolve_threads(threads: int) -> int:
     """0 means all available cores; otherwise the explicit worker count, an int."""
-    [threads] = check_integers(threads=threads)
-    if threads < 0:
-        raise ConfigError(f"thread count must be >= 0, got {threads}")
-    if threads == 0:
-        return os.cpu_count() or 1
-    return threads
+    [threads] = convert(threads=threads)
+    return threads or os.cpu_count() or 1
 
 
 # The pool of the innermost open `workers` block, if any.
@@ -436,43 +431,19 @@ def _row_task(args) -> np.ndarray:
     return in_blocks(block, (len(reduce), count), n, dtype)
 
 
-def check_sequence(values, name: str, what: str) -> None:
-    """Refuse a bare value where a sequence of `what` is expected, before
-    anything runs: a str (a kind or a method is one) would be read
-    character by character, a number not at all, and an iterator once."""
-    if isinstance(values, str) or not isinstance(values, Collection):
-        raise ConfigError(f"{name} must be a sequence of {what}, not {values!r}")
-
-
-def check_seed(master_seed: int) -> int:
-    """The master seed as an int in [0, 2^64), or a typed error before
-    anything runs: ConfigError for a non-integer, OutOfRange outside."""
-    [master_seed] = check_integers(master_seed=master_seed)
-    if not 0 <= master_seed < 2**64:
-        raise OutOfRange(f"master_seed {master_seed} outside [0, 2^64)")
-    return master_seed
-
-
-def _check_request(n: int, reps: int, master_seed: int, kinds) -> tuple[int, int, int, tuple]:
-    """(n, reps, master_seed, kinds) as ints and StatisticKinds supported at
-    n, or a typed error before anything runs."""
-    n, reps = check_integers(n=n, reps=reps)
-    master_seed = check_seed(master_seed)
-    if n < 2:
-        raise SampleTooSmall(f"need n >= 2, got {n}")
-    if reps < 1:
-        raise InsufficientReplicates(f"need at least one replicate, got {reps}")
+def _check_request(n: int, kinds) -> tuple[StatisticKind, ...]:
+    """The kinds asked for, every kind supported at n by default, as
+    StatisticKinds supported at n, or a typed error before anything runs."""
     available = supported_kinds(n)
     if kinds is None:
-        return n, reps, master_seed, available
-    check_sequence(kinds, "kinds", "statistic kinds, such as ('hc',)")
-    kinds = tuple(StatisticKind(k) for k in kinds)
+        return available
+    [kinds] = convert(kinds=kinds)
     if not kinds:
         raise ConfigError("need at least one statistic kind")
     for k in kinds:
         if k not in available:
             raise SampleTooSmall(f"{k.value} needs n >= 4, got n={n}")
-    return n, reps, master_seed, kinds
+    return tuple(kinds)
 
 
 def null_statistics(
@@ -487,7 +458,9 @@ def null_statistics(
     simulation pass of the kinds asked for (every kind supported at n by
     default), in new arrays.  A kind's vector does not depend on which
     other kinds are computed with it."""
-    n, reps, master_seed, kinds = _check_request(n, reps, master_seed, kinds)
+    n, reps, master_seed, threads = convert(n=n, reps=reps, master_seed=master_seed,
+                                            threads=threads)
+    kinds = _check_request(n, kinds)
     params = (n, 0.0, 0.0, master_seed, DOMAIN_NULL, 0, kinds)
     [stats] = simulate(_row_task, [params], reps, threads)
     return dict(zip(kinds, stats))
@@ -532,7 +505,9 @@ def null_levels(
     found by boundary crossing (`_row_levels`), so most rows never reach
     the kernels.
     """
-    n, reps, master_seed, kinds = _check_request(n, reps, master_seed, tuple(cvs))
+    n, reps, master_seed, threads = convert(n=n, reps=reps, master_seed=master_seed,
+                                            threads=threads)
+    kinds = _check_request(n, tuple(cvs))
     plans = []
     for kind, values in zip(kinds, cvs.values()):
         if kind is StatisticKind.ALR:
@@ -541,7 +516,10 @@ def null_levels(
         if c.ndim != 1 or not np.all(np.isfinite(c) & (c >= 0.0)) or np.any(np.diff(c) <= 0.0):
             raise ConfigError(f"{kind.value} critical values must be ascending, distinct, "
                               f"finite and >= 0, got {values!r}")
-        plans.append(_level_plan(kind, c, n))
+        try:
+            plans.append(_level_plan(kind, c, n))
+        except (MemoryError, ValueError):  # numpy's refusal of an array past its limits
+            raise OutOfMemory(f"the boundaries of {kind.value} at n={n} do not fit in memory")
     params = (n, 0.0, 0.0, master_seed, DOMAIN_NULL, 0, tuple(plans))
     [levels] = simulate(_row_task, [params], reps, threads)
     return dict(zip(kinds, levels))
@@ -561,6 +539,7 @@ def alternative_statistics(
     `sub` partitions the stream space between alternatives run under one
     master seed (e.g. the index of a beta grid point).
     """
+    [sub] = convert(sub=sub)
     [stats] = alternative_grid([spec], reps, master_seed, first_sub=sub, kinds=kinds,
                                threads=threads)
     return stats
@@ -576,8 +555,8 @@ def alternative_grid(
     threads: int = 0,
 ) -> list[dict[StatisticKind, np.ndarray]]:
     """alternative_statistics of every mixture in `specs`, all of one n, with
-    specs[k] on stream sub-range first_sub + k, an integer; sub-ranges
-    outside [0, 2^16) raise OutOfRange before anything runs.
+    specs[k] on stream sub-range first_sub + k; sub-ranges outside
+    [0, 2^16) raise OutOfRange before anything runs.
 
     The tasks of every mixture share one map_tasks call, so no worker waits
     for the last task of one mixture before the next mixture starts.
@@ -587,9 +566,10 @@ def alternative_grid(
     n = specs[0].n
     if any(spec.n != n for spec in specs):
         raise ConfigError("every mixture of a grid needs the same n")
-    n, reps, master_seed, kinds = _check_request(n, reps, master_seed, kinds)
-    [first_sub] = check_integers(first_sub=first_sub)
-    if not 0 <= first_sub <= 2**16 - len(specs):
+    reps, master_seed, first_sub, threads = convert(reps=reps, master_seed=master_seed,
+                                                    first_sub=first_sub, threads=threads)
+    kinds = _check_request(n, kinds)
+    if first_sub > 2**16 - len(specs):
         raise OutOfRange(f"stream sub-ranges {first_sub}..{first_sub + len(specs) - 1} "
                          "outside [0, 2^16)")
     params = [

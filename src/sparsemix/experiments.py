@@ -12,13 +12,12 @@ from .calibration import (
     _CLOSED_FORMS,
     _METHOD_KINDS,
     CalibrationMethod,
-    _check_alpha,
     _closed_form_cv,
     check_limit_request,
     check_tail,
     empirical_cv,
 )
-from .errors import ConfigError, DomainError, IncompatibleMethod, InsufficientReplicates
+from .errors import ConfigError, DomainError, IncompatibleMethod, convert
 from .mixture import mixture_from
 from .stats import StatisticKind
 
@@ -106,28 +105,23 @@ def size_table(
     give.  Any other request makes one `engine.null_statistics` pass an n
     and compares its statistics with each cell's critical value.
     """
-    engine.check_sequence(ns, "ns", "sample sizes, such as (100, 1000)")
-    engine.check_sequence(methods, "methods", "calibration methods, such as ('empirical',)")
-    engine.check_sequence(alphas, "alphas", "levels, such as (0.05, 0.1)")
+    ns, methods, alphas, reps, master_seed, threads, limit_reps, limit_n_for_l, limit_grid = (
+        convert(ns=ns, methods=methods, alphas=alphas, reps=reps, master_seed=master_seed,
+                threads=threads, limit_reps=limit_reps, limit_n_for_l=limit_n_for_l,
+                limit_grid=limit_grid))
     if len(ns) == 0 or len(methods) == 0 or len(alphas) == 0:
         raise ConfigError("a size table needs at least one n, one method and one level")
-    sizes = []
     for n in ns:
-        n, reps, master_seed, kinds = engine._check_request(n, reps, master_seed, kinds)
-        sizes.append(n)
-    ns = sizes
-    methods = [CalibrationMethod(method) for method in methods]
+        kinds = engine._check_request(n, kinds)
     for method in methods:
         for kind in kinds:
             if kind not in _METHOD_KINDS[method]:
                 raise IncompatibleMethod(f"{method.value} does not calibrate {kind.value}")
         for alpha in alphas:
-            _check_alpha(alpha)
             if method is CalibrationMethod.EMPIRICAL:
                 check_tail(reps, alpha)
             elif method in (CalibrationMethod.CAL1, CalibrationMethod.CAL2):
-                *_, limit_reps, limit_n_for_l, limit_grid = check_limit_request(
-                    method, alpha, limit_reps, limit_n_for_l, limit_grid)
+                check_limit_request(method, alpha, limit_reps, limit_n_for_l, limit_grid)
     closed = {
         (n, kind, method, alpha): _closed_form_cv(method, kind, n, alpha)
         for n in ns
@@ -169,7 +163,7 @@ def size_table(
                             n=n,
                             kind=kind,
                             method=method,
-                            nominal_alpha=float(alpha),
+                            nominal_alpha=alpha,
                             realized_size=realized,
                             reps=reps,
                             master_seed=master_seed,
@@ -195,15 +189,13 @@ def power_curve(
     grid point then draws reps_pow alternative replicates on its own stream
     sub-range, and the tasks of every grid point share one pool queue.
     """
-    engine.check_sequence(betas, "betas", "sparsities, such as (0.6, 0.8)")
+    n, betas, alpha, reps_cal, reps_pow, master_seed, threads = convert(
+        n=n, betas=betas, alpha=alpha, reps_cal=reps_cal, reps_pow=reps_pow,
+        master_seed=master_seed, threads=threads)
     if len(betas) == 0:
         raise DomainError("beta grid must be nonempty")
-    n, reps_cal, reps_pow = engine.check_integers(n=n, reps_cal=reps_cal, reps_pow=reps_pow)
-    master_seed = engine.check_seed(master_seed)
     specs = [mixture_from(n, beta) for beta in betas]
-    check_tail(reps_cal, _check_alpha(alpha))
-    if reps_pow < 1:
-        raise InsufficientReplicates(f"need at least one power replicate, got {reps_pow}")
+    check_tail(reps_cal, alpha)
     null_stats = engine.null_statistics(n, reps_cal, master_seed, kinds, threads=threads)
     cvs = {kind: empirical_cv(stat, alpha) for kind, stat in null_stats.items()}
     # grid point k runs on stream sub-range k
@@ -215,7 +207,7 @@ def power_curve(
         for kind, cv in cvs.items():
             points.append(
                 PowerCurvePoint(
-                    beta=float(beta),
+                    beta=beta,
                     kind=kind,
                     power=float(np.mean(alt[kind] > cv)),
                     n=n,

@@ -24,7 +24,8 @@ _FALLBACK_STYLE = ("#2ca02c", "2 3")
 
 
 def _parse_rows(csv_text: str) -> list[tuple[float, str, float]]:
-    lines = [ln for ln in csv_text.splitlines() if ln and not ln.startswith("#")]
+    text = csv_text if isinstance(csv_text, str) else ""
+    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     if not lines or lines[0] != POWER_HEADER:
         raise ConfigError(f"expected power-curve CSV with header {POWER_HEADER!r}")
     rows = []

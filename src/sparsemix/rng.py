@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange
+from .errors import OutOfRange, convert
 
 DOMAIN_NULL = 0
 DOMAIN_POWER = 1
@@ -74,12 +74,7 @@ GROUP_ROWS = 256
 
 def stream_id_for(domain: int, sub: int, index: int) -> int:
     """Compose a stream id from its (domain, sub, index) coordinates."""
-    if not 0 <= domain < 2**16:
-        raise OutOfRange(f"stream domain {domain} outside [0, 2^16)")
-    if not 0 <= sub < 2**16:
-        raise OutOfRange(f"stream sub-id {sub} outside [0, 2^16)")
-    if not 0 <= index < 2**32:
-        raise OutOfRange(f"stream index {index} outside [0, 2^32)")
+    domain, sub, index = convert(domain=domain, sub=sub, index=index)
     return domain << 48 | sub << 32 | index
 
 
@@ -91,8 +86,7 @@ class RandomStream:
     stream_id: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.master_seed < 2**64:
-            raise OutOfRange(f"master_seed {self.master_seed} outside [0, 2^64)")
+        convert(master_seed=self.master_seed)
         if not 0 <= self.stream_id < 2**64:
             raise OutOfRange(f"stream_id {self.stream_id} outside [0, 2^64)")
 

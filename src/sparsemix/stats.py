@@ -32,11 +32,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyOrSingleton,
     NonFinite,
     OutOfRange,
     SampleTooSmall,
     UnsupportedStatistic,
+    convert,
 )
 
 # Clamp bounds for p-values: keeps logs and the HC denominator finite.  The
@@ -59,6 +61,7 @@ class StatisticKind(str, enum.Enum):
 
 def supported_kinds(n: int) -> tuple[StatisticKind, ...]:
     """Statistics computable at sample size n (ALR needs n >= 4)."""
+    [n] = convert(n=n)
     if n < 4:
         return (StatisticKind.HC, StatisticKind.BJ)
     return (StatisticKind.HC, StatisticKind.BJ, StatisticKind.ALR)
@@ -255,16 +258,24 @@ def _row_stats(
     return out
 
 
+def _one_sample(sample: SortedPValues, kind: StatisticKind) -> float:
+    """The statistic of one sample from `prepare`."""
+    if not isinstance(sample, SortedPValues):
+        raise ConfigError(f"{kind.value} takes a sample from prepare(), "
+                          f"got {type(sample).__name__}")
+    if kind not in supported_kinds(sample.n):  # log(n/3) must be positive
+        raise SampleTooSmall(f"{kind.value} needs n >= 4, got n={sample.n}")
+    return float(_row_stats(sample.values[None, :], sample.n, (kind,))[kind][0])
+
+
 def hc_star(sample: SortedPValues) -> float:
     """Higher criticism: max over i <= n/2 of sqrt(n)(i/n - p_(i)) / sqrt(p_(i)(1-p_(i)))."""
-    res = _row_stats(sample.values[None, :], sample.n, (StatisticKind.HC,))
-    return float(res[StatisticKind.HC][0])
+    return _one_sample(sample, StatisticKind.HC)
 
 
 def bj_plus(sample: SortedPValues) -> float:
     """One-sided Berk-Jones: max over i <= n/2 of log LR_{n,i} at p_(i)."""
-    res = _row_stats(sample.values[None, :], sample.n, (StatisticKind.BJ,))
-    return float(res[StatisticKind.BJ][0])
+    return _one_sample(sample, StatisticKind.BJ)
 
 
 def log_alr(sample: SortedPValues) -> float:
@@ -273,9 +284,4 @@ def log_alr(sample: SortedPValues) -> float:
     ALR = (1/2) LR_{n,1} + (1/2) sum_{i=2}^{m} LR_{n,i} / (i log(n/3)),
     evaluated as a max-shifted log-sum-exp so large LR terms cannot overflow.
     """
-    if sample.n < 4:
-        raise SampleTooSmall(
-            f"ALR needs n >= 4 (log(n/3) must be positive), got n={sample.n}"
-        )
-    res = _row_stats(sample.values[None, :], sample.n, (StatisticKind.ALR,))
-    return float(res[StatisticKind.ALR][0])
+    return _one_sample(sample, StatisticKind.ALR)

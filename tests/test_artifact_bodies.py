@@ -1,13 +1,21 @@
 """tools/artifact_bodies.py at tiny replicate counts: it runs every command
 of its matrix and prints one hash per artifact body and one line of
-`engine.simulate` calls per command, and neither depends on the worker
-count."""
+`engine.simulate` calls per command, neither depends on the worker count,
+and both match the golden lines in artifact_bodies.txt.
+
+The golden file heads its lines with the numpy version they were made
+under, since the draws rest on it (see the `rng` docstring).  A change that
+moves a body on purpose regenerates the file with the command on its second
+line, so its diff lists the moved bodies."""
 
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_bodies.py"
+GOLDEN = Path(__file__).resolve().parent / "artifact_bodies.txt"
 ARTIFACTS = {
     "calibrate.json", "calibrate-hc.json", "calibrate-alr.json", "size-hc-bj.csv",
     "size-closed.csv", "size-bj-alpha-0.9.csv", "size-alr.csv", "size-alr-2n.csv",
@@ -44,3 +52,9 @@ def test_artifact_bodies_hash_each_artifact_once_per_run():
     # closed forms alone are sized by levels, with no statistic computed
     assert simulations["threads=1"]["size-closed.csv"] == (
         "simulate=_row_task[null:levels]:1:200,_row_task[null:levels]:1:200")
+    # every line at one worker as the golden file holds it
+    version, _, *golden = GOLDEN.read_text().splitlines()
+    ran = [line for line in done.stdout.splitlines() if " threads=1 " in line]
+    moved = sorted({line.split()[-1] for line in set(ran) ^ set(golden)})
+    assert not moved and len(ran) == len(golden), (f"moved: {', '.join(moved)}; golden file made under {version[2:]}, "
+                       f"this run under numpy {np.__version__}")
